@@ -51,7 +51,6 @@ from .serialize import (
 )
 from .wach import (
     GammaElement,
-    build_G_gamma,
     build_M_prime,
     verify_commutation,
     verify_p1_twist,
@@ -239,7 +238,7 @@ def _cmd_wach(args) -> int:
     report.add("P_1 gamma(P_1^{-1}) = I mod pi", twist["identity_mod_pi"])
     for n in range(1, args.levels + 1):
         try:
-            build_G_gamma(fd, n, gamma, args.trunc)
+            tower.twist(n, gamma, args.trunc)
             report.add(f"G^({n}) integral with constant term I", True)
         except IntegralityViolation as exc:
             report.add(f"G^({n}) integral with constant term I", False,

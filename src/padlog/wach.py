@@ -18,13 +18,19 @@ modulo (1 + pi)^{p^n} - 1.  The twist of gamma by the tower,
 
     G^(n) = (M'_n)^{-1} * gamma(M'_n),
 
-is computed modulo a chosen power of pi.  For an integer c everything
-runs in exact rational arithmetic: det M'_n has constant term exactly
-1, so the inverse is an adjugate divided by a unit power series whose
-expansion is a denominator-free recurrence.  The twist must come out
-p-integral and congruent to I mod pi, and these claims are verified
-rather than assumed.  A non-integer gamma (a scalar exponent) is
-supported through a binomial series over the working precision.
+is computed modulo a chosen power pi^T.  A substitution f(g) with
+g(0) = 0 depends only on f mod pi^T, so every substitution that feeds a
+truncated result is truncated from the start: f is cut to T terms,
+(1 + pi)^c - 1 mod pi^T comes straight from the binomial coefficients,
+and Horner's rule cuts to T terms after every multiply.  The cost of a
+twist therefore does not depend on the size of c.  M'_n is cut to pi^T
+first and its inverse mod pi^T comes from the adjugate divided by the
+determinant, whose constant term is exactly 1, so that the expansion is
+a denominator-free recurrence.  Only gamma(M'_n) depends on the kind of
+exponent: an integer c runs in exact rational arithmetic, a scalar c
+through a binomial series over the working precision.  The twist must
+come out p-integral and congruent to I mod pi, and these claims are
+verified rather than assumed.
 
 The commutation relation linking consecutive levels,
 
@@ -52,10 +58,11 @@ from .linalg import (
     fpoly_mul,
     fpoly_scale,
     fpoly_trim,
+    frac_identity,
 )
 from .logmatrix import FrobeniusData
 from .padic import PadicContext, PadicScalar
-from .series import XSeries, invert_series, omega_ints, phi_cyclo_ints
+from .series import XSeries, omega_ints, phi_cyclo_ints
 
 
 def wach_context(p: int, rel_prec: int = 60, denom_budget: int = 64):
@@ -106,33 +113,55 @@ class GammaElement:
 # ---------------------------------------------------------------------------
 
 
-def _binom_shift(e: int):
-    """(1 + pi)^e - 1 as an exact polynomial in pi."""
-    out = [Fraction(math.comb(e, k)) for k in range(e + 1)]
-    out[0] = Fraction(0)
+def _binom_shift(e: int, T=None):
+    """(1 + pi)^e - 1 as an exact polynomial in pi, mod pi^T when T is
+    given."""
+    top = e if T is None else min(e, T - 1)
+    return fpoly_trim([Fraction(0)] + [Fraction(math.comb(e, k))
+                                       for k in range(1, top + 1)])
+
+
+def _pmul(f, g, T=None):
+    """f * g, mod pi^T when T is given; only the kept terms are formed."""
+    if T is None:
+        return fpoly_mul(f, g)
+    if not f or not g:
+        return []
+    n = min(len(f) + len(g) - 1, T)
+    out = [Fraction(0)] * n
+    for i, a in enumerate(f[:n]):
+        if a:
+            for j, b in enumerate(g[:n - i]):
+                out[i + j] += a * b
     return fpoly_trim(out)
 
 
-def _pcompose(f, g):
-    """f(g(pi)) for polynomials with g(0) = 0."""
+def _pcompose(f, g, T=None):
+    """f(g(pi)) for polynomials with g(0) = 0, mod pi^T when T is given.
+
+    As g^k is divisible by pi^k, only f mod pi^T matters, and Horner's
+    rule cuts every partial result to T terms.
+    """
     if g and g[0] != 0:
         raise InputError("substitution requires zero constant term")
     acc = []
-    for c in reversed(list(f)):
-        acc = fpoly_add(fpoly_mul(acc, g), [Fraction(c)])
+    for c in reversed(list(f)[:T]):
+        acc = fpoly_add(_pmul(acc, g, T), [Fraction(c)])
     return acc
 
 
-def phi_act_poly(p: int, f):
-    """Substitute pi -> (1 + pi)^p - 1 into a polynomial."""
-    return _pcompose(f, _binom_shift(p))
+def phi_act_poly(p: int, f, trunc=None):
+    """Substitute pi -> (1 + pi)^p - 1 into a polynomial, mod pi^trunc
+    when trunc is given."""
+    return _pcompose(f, _binom_shift(p, trunc), trunc)
 
 
-def gamma_act_poly(gamma: GammaElement, f):
-    """Substitute pi -> (1 + pi)^c - 1, integer exponent only."""
+def gamma_act_poly(gamma: GammaElement, f, trunc=None):
+    """Substitute pi -> (1 + pi)^c - 1, integer exponent only, mod
+    pi^trunc when trunc is given."""
     if not gamma.is_integer:
         raise InputError("exact substitution needs an integer exponent")
-    return _pcompose(f, _binom_shift(gamma.c))
+    return _pcompose(f, _binom_shift(gamma.c, trunc), trunc)
 
 
 def _pmat_from_frac(M):
@@ -144,7 +173,7 @@ def _pmat_identity(d):
             for i in range(d)]
 
 
-def _pmat_mul(A, B):
+def _pmat_mul(A, B, T=None):
     d, m, e = len(A), len(B), len(B[0])
     out = []
     for i in range(d):
@@ -152,7 +181,7 @@ def _pmat_mul(A, B):
         for j in range(e):
             acc = []
             for k in range(m):
-                acc = fpoly_add(acc, fpoly_mul(A[i][k], B[k][j]))
+                acc = fpoly_add(acc, _pmul(A[i][k], B[k][j], T))
             row.append(acc)
         out.append(row)
     return out
@@ -169,7 +198,8 @@ def _pmat_map(A, fn):
     return [[fn(e) for e in row] for row in A]
 
 
-def _pdet(A):
+def _pdet(A, T: int):
+    """Determinant mod pi^T, by cofactor expansion."""
     d = len(A)
     if d == 1:
         return list(A[0][0])
@@ -178,14 +208,15 @@ def _pdet(A):
         if not A[0][j]:
             continue
         minor = [[A[i][k] for k in range(d) if k != j] for i in range(1, d)]
-        term = fpoly_mul(A[0][j], _pdet(minor))
+        term = _pmul(A[0][j], _pdet(minor, T), T)
         if j % 2:
             term = fpoly_scale(term, -1)
         acc = fpoly_add(acc, term)
     return acc
 
 
-def _padj(A):
+def _padj(A, T: int):
+    """Adjugate mod pi^T."""
     d = len(A)
     if d == 1:
         return [[[Fraction(1)]]]
@@ -196,7 +227,7 @@ def _padj(A):
                 [A[r][c] for c in range(d) if c != j]
                 for r in range(d) if r != i
             ]
-            cof = _pdet(minor)
+            cof = _pdet(minor, T)
             if (i + j) % 2:
                 cof = fpoly_scale(cof, -1)
             out[j][i] = cof
@@ -217,12 +248,13 @@ def _pseries_inv(f, T: int):
     return fpoly_trim(g)
 
 
-def _ptrunc(f, T: int):
-    return fpoly_trim(list(f)[:T])
-
-
 def _pmat_trunc(A, T: int):
-    return _pmat_map(A, lambda e: _ptrunc(e, T))
+    return _pmat_map(A, lambda e: fpoly_trim(e[:T]))
+
+
+def _pmat_const(A):
+    """The value at pi = 0."""
+    return _pmat_map(A, lambda e: e[0] if e else Fraction(0))
 
 
 def _pmat_integral(A, p: int):
@@ -302,15 +334,40 @@ class WachMatrixTower:
         return self.levels[k - 1]
 
     def value_at_zero_is_identity(self, k: int) -> bool:
-        M = self.matrix(k)
-        d = len(M)
-        for i in range(d):
-            for j in range(d):
-                want = Fraction(int(i == j))
-                got = M[i][j][0] if M[i][j] else Fraction(0)
-                if got != want:
-                    return False
-        return True
+        return _pmat_const(self.matrix(k)) == frac_identity(self.fd.size)
+
+    def twist(self, k: int, gamma: GammaElement, trunc: int) -> dict:
+        """G^(k) = (M'_k)^{-1} gamma(M'_k) mod pi^trunc.
+
+        Integer exponents run exactly over rationals; the result must be
+        p-integral with constant term I, and IntegralityViolation carries
+        a witness otherwise.  Scalar exponents run over the working
+        precision and raise PrecisionExhausted when the binomial series
+        cannot certify the requested truncation.
+        """
+        T = trunc
+        if T < 1:
+            raise InputError("trunc must be positive")
+        M = _pmat_trunc(self.matrix(k), T)
+        det = _pdet(M, T)
+        if not det or det[0] != 1:
+            raise InputError("tower determinant must have constant term 1")
+        inv_det = _pseries_inv(det, T)
+        Minv = _pmat_map(_padj(M, T), lambda e: _pmul(e, inv_det, T))
+        if gamma.is_integer:
+            moved = _pmat_map(M, lambda e: gamma_act_poly(gamma, e, T))
+            G = _pmat_mul(Minv, moved, T)
+            _certify_exact_twist(self.fd, G)
+            return {"G": G, "exact": True, "trunc": T, "n": k}
+        ctx = self.fd.ctx
+        shift = _one_plus_pi_power(ctx, gamma.c, T)
+        moved = [[XSeries.from_fractions(ctx, e, T).compose(shift)
+                  for e in row] for row in M]
+        G = [[sum((XSeries.from_fractions(ctx, a, T) * moved[m][j]
+                   for m, a in enumerate(row)), XSeries.zero(ctx, T))
+              for j in range(len(M))] for row in Minv]
+        report = _certify_series_twist(self.fd, G)
+        return {"G": G, "exact": False, "trunc": T, "n": k, **report}
 
 
 def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
@@ -352,49 +409,23 @@ def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
 
 def build_G_gamma(fd: FrobeniusData, n: int, gamma: GammaElement,
                   trunc: int) -> dict:
-    """G^(n) = (M'_n)^{-1} gamma(M'_n) mod pi^trunc.
-
-    Integer exponents run exactly over rationals; the result must be
-    p-integral with constant term I, and IntegralityViolation carries a
-    witness otherwise.  Scalar exponents run over the working precision
-    and raise PrecisionExhausted when the binomial series cannot
-    certify the requested truncation.
-    """
-    _require_wach(fd)
-    if trunc < 1:
-        raise InputError("trunc must be positive")
-    tower = build_M_prime(fd, n)
-    M = tower.matrix(n)
-    if gamma.is_integer:
-        G = _twist_exact(fd, M, gamma, trunc)
-        witness = _pmat_integral(G, fd.ctx.p)
-        if witness is not None:
-            raise IntegralityViolation(
-                "twist has a non p-integral coefficient", witness=witness)
-        const_ok = all(
-            (G[i][j][0] if G[i][j] else Fraction(0)) == Fraction(int(i == j))
-            for i in range(fd.size) for j in range(fd.size)
-        )
-        if not const_ok:
-            raise IntegralityViolation(
-                "twist is not congruent to I mod pi",
-                witness={"constant_term": [[str(e[0]) if e else "0"
-                                            for e in row] for row in G]})
-        return {"G": G, "exact": True, "trunc": trunc, "n": n}
-    G = _twist_series(fd, M, gamma, trunc)
-    report = _certify_series_twist(fd, G)
-    return {"G": G, "exact": False, "trunc": trunc, "n": n, **report}
+    """G^(n) = (M'_n)^{-1} gamma(M'_n) mod pi^trunc, on a fresh tower;
+    see WachMatrixTower.twist."""
+    return build_M_prime(fd, n).twist(n, gamma, trunc)
 
 
-def _twist_exact(fd, M, gamma, trunc):
-    det = _pdet(M)
-    if not det or det[0] != 1:
-        raise InputError("tower determinant must have constant term 1")
-    adj = _padj(M)
-    inv_det = _pseries_inv(det, trunc)
-    moved = _pmat_map(M, lambda e: _ptrunc(gamma_act_poly(gamma, e), trunc))
-    Minv = _pmat_map(adj, lambda e: _ptrunc(fpoly_mul(e, inv_det), trunc))
-    return _pmat_trunc(_pmat_mul(Minv, moved), trunc)
+def _certify_exact_twist(fd, G):
+    """Integrality and constant term I of an exact twist, or
+    IntegralityViolation with a witness."""
+    witness = _pmat_integral(G, fd.ctx.p)
+    if witness is not None:
+        raise IntegralityViolation(
+            "twist has a non p-integral coefficient", witness=witness)
+    const = _pmat_const(G)
+    if const != frac_identity(fd.size):
+        raise IntegralityViolation(
+            "twist is not congruent to I mod pi",
+            witness={"constant_term": _pmat_map(const, str)})
 
 
 def _one_plus_pi_power(ctx: PadicContext, c: PadicScalar, T: int) -> XSeries:
@@ -415,36 +446,6 @@ def _one_plus_pi_power(ctx: PadicContext, c: PadicScalar, T: int) -> XSeries:
                 "raise rel_prec on the context")
         coeffs.append(term)
     return XSeries(ctx, coeffs, T)
-
-
-def gamma_act_series(gamma: GammaElement, f: XSeries, trunc: int) -> XSeries:
-    """Substitute pi -> (1 + pi)^c - 1 into a series, scalar exponent."""
-    if gamma.is_integer:
-        shift = XSeries.from_fractions(f.ctx, _binom_shift(gamma.c))
-        return f.compose(shift).truncate(trunc)
-    sub = _one_plus_pi_power(f.ctx, gamma.c, trunc)
-    return f.truncate(trunc).compose(sub)
-
-
-def _twist_series(fd, M, gamma, trunc):
-    ctx = fd.ctx
-    det = _pdet(M)
-    adj = _padj(M)
-    det_series = XSeries.from_fractions(ctx, det)
-    inv_det = invert_series(det_series, trunc)
-    out = []
-    for i in range(fd.size):
-        row = []
-        for j in range(fd.size):
-            acc = XSeries.zero(ctx, trunc)
-            for k in range(fd.size):
-                a = XSeries.from_fractions(ctx, adj[i][k]) * inv_det
-                b = gamma_act_series(
-                    gamma, XSeries.from_fractions(ctx, M[k][j]), trunc)
-                acc = acc + a * b
-            row.append(acc.truncate(trunc))
-        out.append(row)
-    return out
 
 
 def _certify_series_twist(fd, G):
@@ -492,16 +493,12 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     q_over_p = fpoly_scale(q, Fraction(1, p))
     inv_q = fpoly_scale(_pseries_inv(q_over_p, trunc), Fraction(1, p))
     moved = _pmat_map(data["P_inv"],
-                      lambda e: _ptrunc(gamma_act_poly(gamma, e), trunc))
-    prod = _pmat_mul(data["qP"], moved)
-    prod = _pmat_map(prod, lambda e: _ptrunc(fpoly_mul(e, inv_q), trunc))
-    d = fd.size
-    const = [[(prod[i][j][0] if prod[i][j] else Fraction(0))
-              for j in range(d)] for i in range(d)]
-    ok = all(const[i][j] == Fraction(int(i == j))
-             for i in range(d) for j in range(d))
-    return {"identity_mod_pi": ok,
-            "constant_term": [[str(x) for x in row] for row in const]}
+                      lambda e: gamma_act_poly(gamma, e, trunc))
+    prod = _pmat_mul(data["qP"], moved, trunc)
+    prod = _pmat_map(prod, lambda e: _pmul(e, inv_q, trunc))
+    const = _pmat_const(prod)
+    return {"identity_mod_pi": const == frac_identity(fd.size),
+            "constant_term": _pmat_map(const, str)}
 
 
 def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
@@ -516,18 +513,18 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
     if not gamma.is_integer:
         raise InputError("exact check needs an integer gamma exponent")
     p = fd.ctx.p
-    Gn = build_G_gamma(fd, n, gamma, trunc)["G"]
-    Gn1 = build_G_gamma(fd, n + 1, gamma, trunc)["G"]
-    data = build_Pn(fd, 1)
-    qP = data["qP"]
+    tower = build_M_prime(fd, n + 1)
+    Gn = tower.twist(n, gamma, trunc)["G"]
+    Gn1 = tower.twist(n + 1, gamma, trunc)["G"]
+    qP = build_Pn(fd, 1)["qP"]
     q = q_poly(p)
-    gq = gamma_act_poly(gamma, q)
-    gqP = _pmat_map(qP, lambda e: gamma_act_poly(gamma, e))
-    phi_G = _pmat_map(Gn, lambda e: _ptrunc(phi_act_poly(p, e), trunc))
-    lhs = _pmat_mul(qP, phi_G)
-    lhs = _pmat_map(lhs, lambda e: _ptrunc(fpoly_mul(e, gq), trunc))
-    rhs = _pmat_mul(Gn1, gqP)
-    rhs = _pmat_map(rhs, lambda e: _ptrunc(fpoly_mul(e, q), trunc))
+    gq = gamma_act_poly(gamma, q, trunc)
+    gqP = _pmat_map(qP, lambda e: gamma_act_poly(gamma, e, trunc))
+    phi_G = _pmat_map(Gn, lambda e: phi_act_poly(p, e, trunc))
+    lhs = _pmat_mul(qP, phi_G, trunc)
+    lhs = _pmat_map(lhs, lambda e: _pmul(e, gq, trunc))
+    rhs = _pmat_mul(Gn1, gqP, trunc)
+    rhs = _pmat_map(rhs, lambda e: _pmul(e, q, trunc))
     diff = _pmat_sub(lhs, rhs)
     mismatch = None
     for i, row in enumerate(diff):
@@ -549,11 +546,10 @@ def verify_cocycle(fd: FrobeniusData, n: int, c1: int, c2: int,
     g1 = GammaElement(p, c1)
     g2 = GammaElement(p, c2)
     g12 = GammaElement(p, c1 * c2)
-    lhs = build_G_gamma(fd, n, g12, trunc)["G"]
-    G1 = build_G_gamma(fd, n, g1, trunc)["G"]
-    G2 = build_G_gamma(fd, n, g2, trunc)["G"]
-    moved = _pmat_map(G2, lambda e: _ptrunc(gamma_act_poly(g1, e), trunc))
-    rhs = _pmat_trunc(_pmat_mul(G1, moved), trunc)
+    tower = build_M_prime(fd, n)
+    lhs, G1, G2 = (tower.twist(n, g, trunc)["G"] for g in (g12, g1, g2))
+    moved = _pmat_map(G2, lambda e: gamma_act_poly(g1, e, trunc))
+    rhs = _pmat_mul(G1, moved, trunc)
     diff = _pmat_sub(lhs, rhs)
     ok = all(not e for row in diff for e in row)
     return {"n": n, "trunc": trunc, "ok": ok}

@@ -1,10 +1,14 @@
 """Command line driver: exit codes, printed report lines, JSON output."""
 
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from padlog.cli import main
+
+from oracles import vp_rational
 
 POLLACK3 = {
     "p": 3,
@@ -81,6 +85,21 @@ def test_logmatrix_report_and_json(instance_file, tmp_path, capsys):
     assert obj["status"] == "pass"
     assert "matrix" in obj
     assert len(obj["matrix"]) == 2
+
+
+def test_logmatrix_out_matrix_is_padic_records(tmp_path):
+    # README, "File formats": {v, u, prec} stands for p^v u + O(p^(v+prec))
+    out_path = tmp_path / "m.json"
+    sample = Path(__file__).resolve().parent.parent / "sample_inputs"
+    assert main(["logmatrix", "--input", str(sample / "pollack3.json"),
+                 "--n", "1", "--out", str(out_path)]) == 0
+    entry = json.loads(out_path.read_text())["matrix"][0][1]
+    assert entry["trunc"] is None and len(entry["coeffs"]) == 1
+    rec = entry["coeffs"][0]
+    v, u, prec = rec["v"], int(rec["u"]), rec["prec"]
+    assert (v, prec) == (-1, 20)
+    err = Fraction(3) ** v * u - Fraction(-1, 3)
+    assert err == 0 or vp_rational(err, 3) >= v + prec
 
 
 def test_logmatrix_gate_rejects_bad_instance(tmp_path, capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from padlog import InputError, XSeries
+from padlog import InputError, PadicContext, XSeries
 from padlog.serialize import (
     as_fraction,
     as_int,
@@ -53,6 +53,14 @@ def test_context_from_record_defaults():
     assert ctx.p == 5
     with pytest.raises(InputError):
         context_from_record({}, "input")
+
+
+def test_instance_without_budgets_gets_the_documented_defaults():
+    # README, "File formats": rel_prec and denom_budget default to 20
+    fd = instance_from_record(
+        {"p": 3, "d0": 1, "C": [["0", "-1"], ["1", "0"]]}, "input")
+    assert fd.ctx.denom_budget == PadicContext(3).denom_budget == 20
+    assert fd.ctx.rel_prec == PadicContext(3).rel_prec == 20
 
 
 def test_instance_roundtrip():

@@ -1,6 +1,8 @@
 """Connection-matrix towers and the gamma twist: exact recursion over
 rational polynomials, integrality certification, structural identities."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,13 +26,21 @@ from padlog.pollack import pollack_instance
 from padlog.wach import (
     _binom_shift,
     _one_plus_pi_power,
+    _pcompose,
     gamma_act_poly,
     phi_act_poly,
     q_poly,
 )
 
 from instances import random_instance
-from oracles import binomial_power, pdivmod, pmul, ptrim
+from oracles import (
+    binomial_power,
+    padd,
+    pdivmod,
+    pmul,
+    poly_mat_mul,
+    ptrim,
+)
 
 
 def wach_fd(p=3):
@@ -54,6 +64,65 @@ def test_phi_act_is_substitution():
     shift[0] -= 1
     want = pmul(ptrim(shift), ptrim(shift))
     assert phi_act_poly(p, [Fraction(0), Fraction(0), Fraction(1)]) == want
+
+
+def full_substitution(f, e):
+    """f((1 + X)^e - 1) at full degree, by a route other than Horner in
+    the substituted polynomial: with h(Y) = f(Y - 1), the composition is
+    sum_j h_j (1 + X)^(e j)."""
+    h = []
+    for c in reversed(f):
+        h = padd(pmul(h, [Fraction(-1), Fraction(1)]), [Fraction(c)])
+    if not h:
+        return []
+    # sum over a common denominator: the terms are huge integers
+    den = math.lcm(*(c.denominator for c in h))
+    out = [0] * (e * (len(h) - 1) + 1)
+    for j, hj in enumerate(h):
+        a = int(hj * den)
+        for k, b in enumerate(binomial_power(e * j)):
+            out[k] += a * b
+    return ptrim([Fraction(x, den) for x in out])
+
+
+def sample_poly(p, degree):
+    """A polynomial of exactly the given degree, with p in some
+    denominators."""
+    rng = random.Random(f"{p}-{degree}")
+    coeffs = [Fraction(rng.randrange(-9, 10), p ** rng.randrange(3))
+              for _ in range(degree)]
+    return coeffs + [Fraction(rng.choice((-2, -1, 1, 2)), p)]
+
+
+TRUNCS = (1, 2, 6, 20)
+
+
+@pytest.mark.parametrize("T", TRUNCS)
+@pytest.mark.parametrize("p,c", [(3, 4), (3, 28), (3, 82), (3, 244),
+                                 (5, 6), (5, 26), (5, 126)])
+def test_gamma_act_truncated_matches_full_composition(p, c, T):
+    gamma = GammaElement(p, c)
+    for f in ([], sample_poly(p, T + 2)):
+        want = ptrim(full_substitution(f, c)[:T])
+        assert gamma_act_poly(gamma, f, T) == want
+
+
+@pytest.mark.parametrize("T", TRUNCS)
+@pytest.mark.parametrize("p", (3, 5))
+def test_phi_act_truncated_matches_full_composition(p, T):
+    for f in ([], sample_poly(p, T + 2)):
+        full = full_substitution(f, p)
+        assert phi_act_poly(p, f) == full
+        assert phi_act_poly(p, f, T) == ptrim(full[:T])
+
+
+def test_substitution_rejects_nonzero_constant_term():
+    f = [Fraction(1), Fraction(2)]
+    g = [Fraction(1), Fraction(1)]
+    with pytest.raises(InputError):
+        _pcompose(f, g)
+    with pytest.raises(InputError):
+        _pcompose(f, g, 4)
 
 
 def test_gamma_act_requires_integer():
@@ -185,6 +254,43 @@ def test_scalar_path_matches_exact_path():
             ref = XSeries.from_fractions(ctx, exact["G"][i][j]).truncate(12)
             diff = series["G"][i][j] - ref
             assert diff.zero_status()[0] == "zero"
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (5, 2)])
+@pytest.mark.parametrize("kind", ("antidiagonal", "random"))
+def test_scalar_path_matches_exact_path_across_levels(p, n, kind):
+    # the random instance has a non-diagonal tower, unlike the
+    # antidiagonal one
+    if kind == "random":
+        fd = random_instance(p, 2, 1, 0, rel_prec=60, denom_budget=64)
+    else:
+        fd = wach_fd(p)
+    ctx = fd.ctx
+    tower = build_M_prime(fd, n)
+    exact = tower.twist(n, GammaElement(p, 1 + p), 12)
+    series = tower.twist(n, GammaElement(p, ctx.integer(1 + p)), 12)
+    assert exact["exact"] and not series["exact"]
+    assert series["constant_is_identity"] and series["integral"]
+    for i in range(2):
+        for j in range(2):
+            ref = XSeries.from_fractions(ctx, exact["G"][i][j]).truncate(12)
+            diff = series["G"][i][j] - ref
+            assert diff.zero_status()[0] == "zero"
+
+
+@pytest.mark.parametrize("p,c", [(3, 82), (5, 26)])
+def test_twist_identity_at_large_exponent(p, c):
+    # M'_2 G = gamma(M'_2) mod pi^T, with gamma(M'_2) composed at full
+    # degree by the test, not by the library
+    n, T = 2, 20
+    for fd in (wach_fd(p), random_instance(p, 2, 1, 0)):
+        tower = build_M_prime(fd, n)
+        M = tower.matrix(n)
+        G = tower.twist(n, GammaElement(p, c), T)["G"]
+        lhs = [[ptrim(e[:T]) for e in row] for row in poly_mat_mul(M, G)]
+        rhs = [[ptrim(full_substitution(e, c)[:T]) for e in row]
+               for row in M]
+        assert lhs == rhs
 
 
 def test_binomial_series_frozen_integer_exponent():
