@@ -20,6 +20,7 @@ from padlog import (
     tower_projection_check,
 )
 from padlog.coleman import project_vector, scale_vector
+from padlog.linalg import fp_rank
 
 from instances import pollack_fd, random_instance, random_polynomial_vector
 
@@ -128,6 +129,31 @@ def test_kernel_gl4_count():
     fd = random_instance(3, 4, 2, 0)
     ker = kernel_basis(fd, 1)
     assert len(ker) == fd.scaled_dim * (3 - 1)
+
+
+def test_kernel_random_instance_level_two():
+    # a random size-3 instance, whose C_k are not antidiagonal
+    fd = random_instance(3, 3, 1, 1)
+    p, n = 3, 2
+    ker = kernel_basis(fd, n)
+    assert len(ker) == fd.scaled_dim * (p ** n - 1)
+    for vec in ker:
+        for c in forward(fd, n, vec).components:
+            assert c.zero_status()[0] == "zero"
+    # saturated: the basis stays independent mod p
+    residues = []
+    for vec in ker:
+        row = []
+        for c in vec.components:
+            coeffs = list(c.rep.coeffs) + [None] * (p ** n - len(c.rep.coeffs))
+            for coeff in coeffs:
+                if coeff is None or coeff.is_zero_rep or coeff.v > 0:
+                    row.append(0)
+                else:
+                    assert coeff.v == 0
+                    row.append(coeff.u % p)
+        residues.append(row)
+    assert fp_rank(residues, p) == len(ker)
 
 
 def test_tower_projection_compatibility():

@@ -1,6 +1,7 @@
 """Exact rational linear algebra: determinants, characteristic
 polynomials, Newton hulls, and integral normal forms."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from padlog.linalg import (
 from oracles import (
     charpoly_oracle,
     in_span,
+    inv_oracle,
     lower_hull_oracle,
     padd,
     peval,
@@ -239,3 +241,133 @@ def test_fpoly_divmod_and_eval(a, b, x):
     q, r = fpoly_divmod(fa, fb)
     assert padd(pmul(q, fb), r) == ptrim(fa)
     assert fpoly_eval(fa, Fraction(x)) == peval(fa, Fraction(x))
+
+
+# -- oracle checks on random rectangular, rank-deficient, singular and
+# -- Fraction-entry matrices
+
+
+def _entry(rng, dens):
+    return Fraction(rng.randrange(-5, 6), rng.choice(dens))
+
+
+def _random_matrix(rng, rows, cols, dens):
+    return [[_entry(rng, dens) for _ in range(cols)] for _ in range(rows)]
+
+
+def _low_rank_matrix(rng, rows, cols, rank, dens):
+    """A product of random rows x rank and rank x cols factors, so of rank
+    at most `rank`."""
+    L = _random_matrix(rng, rows, rank, dens)
+    R = _random_matrix(rng, rank, cols, dens)
+    return [[sum((L[i][k] * R[k][j] for k in range(rank)), Fraction(0))
+             for j in range(cols)] for i in range(rows)]
+
+
+def _random_case(rng, rows, cols):
+    """Integer or Fraction entries, of full or of deficient rank."""
+    dens = (1,) if rng.random() < 0.5 else (1, 2, 3, 4, 9)
+    if rng.random() < 0.5:
+        return _random_matrix(rng, rows, cols, dens)
+    rank = rng.randrange(min(rows, cols))
+    return _low_rank_matrix(rng, rows, cols, rank, dens)
+
+
+def rectangular_cases(seed, count=80):
+    rng = random.Random(seed)
+    return [_random_case(rng, rng.randint(1, 5), rng.randint(1, 5))
+            for _ in range(count)]
+
+
+def square_cases(seed, count=80):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        out.append(_random_case(rng, n, n))
+    return out
+
+
+def _apply(A, x):
+    return [sum((Fraction(a) * xj for a, xj in zip(row, x)), Fraction(0))
+            for row in A]
+
+
+def test_frac_rank_matches_oracle_on_rectangular_cases():
+    for A in rectangular_cases(31):
+        assert frac_rank(A) == rank_oracle(A)
+
+
+def test_frac_det_matches_permutation_expansion_incl_singular():
+    cases = square_cases(32)
+    assert any(perm_det(A) == 0 for A in cases)
+    assert any(perm_det(A) != 0 for A in cases)
+    for A in cases:
+        assert frac_det(A) == perm_det(A)
+
+
+def test_frac_inv_matches_adjugate_oracle():
+    for A in square_cases(33):
+        if perm_det(A) == 0:
+            with pytest.raises(SingularOperator):
+                frac_inv(A)
+        else:
+            assert frac_inv(A) == inv_oracle(A)
+
+
+def test_frac_solve_residual_vanishes():
+    rng = random.Random(34)
+    for A in square_cases(34):
+        b = [_entry(rng, (1, 2, 7)) for _ in A]
+        if perm_det(A) == 0:
+            with pytest.raises(SingularOperator):
+                frac_solve(A, b)
+        else:
+            assert _apply(A, frac_solve(A, b)) == b
+
+
+def free_columns(A):
+    """Columns lying in the span of the columns before them, that is the
+    non-pivot columns of any row echelon form of A."""
+    return [c for c in range(len(A[0]))
+            if rank_oracle([row[:c + 1] for row in A])
+            == rank_oracle([row[:c] for row in A])]
+
+
+def test_frac_nullspace_is_the_canonical_kernel_basis():
+    for A in rectangular_cases(35):
+        cols = len(A[0])
+        free = free_columns(A)
+        ns = frac_nullspace(A)
+        assert len(ns) == cols - rank_oracle(A) == len(free)
+        for k, v in enumerate(ns):
+            assert len(v) == cols
+            assert _apply(A, v) == [0] * len(A)
+            # free coordinate free[k] is 1 and the other free ones are 0
+            assert [v[c] for c in free] == [int(c == free[k]) for c in free]
+
+
+def unit_minor_rank(A, p):
+    """Largest k such that some k x k minor has a determinant prime to
+    p, which is the rank of A over F_p."""
+    rows, cols = len(A), len(A[0])
+    for k in range(min(rows, cols), 0, -1):
+        for ri in itertools.combinations(range(rows), k):
+            for ci in itertools.combinations(range(cols), k):
+                d = perm_det([[A[i][j] for j in ci] for i in ri])
+                if d != 0 and vp_rational(d, p) == 0:
+                    return k
+    return 0
+
+
+def test_fp_rank_matches_unit_minor_bruteforce():
+    rng = random.Random(36)
+    for _ in range(60):
+        p = rng.choice((3, 5))
+        rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+        dens = (1,) if rng.random() < 0.5 else (1, 2, 4, 7)
+        A = _low_rank_matrix(rng, rows, cols,
+                             rng.randint(0, min(rows, cols)), dens)
+        # a multiple of p on top keeps the rank mod p but not over Q
+        A = [[a + p * rng.randrange(-2, 3) for a in row] for row in A]
+        assert fp_rank(A, p) == unit_minor_rank(A, p)

@@ -10,6 +10,7 @@ import pytest
 from padlog import (
     GammaElement,
     InputError,
+    IntegralityViolation,
     PadicContext,
     PrecisionExhausted,
     XSeries,
@@ -24,6 +25,7 @@ from padlog import (
 )
 from padlog.pollack import pollack_instance
 from padlog.wach import (
+    WachMatrixTower,
     _binom_shift,
     _one_plus_pi_power,
     _pcompose,
@@ -327,3 +329,28 @@ def test_gl4_tower_also_works():
     assert verify_tower_congruence(tower, 2, 1)
     out = build_G_gamma(fd, 1, GammaElement.default(3), 16)
     assert out["exact"]
+
+
+def test_twist_rejects_nonpositive_trunc():
+    tower = build_M_prime(wach_fd(), 1)
+    with pytest.raises(InputError):
+        tower.twist(1, GammaElement.default(3), 0)
+
+
+def test_twist_rejects_determinant_with_constant_term_not_one():
+    level = [[[Fraction(2)], []], [[], [Fraction(1)]]]
+    tower = WachMatrixTower(wach_fd(), 1, [level])
+    with pytest.raises(InputError):
+        tower.twist(1, GammaElement.default(3), 8)
+
+
+def test_twist_integrality_violation_carries_witness():
+    # M = [[1, pi/3], [0, 1]] gives G = [[1, (g - pi)/3], [0, 1]] with
+    # g = (1 + pi)^4 - 1, whose pi^3 coefficient is 4/3
+    level = [[[Fraction(1)], [Fraction(0), Fraction(1, 3)]],
+             [[], [Fraction(1)]]]
+    tower = WachMatrixTower(wach_fd(), 1, [level])
+    with pytest.raises(IntegralityViolation) as info:
+        tower.twist(1, GammaElement(3, 4), 8)
+    assert info.value.witness == {"entry": (0, 1), "degree": 3,
+                                  "value": "4/3"}
