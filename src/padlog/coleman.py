@@ -18,24 +18,25 @@ from fractions import Fraction
 
 from .errors import InputError, NotIntegral, PrecisionLoss
 from .linalg import (
-    fpoly_add,
     fpoly_divmod,
-    fpoly_mul,
     frac_inv,
     frac_nullspace,
+    mat_map,
     mat_pow,
     frac_identity,
+    pmat_from_frac,
+    pmat_mul,
     zp_saturate,
 )
-from .logmatrix import FrobeniusData, build_Cn, _embed_matrix
+from .logmatrix import FrobeniusData, build_Cn, build_Cn_fpoly, _embed_matrix
 from .series import (
     LambdaNElement,
     XSeries,
     divide_exact,
+    omega_ints,
     phi_cyclo,
     reduce_mod_omega,
 )
-from .series import _omega_coeffs, _phi_coeffs
 
 
 class RegulatorVector:
@@ -230,26 +231,12 @@ def kernel_basis(fd: FrobeniusData, n: int):
         raise InputError("kernel_basis needs n >= 1")
     p = fd.ctx.p
     N = p ** n
-    omega = [Fraction(c) for c in _omega_coeffs(p, n)]
-    cinv = fd.C_inv_frac()
+    omega = [Fraction(c) for c in omega_ints(p, n)]
     # product C_n ... C_1 over Fraction polynomials, reduced mod omega_n
-    prod = [[[Fraction(int(i == j))] for j in range(fd.size)]
-            for i in range(fd.size)]
+    prod = pmat_from_frac(frac_identity(fd.size))
     for k in range(1, n + 1):
-        phi = [Fraction(c) for c in _phi_coeffs(p, k)]
-        ck = [[[cinv[i][j]] if i < fd.fil_dim
-               else [cinv[i][j] * c for c in phi]
-               for j in range(fd.size)] for i in range(fd.size)]
-        nxt = []
-        for i in range(fd.size):
-            row = []
-            for j in range(fd.size):
-                acc = []
-                for t in range(fd.size):
-                    acc = fpoly_add(acc, fpoly_mul(ck[i][t], prod[t][j]))
-                row.append(fpoly_divmod(acc, omega)[1])
-            nxt.append(row)
-        prod = nxt
+        prod = mat_map(pmat_mul(build_Cn_fpoly(fd, k), prod),
+                       lambda e: fpoly_divmod(e, omega)[1])
     # matrix of the map on coefficient vectors: column (i, j) is the
     # image of X^j in component i
     dim = fd.size * N

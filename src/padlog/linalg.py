@@ -1,11 +1,21 @@
 """Matrix and polynomial utilities.
 
-Two layers live here.  The generic layer works on any element type with
-ring operator overloads (certified scalars, series, finite-level
-classes, Fractions).  The exact layer works on Fractions and is the
-decision engine: determinants, ranks, characteristic polynomials,
-Newton polygons, and the two Z_(p)-aware routines (integral solve and
-saturation) that the basis and factorization modules lean on.
+The generic layer works on any element type with ring operator
+overloads (certified scalars, series, finite-level classes, Fractions).
+
+The exact layer works on Fractions and is the decision engine.  One
+forward elimination gives the rank, the determinant and a row echelon
+form; one back-substitution turns that into the reduced form, from which
+the inverse, the solution of a square system and the canonical nullspace
+basis are read.  The rank over F_p and the Smith form over Z_(p) keep
+their own eliminations, as their arithmetic differs; the Smith form feeds
+the integral solve and the saturation that the basis and factorization
+modules lean on.  Characteristic polynomials and Newton polygons
+complete the admission gate's toolkit.
+
+Fraction polynomials are coefficient lists (index = degree, [] = 0).
+Matrices of them carry the exact towers of logmatrix, coleman and wach;
+their products can be cut mod X^T as they are formed.
 """
 
 from __future__ import annotations
@@ -46,24 +56,12 @@ def mat_mul(A, B):
     return out
 
 
-def mat_vec(A, v):
-    return [r[0] for r in mat_mul(A, [[x] for x in v])]
-
-
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)]
 
 
 def cofactor_det(A):
@@ -137,13 +135,13 @@ def fp_rank(rows, p: int) -> int:
                 raise InputError(f"entry {q} is not p-integral")
             out.append(q.numerator * pow(q.denominator, -1, p) % p)
         M.append(out)
-    if not M:
-        return 0
+    height, cols = mat_shape(M)
     rank = 0
     r = 0
-    cols = len(M[0])
     for c in range(cols):
-        piv = next((i for i in range(r, len(M)) if M[i][c] % p), None)
+        if r == height:
+            break
+        piv = next((i for i in range(r, height) if M[i][c] % p), None)
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
@@ -155,121 +153,104 @@ def fp_rank(rows, p: int) -> int:
                 M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
         rank += 1
         r += 1
-        if r == len(M):
-            break
     return rank
 
 
-def frac_rank(A) -> int:
-    M = [row[:] for row in frac_mat(A)]
-    if not M:
-        return 0
-    rows, cols = len(M), len(M[0])
-    rank = 0
+def _echelon(A):
+    """Forward elimination of a copy of A.
+
+    Returns a row echelon form, its pivot columns and the signed product
+    of the pivots, which is det(A) when A is square of full rank.  Pivot
+    rows are not normalised: each row below takes off f = M[i][c] / pivot
+    times the pivot row.
+    """
+    M = frac_mat(A)
+    rows, cols = mat_shape(M)
+    pivots = []
+    det = Fraction(1)
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            det = -det
+        det *= M[r][c]
+        inv = 1 / M[r][c]
+        for i in range(r + 1, rows):
+            if M[i][c] != 0:
+                f = M[i][c] * inv
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M, pivots, det
+
+
+def _back_substitute(M, pivots):
+    """Turn a row echelon form into the reduced one, in place: scale each
+    pivot to 1 and clear the entries above it, last pivot first."""
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
         inv = 1 / M[r][c]
         M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
+        for i in range(r):
+            if M[i][c] != 0:
                 f = M[i][c]
                 M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
+    return M
+
+
+def frac_rank(A) -> int:
+    return len(_echelon(A)[1])
 
 
 def frac_det(A):
-    M = [row[:] for row in frac_mat(A)]
-    n = len(M)
-    if n == 0 or any(len(row) != n for row in M):
+    n, m = mat_shape(A)
+    if n != m or n == 0:
         raise InputError("determinant needs a nonempty square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return det
+    _, pivots, det = _echelon(A)
+    return det if len(pivots) == n else Fraction(0)
 
 
 def frac_inv(A):
-    M = [row[:] for row in frac_mat(A)]
-    n = len(M)
-    aug = [M[i] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise SingularOperator("matrix is not invertible")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    n, m = mat_shape(A)
+    if n != m:
+        raise InputError(f"cannot invert a {n}x{m} matrix")
+    aug = [list(row) + ident for row, ident in zip(A, frac_identity(n))]
+    M, pivots, _ = _echelon(aug)
+    if pivots != list(range(n)):
+        raise SingularOperator("matrix is not invertible")
+    return [row[n:] for row in _back_substitute(M, pivots)]
 
 
 def frac_solve(A, b):
     """Solve the square system A x = b over the rationals."""
-    n = len(A)
-    M = [list(map(Fraction, row)) + [Fraction(bb)]
-         for row, bb in zip(frac_mat(A), b)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
-            raise SingularOperator("singular system")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for i in range(n):
-            if i != c and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
-    return [M[i][n] for i in range(n)]
+    n, m = mat_shape(A)
+    if n != m or len(b) != n:
+        raise InputError(f"cannot solve a {n}x{m} system with a "
+                         f"right-hand side of length {len(b)}")
+    M, pivots, _ = _echelon([list(row) + [bb] for row, bb in zip(A, b)])
+    if pivots != list(range(n)):
+        raise SingularOperator("singular system")
+    return [row[n] for row in _back_substitute(M, pivots)]
 
 
 def frac_nullspace(A):
-    """Basis of the right kernel of A over the rationals."""
-    M = [row[:] for row in frac_mat(A)]
+    """Basis of the right kernel of A over the rationals: one vector per
+    non-pivot column, equal to 1 there and to 0 at the other non-pivot
+    columns."""
+    M, pivots, _ = _echelon(A)
     if not M:
         return []
-    rows, cols = len(M), len(M[0])
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(rows):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+    M = _back_substitute(M, pivots)
+    cols = len(M[0])
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for ri, pc in enumerate(pivots):
@@ -355,14 +336,18 @@ def fpoly_scale(f, a):
     return fpoly_trim([a * c for c in f])
 
 
-def fpoly_mul(f, g):
+def fpoly_mul(f, g, T=None):
+    """f * g, mod X^T when T is given; only the kept terms are formed."""
     if not f or not g:
         return []
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
+    n = len(f) + len(g) - 1
+    if T is not None:
+        n = min(n, T)
+    out = [Fraction(0)] * n
+    for i, a in enumerate(f[:n]):
         if a == 0:
             continue
-        for j, b in enumerate(g):
+        for j, b in enumerate(g[:n - i]):
             out[i + j] += a * b
     return fpoly_trim(out)
 
@@ -393,6 +378,40 @@ def fpoly_eval(f, x):
     for c in reversed(f):
         acc = acc * Fraction(x) + Fraction(c)
     return acc
+
+
+# -- matrices of Fraction polynomials --------------------------------------
+
+
+def pmat_from_frac(M):
+    """Fraction matrix -> matrix of constant polynomials."""
+    return [[[Fraction(x)] if x else [] for x in row] for row in M]
+
+
+def pmat_mul(A, B, T=None):
+    """A * B, mod X^T when T is given."""
+    out = []
+    for row in A:
+        out_row = []
+        for j in range(len(B[0])):
+            acc = []
+            for a, brow in zip(row, B):
+                acc = fpoly_add(acc, fpoly_mul(a, brow[j], T))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
+def pmat_sub(A, B):
+    return [
+        [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(ra, rb)]
+        for ra, rb in zip(A, B)
+    ]
+
+
+def pmat_const(A):
+    """The value at X = 0."""
+    return mat_map(A, lambda e: e[0] if e else Fraction(0))
 
 
 # -- Z_(p) reductions ------------------------------------------------------

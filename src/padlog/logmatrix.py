@@ -32,6 +32,8 @@ from .errors import (
 )
 from .linalg import (
     cofactor_det,
+    fpoly_scale,
+    fpoly_trim,
     frac_det,
     frac_identity,
     frac_inv,
@@ -45,7 +47,7 @@ from .linalg import (
     zp_solve_integral,
 )
 from .padic import INF, PadicContext
-from .series import LambdaNElement, XSeries, phi_cyclo, reduce_mod_omega
+from .series import XSeries, phi_cyclo, phi_cyclo_ints, reduce_mod_omega
 
 
 # -- admission gate --------------------------------------------------------
@@ -211,6 +213,18 @@ def build_Cn(fd: FrobeniusData, n: int):
             row.append(e)
         out.append(row)
     return out
+
+
+def build_Cn_fpoly(fd: FrobeniusData, n: int):
+    """C_n as a matrix of exact Fraction polynomials (lists, [] = 0)."""
+    if n < 1:
+        raise InputError("build_Cn needs n >= 1")
+    phi = [Fraction(c) for c in phi_cyclo_ints(fd.ctx.p, n)]
+    return [
+        [fpoly_scale(phi, x) if i >= fd.fil_dim else fpoly_trim([x])
+         for x in row]
+        for i, row in enumerate(fd.C_inv_frac())
+    ]
 
 
 class LogMatrixApprox:

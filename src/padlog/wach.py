@@ -8,7 +8,7 @@ Phi_{p^k}(1 + pi), and the level-k connection matrix is
     P_k = C * diag(I_{fil}, (1 / phi^{k-1}(q)) I)
 
 whose inverse diag(I_{fil}, phi^{k-1}(q) I) * C^{-1} is an honest
-polynomial matrix.  The tower approximants
+polynomial matrix, the C_k of logmatrix.  The tower approximants
 
     M'_n = C_phi^n * P_n^{-1} * ... * P_1^{-1}
          = C_phi * phi(M'_{n-1}) * P_1^{-1}
@@ -59,8 +59,13 @@ from .linalg import (
     fpoly_scale,
     fpoly_trim,
     frac_identity,
+    mat_map,
+    pmat_const,
+    pmat_from_frac,
+    pmat_mul,
+    pmat_sub,
 )
-from .logmatrix import FrobeniusData
+from .logmatrix import FrobeniusData, build_Cn_fpoly
 from .padic import PadicContext, PadicScalar
 from .series import XSeries, omega_ints, phi_cyclo_ints
 
@@ -121,21 +126,6 @@ def _binom_shift(e: int, T=None):
                                        for k in range(1, top + 1)])
 
 
-def _pmul(f, g, T=None):
-    """f * g, mod pi^T when T is given; only the kept terms are formed."""
-    if T is None:
-        return fpoly_mul(f, g)
-    if not f or not g:
-        return []
-    n = min(len(f) + len(g) - 1, T)
-    out = [Fraction(0)] * n
-    for i, a in enumerate(f[:n]):
-        if a:
-            for j, b in enumerate(g[:n - i]):
-                out[i + j] += a * b
-    return fpoly_trim(out)
-
-
 def _pcompose(f, g, T=None):
     """f(g(pi)) for polynomials with g(0) = 0, mod pi^T when T is given.
 
@@ -146,7 +136,7 @@ def _pcompose(f, g, T=None):
         raise InputError("substitution requires zero constant term")
     acc = []
     for c in reversed(list(f)[:T]):
-        acc = fpoly_add(_pmul(acc, g, T), [Fraction(c)])
+        acc = fpoly_add(fpoly_mul(acc, g, T), [Fraction(c)])
     return acc
 
 
@@ -164,40 +154,6 @@ def gamma_act_poly(gamma: GammaElement, f, trunc=None):
     return _pcompose(f, _binom_shift(gamma.c, trunc), trunc)
 
 
-def _pmat_from_frac(M):
-    return [[[Fraction(x)] if x else [] for x in row] for row in M]
-
-
-def _pmat_identity(d):
-    return [[[Fraction(1)] if i == j else [] for j in range(d)]
-            for i in range(d)]
-
-
-def _pmat_mul(A, B, T=None):
-    d, m, e = len(A), len(B), len(B[0])
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(e):
-            acc = []
-            for k in range(m):
-                acc = fpoly_add(acc, _pmul(A[i][k], B[k][j], T))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _pmat_sub(A, B):
-    return [
-        [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(ra, rb)]
-        for ra, rb in zip(A, B)
-    ]
-
-
-def _pmat_map(A, fn):
-    return [[fn(e) for e in row] for row in A]
-
-
 def _pdet(A, T: int):
     """Determinant mod pi^T, by cofactor expansion."""
     d = len(A)
@@ -208,7 +164,7 @@ def _pdet(A, T: int):
         if not A[0][j]:
             continue
         minor = [[A[i][k] for k in range(d) if k != j] for i in range(1, d)]
-        term = _pmul(A[0][j], _pdet(minor, T), T)
+        term = fpoly_mul(A[0][j], _pdet(minor, T), T)
         if j % 2:
             term = fpoly_scale(term, -1)
         acc = fpoly_add(acc, term)
@@ -246,15 +202,6 @@ def _pseries_inv(f, T: int):
             acc += g[j] * f[k - j]
         g.append(-acc / c0)
     return fpoly_trim(g)
-
-
-def _pmat_trunc(A, T: int):
-    return _pmat_map(A, lambda e: fpoly_trim(e[:T]))
-
-
-def _pmat_const(A):
-    """The value at pi = 0."""
-    return _pmat_map(A, lambda e: e[0] if e else Fraction(0))
 
 
 def _pmat_integral(A, p: int):
@@ -298,24 +245,13 @@ def build_Pn(fd: FrobeniusData, n: int) -> dict:
     _require_wach(fd)
     if n < 1:
         raise InputError("n must be at least 1")
-    p = fd.ctx.p
-    d, fil = fd.size, fd.fil_dim
-    qn = q_level_poly(p, n)
-    Cinv = _pmat_from_frac(fd.C_inv_frac())
-    C = _pmat_from_frac(fd.C_frac())
-    scale_right = [
-        [qn if (i == j and i >= fil) else ([Fraction(1)] if i == j else [])
-         for j in range(d)]
-        for i in range(d)
+    qn = q_level_poly(fd.ctx.p, n)
+    qP = [
+        [fpoly_scale(qn, x) if j < fd.fil_dim else fpoly_trim([x])
+         for j, x in enumerate(row)]
+        for row in fd.C_frac()
     ]
-    P_inv = _pmat_mul(scale_right, Cinv)
-    scale_left = [
-        [qn if (i == j and i < fil) else ([Fraction(1)] if i == j else [])
-         for j in range(d)]
-        for i in range(d)
-    ]
-    qP = _pmat_mul(C, scale_left)
-    return {"P_inv": P_inv, "qP": qP, "q_n": qn}
+    return {"P_inv": build_Cn_fpoly(fd, n), "qP": qP, "q_n": qn}
 
 
 class WachMatrixTower:
@@ -334,7 +270,7 @@ class WachMatrixTower:
         return self.levels[k - 1]
 
     def value_at_zero_is_identity(self, k: int) -> bool:
-        return _pmat_const(self.matrix(k)) == frac_identity(self.fd.size)
+        return pmat_const(self.matrix(k)) == frac_identity(self.fd.size)
 
     def twist(self, k: int, gamma: GammaElement, trunc: int) -> dict:
         """G^(k) = (M'_k)^{-1} gamma(M'_k) mod pi^trunc.
@@ -348,15 +284,15 @@ class WachMatrixTower:
         T = trunc
         if T < 1:
             raise InputError("trunc must be positive")
-        M = _pmat_trunc(self.matrix(k), T)
+        M = mat_map(self.matrix(k), lambda e: fpoly_trim(e[:T]))
         det = _pdet(M, T)
         if not det or det[0] != 1:
             raise InputError("tower determinant must have constant term 1")
         inv_det = _pseries_inv(det, T)
-        Minv = _pmat_map(_padj(M, T), lambda e: _pmul(e, inv_det, T))
+        Minv = mat_map(_padj(M, T), lambda e: fpoly_mul(e, inv_det, T))
         if gamma.is_integer:
-            moved = _pmat_map(M, lambda e: gamma_act_poly(gamma, e, T))
-            G = _pmat_mul(Minv, moved, T)
+            moved = mat_map(M, lambda e: gamma_act_poly(gamma, e, T))
+            G = pmat_mul(Minv, moved, T)
             _certify_exact_twist(self.fd, G)
             return {"G": G, "exact": True, "trunc": T, "n": k}
         ctx = self.fd.ctx
@@ -378,12 +314,12 @@ def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
         raise InputError("n must be at least 1")
     p = fd.ctx.p
     P1_inv = build_Pn(fd, 1)["P_inv"]
-    C_phi = _pmat_from_frac(fd.C_phi_frac())
+    C_phi = pmat_from_frac(fd.C_phi_frac())
     levels = []
-    current = _pmat_identity(fd.size)
+    current = pmat_from_frac(frac_identity(fd.size))
     for _ in range(n):
-        moved = _pmat_map(current, lambda e: phi_act_poly(p, e))
-        current = _pmat_mul(_pmat_mul(C_phi, moved), P1_inv)
+        moved = mat_map(current, lambda e: phi_act_poly(p, e))
+        current = pmat_mul(pmat_mul(C_phi, moved), P1_inv)
         levels.append(current)
     return WachMatrixTower(fd, n, levels)
 
@@ -393,7 +329,7 @@ def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
     if not 1 <= n <= m <= tower.n:
         raise InputError("need 1 <= n <= m <= built level")
     wn = [Fraction(c) for c in omega_ints(tower.fd.ctx.p, n)]
-    diff = _pmat_sub(tower.matrix(m), tower.matrix(n))
+    diff = pmat_sub(tower.matrix(m), tower.matrix(n))
     for row in diff:
         for e in row:
             _, rem = fpoly_divmod(e, wn)
@@ -421,11 +357,11 @@ def _certify_exact_twist(fd, G):
     if witness is not None:
         raise IntegralityViolation(
             "twist has a non p-integral coefficient", witness=witness)
-    const = _pmat_const(G)
+    const = pmat_const(G)
     if const != frac_identity(fd.size):
         raise IntegralityViolation(
             "twist is not congruent to I mod pi",
-            witness={"constant_term": _pmat_map(const, str)})
+            witness={"constant_term": mat_map(const, str)})
 
 
 def _one_plus_pi_power(ctx: PadicContext, c: PadicScalar, T: int) -> XSeries:
@@ -492,13 +428,12 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     q = q_poly(p)
     q_over_p = fpoly_scale(q, Fraction(1, p))
     inv_q = fpoly_scale(_pseries_inv(q_over_p, trunc), Fraction(1, p))
-    moved = _pmat_map(data["P_inv"],
-                      lambda e: gamma_act_poly(gamma, e, trunc))
-    prod = _pmat_mul(data["qP"], moved, trunc)
-    prod = _pmat_map(prod, lambda e: _pmul(e, inv_q, trunc))
-    const = _pmat_const(prod)
+    moved = mat_map(data["P_inv"], lambda e: gamma_act_poly(gamma, e, trunc))
+    prod = pmat_mul(data["qP"], moved, trunc)
+    prod = mat_map(prod, lambda e: fpoly_mul(e, inv_q, trunc))
+    const = pmat_const(prod)
     return {"identity_mod_pi": const == frac_identity(fd.size),
-            "constant_term": _pmat_map(const, str)}
+            "constant_term": mat_map(const, str)}
 
 
 def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
@@ -519,13 +454,13 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
     qP = build_Pn(fd, 1)["qP"]
     q = q_poly(p)
     gq = gamma_act_poly(gamma, q, trunc)
-    gqP = _pmat_map(qP, lambda e: gamma_act_poly(gamma, e, trunc))
-    phi_G = _pmat_map(Gn, lambda e: phi_act_poly(p, e, trunc))
-    lhs = _pmat_mul(qP, phi_G, trunc)
-    lhs = _pmat_map(lhs, lambda e: _pmul(e, gq, trunc))
-    rhs = _pmat_mul(Gn1, gqP, trunc)
-    rhs = _pmat_map(rhs, lambda e: _pmul(e, q, trunc))
-    diff = _pmat_sub(lhs, rhs)
+    gqP = mat_map(qP, lambda e: gamma_act_poly(gamma, e, trunc))
+    phi_G = mat_map(Gn, lambda e: phi_act_poly(p, e, trunc))
+    lhs = pmat_mul(qP, phi_G, trunc)
+    lhs = mat_map(lhs, lambda e: fpoly_mul(e, gq, trunc))
+    rhs = pmat_mul(Gn1, gqP, trunc)
+    rhs = mat_map(rhs, lambda e: fpoly_mul(e, q, trunc))
+    diff = pmat_sub(lhs, rhs)
     mismatch = None
     for i, row in enumerate(diff):
         for j, e in enumerate(row):
@@ -548,8 +483,8 @@ def verify_cocycle(fd: FrobeniusData, n: int, c1: int, c2: int,
     g12 = GammaElement(p, c1 * c2)
     tower = build_M_prime(fd, n)
     lhs, G1, G2 = (tower.twist(n, g, trunc)["G"] for g in (g12, g1, g2))
-    moved = _pmat_map(G2, lambda e: gamma_act_poly(g1, e, trunc))
-    rhs = _pmat_mul(G1, moved, trunc)
-    diff = _pmat_sub(lhs, rhs)
+    moved = mat_map(G2, lambda e: gamma_act_poly(g1, e, trunc))
+    rhs = pmat_mul(G1, moved, trunc)
+    diff = pmat_sub(lhs, rhs)
     ok = all(not e for row in diff for e in row)
     return {"n": n, "trunc": trunc, "ok": ok}

@@ -140,18 +140,15 @@ def test_kernel_random_instance_level_two():
     for vec in ker:
         for c in forward(fd, n, vec).components:
             assert c.zero_status()[0] == "zero"
-    # saturated: the basis stays independent mod p
+    # saturated: integral, and still independent mod p
     residues = []
     for vec in ker:
         row = []
         for c in vec.components:
-            coeffs = list(c.rep.coeffs) + [None] * (p ** n - len(c.rep.coeffs))
-            for coeff in coeffs:
-                if coeff is None or coeff.is_zero_rep or coeff.v > 0:
-                    row.append(0)
-                else:
-                    assert coeff.v == 0
-                    row.append(coeff.u % p)
+            assert all(x.is_zero_rep or x.v >= 0 for x in c.rep.coeffs)
+            digits = [x.u % p if not x.is_zero_rep and x.v == 0 else 0
+                      for x in c.rep.coeffs]
+            row += digits + [0] * (p ** n - len(digits))
         residues.append(row)
     assert fp_rank(residues, p) == len(ker)
 

@@ -371,3 +371,18 @@ def test_fp_rank_matches_unit_minor_bruteforce():
         # a multiple of p on top keeps the rank mod p but not over Q
         A = [[a + p * rng.randrange(-2, 3) for a in row] for row in A]
         assert fp_rank(A, p) == unit_minor_rank(A, p)
+
+
+def test_eliminations_reject_malformed_shapes():
+    ragged = [[1, 2], [3]]
+    cases = [
+        lambda: frac_inv([[1, 0, 0], [0, 1, 0]]),
+        lambda: frac_solve([[1, 0], [0, 1]], [1, 2, 3]),
+        lambda: frac_solve([[1, 0], [0, 1]], [1]),
+        lambda: frac_rank(ragged),
+        lambda: frac_nullspace(ragged),
+        lambda: fp_rank(ragged, 3),
+    ]
+    for call in cases:
+        with pytest.raises(InputError):
+            call()
