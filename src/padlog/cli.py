@@ -146,20 +146,12 @@ def _cmd_logmatrix(args) -> int:
         report.add("value at zero is C_phi", ev["ok"], witness=ev["witness"])
     except Indeterminate as exc:
         report.add("value at zero is C_phi", Status.INDETERMINATE, str(exc))
-    try:
-        det = det_Mn(fd, args.n, cutoff=args.cutoff)
-        report.add("determinant closed form (raw)", det["raw_match"])
-        report.add("determinant closed form (reduced)", det["reduced_match"])
-    except Indeterminate as exc:
-        report.add("determinant closed form", Status.INDETERMINATE, str(exc))
+    det = det_Mn(fd, args.n)
+    report.add("determinant closed form (raw)", det["raw_match"])
+    report.add("determinant closed form (reduced)", det["reduced_match"])
     if args.n >= 2:
-        try:
-            ok = verify_stabilization(fd, args.n - 1, args.n,
-                                      cutoff=args.cutoff)
-            report.add(f"stabilization mod omega_{args.n - 1}", ok)
-        except Indeterminate as exc:
-            report.add(f"stabilization mod omega_{args.n - 1}",
-                       Status.INDETERMINATE, str(exc))
+        report.add(f"stabilization mod omega_{args.n - 1}",
+                   verify_stabilization(fd, args.n - 1, args.n))
     payload = {"matrix": matrix_to_record(approx.raw)}
     return _finish(report, args, payload)
 

@@ -19,16 +19,13 @@ from fractions import Fraction
 from .errors import InputError, NotIntegral, PrecisionLoss
 from .linalg import (
     fpoly_divmod,
-    frac_inv,
     frac_nullspace,
-    mat_map,
     mat_pow,
     frac_identity,
     pmat_from_frac,
-    pmat_mul,
     zp_saturate,
 )
-from .logmatrix import FrobeniusData, build_Cn, build_Cn_fpoly, _embed_matrix
+from .logmatrix import FrobeniusData, build_chain, build_Cn, _embed_matrix
 from .series import (
     LambdaNElement,
     XSeries,
@@ -105,7 +102,8 @@ def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
         raise InputError("forward needs n >= 1")
     comps = _as_classes(fd, n, col)
     for k in range(1, n + 1):
-        comps = _apply_matrix(build_Cn(fd, k), comps, n)
+        Ck = _embed_matrix(fd.ctx, build_Cn(fd, k))
+        comps = _apply_matrix(Ck, comps, n)
     return RegulatorVector(n, comps)
 
 
@@ -121,7 +119,7 @@ def factor_level(fd: FrobeniusData, n: int, L,
         raise InputError("factor_level needs n >= 1")
     comps = _as_classes(fd, n, L)
     ctx = fd.ctx
-    C_emb = _embed_matrix(ctx, fd.C_frac())
+    C_emb = _embed_matrix(ctx, pmat_from_frac(fd.C))
     for k in range(n, 0, -1):
         phi = phi_cyclo(ctx, k)
         divided = []
@@ -133,6 +131,12 @@ def factor_level(fd: FrobeniusData, n: int, L,
                 divided.append(LambdaNElement(ctx, n, q))
         comps = _apply_matrix(C_emb, divided, n)
     return ColemanVector(n, comps, kernel_tag=f"mod ker h_{n}")
+
+
+def _cphi_inv(fd: FrobeniusData):
+    """C_phi^{-1} = diag(I, p I) C^{-1}."""
+    return [[x * fd.ctx.p if i >= fd.fil_dim else x for x in row]
+            for i, row in enumerate(fd.C_inv)]
 
 
 def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
@@ -151,9 +155,8 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     for e in raw:
         if not isinstance(e, XSeries) or not e.is_exact_poly:
             raise InputError("raw components must be exact polynomials")
-    cphi_inv = frac_inv(fd.C_phi_frac())
-    shift = mat_pow(cphi_inv, n + 1, frac_identity(fd.size))
-    shift_emb = _embed_matrix(ctx, shift)
+    shift = mat_pow(_cphi_inv(fd), n + 1, frac_identity(fd.size))
+    shift_emb = _embed_matrix(ctx, pmat_from_frac(shift))
     comps = []
     for row in shift_emb:
         acc = None
@@ -211,7 +214,7 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     comps_hi = _as_classes(fd, n + 1, col)
     hi = forward(fd, n + 1, comps_hi)
     lo = forward(fd, n, [c.project(n) for c in comps_hi])
-    cphi_inv_emb = _embed_matrix(fd.ctx, frac_inv(fd.C_phi_frac()))
+    cphi_inv_emb = _embed_matrix(fd.ctx, pmat_from_frac(_cphi_inv(fd)))
     twisted = _apply_matrix(cphi_inv_emb, lo.components, n)
     for i, (a, b) in enumerate(zip(project_vector(hi, n).components,
                                    twisted)):
@@ -232,11 +235,8 @@ def kernel_basis(fd: FrobeniusData, n: int):
     p = fd.ctx.p
     N = p ** n
     omega = [Fraction(c) for c in omega_ints(p, n)]
-    # product C_n ... C_1 over Fraction polynomials, reduced mod omega_n
-    prod = pmat_from_frac(frac_identity(fd.size))
-    for k in range(1, n + 1):
-        prod = mat_map(pmat_mul(build_Cn_fpoly(fd, k), prod),
-                       lambda e: fpoly_divmod(e, omega)[1])
+    # C_n ... C_1 has degree below p^n: it is already reduced mod omega_n
+    prod = build_chain(fd, n)[n]
     # matrix of the map on coefficient vectors: column (i, j) is the
     # image of X^j in component i
     dim = fd.size * N

@@ -1,7 +1,8 @@
 """Matrix and polynomial utilities.
 
-The generic layer works on any element type with ring operator
-overloads (certified scalars, series, finite-level classes, Fractions).
+The generic layer (products and powers) works on any element type with
+ring operator overloads (certified scalars, series, finite-level
+classes, Fractions).
 
 The exact layer works on Fractions and is the decision engine.  One
 forward elimination gives the rank, the determinant and a row echelon
@@ -14,8 +15,9 @@ modules lean on.  Characteristic polynomials and Newton polygons
 complete the admission gate's toolkit.
 
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
-Matrices of them carry the exact towers of logmatrix, coleman and wach;
-their products can be cut mod X^T as they are formed.
+Matrices of them carry the one exact tower that logmatrix builds and
+coleman and wach read; their products and their cofactor determinant
+can be cut mod X^T as they are formed.
 """
 
 from __future__ import annotations
@@ -62,23 +64,6 @@ def mat_sub(A, B):
 
 def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
-
-
-def cofactor_det(A):
-    """Laplace-expansion determinant; fine for the small sizes used here."""
-    n, m = mat_shape(A)
-    if n != m or n == 0:
-        raise InputError("determinant needs a nonempty square matrix")
-    if n == 1:
-        return A[0][0]
-    acc = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        term = A[0][j] * cofactor_det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def mat_pow(A, e, identity):
@@ -412,6 +397,25 @@ def pmat_sub(A, B):
 def pmat_const(A):
     """The value at X = 0."""
     return mat_map(A, lambda e: e[0] if e else Fraction(0))
+
+
+def cofactor_det(A, T=None):
+    """Determinant of a square Fraction-polynomial matrix by cofactor
+    expansion along the first row, mod X^T when T is given; fine for the
+    small sizes used here."""
+    n, m = mat_shape(A)
+    if n != m or n == 0:
+        raise InputError("determinant needs a nonempty square matrix")
+    if n == 1:
+        return fpoly_trim(A[0][0][:T])
+    acc = []
+    for j, a in enumerate(A[0]):
+        if not a:
+            continue
+        minor = [row[:j] + row[j + 1:] for row in A[1:]]
+        term = fpoly_mul(a, cofactor_det(minor, T), T)
+        acc = fpoly_add(acc, fpoly_scale(term, -1) if j % 2 else term)
+    return acc
 
 
 # -- Z_(p) reductions ------------------------------------------------------

@@ -5,21 +5,29 @@ tower of approximants is built as
 
     C_phi = C * diag(I, (1/p) I)
     C_k   = diag(I, Phi_{p^k}(1+X) I) * C^{-1}
-    M_n   = C_phi^(n+1) * C_n * ... * C_1
+    P_k   = C_k * ... * C_1            (P_0 = I)
+    M_n   = C_phi^(n+1) * P_n
 
 with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
 (-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.
 
-The tower satisfies, and this module verifies: M_n(0) = C_phi,
-M_m = M_n mod omega_n, the exact closed-form determinant, and the
-coefficient valuation bound (n+1) * minval(C_phi).
+The chain P_k is one exact product of Fraction polynomials.  M_n, the
+Wach approximant M'_n = C_phi^n P_n and the Coleman kernel all read it.
+P_n has degree p^n - 1, so M_n is already reduced modulo omega_n.
+
+The tower satisfies, and this module verifies exactly on the Fraction
+polynomials: M_m = M_n mod omega_n, the closed-form determinant, and
+the transport law under a basis change.  The XSeries view of M_n, whose
+coefficients keep rel_prec digits, carries the certified checks
+M_n(0) = C_phi and the coefficient valuation bound (n+1) * minval(C_phi).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DenominatorBudgetExceeded,
@@ -32,6 +40,9 @@ from .errors import (
 )
 from .linalg import (
     cofactor_det,
+    fpoly_add,
+    fpoly_divmod,
+    fpoly_mul,
     fpoly_scale,
     fpoly_trim,
     frac_det,
@@ -42,12 +53,16 @@ from .linalg import (
     frac_rank,
     hull_root_valuations,
     mat_mul,
+    mat_pow,
     newton_lower_hull,
+    pmat_from_frac,
+    pmat_mul,
+    pmat_sub,
     vp_frac,
     zp_solve_integral,
 )
 from .padic import INF, PadicContext
-from .series import XSeries, phi_cyclo, phi_cyclo_ints, reduce_mod_omega
+from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
 
 # -- admission gate --------------------------------------------------------
@@ -104,25 +119,27 @@ class FrobeniusData:
     def scaled_dim(self) -> int:
         return self.size - self.fil_dim
 
+    @cached_property
+    def C_inv(self):
+        """C^{-1} as a tuple of rows, inverted once per instance (by
+        create, for an admitted instance)."""
+        return tuple(map(tuple, frac_inv(self.C)))
+
+    @cached_property
+    def C_phi(self):
+        """C_phi = C diag(I, (1/p) I) as a tuple of rows."""
+        f, p = self.fil_dim, self.ctx.p
+        return tuple(tuple(x if j < f else x / p for j, x in enumerate(row))
+                     for row in self.C)
+
     def C_frac(self):
         return [list(row) for row in self.C]
 
     def C_phi_frac(self):
-        g = self.size
-        f = self.fil_dim
-        return [
-            [self.C[i][j] if j < f else self.C[i][j] / self.ctx.p
-             for j in range(g)]
-            for i in range(g)
-        ]
-
-    def C_inv_frac(self):
-        return frac_inv(self.C_frac())
+        return [list(row) for row in self.C_phi]
 
     def min_val_C_phi(self):
-        vals = [vp_frac(x, self.ctx.p)
-                for row in self.C_phi_frac() for x in row]
-        return min(vals)
+        return min(vp_frac(x, self.ctx.p) for row in self.C_phi for x in row)
 
     @classmethod
     def create(cls, ctx, C_rows, d0, r: int = 1, force: bool = False):
@@ -137,7 +154,9 @@ class FrobeniusData:
             raise InputError(f"d0={d0} outside 0..{d}")
         fd = cls(ctx=ctx, d=d, d0=d0, r=r, C=C)
         report = check_hypotheses(fd)
-        if not report.ok and not force:
+        if report.ok:
+            fd.C_inv  # an admitted C is invertible: invert it once, now
+        elif not force:
             raise HypothesisFailed(
                 "; ".join(report.failures), report=report
             )
@@ -165,7 +184,7 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
     det_C = frac_det(fd.C_frac())
     if vp_frac(det_C, p) != 0:
         failures.append(f"det(C) = {det_C} is not a p-adic unit")
-    cphi = fd.C_phi_frac()
+    cphi = fd.C_phi
     cp = frac_charpoly(cphi)
     points = [(i, vp_frac(a, p)) for i, a in enumerate(cp)]
     hull = newton_lower_hull(points)
@@ -188,48 +207,69 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
     )
 
 
-# -- tower construction ----------------------------------------------------
-
-
-def _embed_matrix(ctx, M):
-    """Fraction matrix -> matrix of constant exact polynomials."""
-    return [[XSeries.from_fractions(ctx, [x]) for x in row] for row in M]
+# -- the exact tower -------------------------------------------------------
 
 
 def build_Cn(fd: FrobeniusData, n: int):
-    """C_n = diag(I, Phi_{p^n}(1+X) I) * C^{-1} over exact polynomials."""
-    if n < 1:
-        raise InputError("build_Cn needs n >= 1")
-    ctx = fd.ctx
-    phi = phi_cyclo(ctx, n)
-    cinv = fd.C_inv_frac()
-    out = []
-    for i in range(fd.size):
-        row = []
-        for j in range(fd.size):
-            e = XSeries.from_fractions(ctx, [cinv[i][j]])
-            if i >= fd.fil_dim:
-                e = e * phi
-            row.append(e)
-        out.append(row)
-    return out
-
-
-def build_Cn_fpoly(fd: FrobeniusData, n: int):
-    """C_n as a matrix of exact Fraction polynomials (lists, [] = 0)."""
+    """C_n = diag(I, Phi_{p^n}(1+X) I) * C^{-1} as a matrix of exact
+    Fraction polynomials (lists, [] = 0)."""
     if n < 1:
         raise InputError("build_Cn needs n >= 1")
     phi = [Fraction(c) for c in phi_cyclo_ints(fd.ctx.p, n)]
     return [
         [fpoly_scale(phi, x) if i >= fd.fil_dim else fpoly_trim([x])
          for x in row]
-        for i, row in enumerate(fd.C_inv_frac())
+        for i, row in enumerate(fd.C_inv)
     ]
 
 
+def build_chain(fd: FrobeniusData, n: int):
+    """[P_0, ..., P_n] with P_0 = I and P_k = C_k P_{k-1} = C_k ... C_1,
+    exact.  P_k has degree p^k - 1, below the degree of omega_k."""
+    chain = [pmat_from_frac(frac_identity(fd.size))]
+    for k in range(1, n + 1):
+        chain.append(pmat_mul(build_Cn(fd, k), chain[-1]))
+    return chain
+
+
+def cphi_power_times(fd: FrobeniusData, e: int, P):
+    """C_phi^e P for a matrix P of Fraction polynomials."""
+    power = mat_pow(fd.C_phi, e, frac_identity(fd.size))
+    return pmat_mul(pmat_from_frac(power), P)
+
+
+def _exact_levels(fd: FrobeniusData, levels):
+    """{n: M_n} for the requested levels, exact, from one chain."""
+    if any(n < 0 for n in levels):
+        raise InputError("levels must be >= 0")
+    top = max(levels, default=0)
+    need = (top + 1) * max(0, -fd.min_val_C_phi())
+    if need > fd.ctx.denom_budget:
+        raise DenominatorBudgetExceeded(
+            f"level {top} needs denominator budget {need}, "
+            f"context allows {fd.ctx.denom_budget}"
+        )
+    chain = build_chain(fd, top)
+    return {n: cphi_power_times(fd, n + 1, chain[n]) for n in levels}
+
+
+def _mod_omega(f, p: int, n: int):
+    return fpoly_divmod(f, omega_ints(p, n))[1]
+
+
+def _first_nonzero(f):
+    return next((k for k, c in enumerate(f) if c), None)
+
+
+def _embed_matrix(ctx, M):
+    """Matrix of Fraction polynomials -> matrix of XSeries whose
+    coefficients keep rel_prec digits."""
+    return [[XSeries.from_fractions(ctx, e) for e in row] for row in M]
+
+
 class LogMatrixApprox:
-    """Level-n approximant: the raw polynomial matrix and its reduction
-    modulo omega_n."""
+    """Level-n approximant as XSeries views: the polynomial matrix and
+    its classes modulo omega_n."""
 
     __slots__ = ("fd", "n", "raw", "reduced")
 
@@ -241,24 +281,12 @@ class LogMatrixApprox:
 
 
 def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
-    """M_n = C_phi^(n+1) * C_n ... C_1, exact, plus its omega_n class."""
-    if n < 0:
-        raise InputError("build_Mn needs n >= 0")
-    ctx = fd.ctx
-    need = (n + 1) * max(0, -fd.min_val_C_phi())
-    if need > ctx.denom_budget:
-        raise DenominatorBudgetExceeded(
-            f"level {n} needs denominator budget {need}, "
-            f"context allows {ctx.denom_budget}"
-        )
-    acc = _embed_matrix(ctx, frac_identity(fd.size))
-    for k in range(1, n + 1):
-        acc = mat_mul(build_Cn(fd, k), acc)
-    cphi = _embed_matrix(ctx, fd.C_phi_frac())
-    for _ in range(n + 1):
-        acc = mat_mul(cphi, acc)
-    reduced = [[reduce_mod_omega(e, n) for e in row] for row in acc]
-    return LogMatrixApprox(fd, n, acc, reduced)
+    """M_n = C_phi^(n+1) * C_n ... C_1, built exactly and embedded once.
+    Its degree is below p^n, so the omega_n classes share the raw
+    representatives."""
+    raw = _embed_matrix(fd.ctx, _exact_levels(fd, (n,))[n])
+    reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
+    return LogMatrixApprox(fd, n, raw, reduced)
 
 
 # -- verification ----------------------------------------------------------
@@ -272,7 +300,7 @@ def check_evaluation(approx: LogMatrixApprox, cutoff: int = 1):
     """M_n(0) = C_phi: compare the constant terms against the exact
     embedding entry by entry."""
     ctx = approx.fd.ctx
-    target = approx.fd.C_phi_frac()
+    target = approx.fd.C_phi
     witness = None
     for i, row in enumerate(approx.raw):
         for j, e in enumerate(row):
@@ -289,83 +317,46 @@ def check_evaluation(approx: LogMatrixApprox, cutoff: int = 1):
     return {"ok": True, "witness": None}
 
 
-def stabilization_defect(lo: LogMatrixApprox, hi: LogMatrixApprox):
-    """Entrywise omega_lo-reduction of hi.raw - lo.raw."""
-    if lo.fd != hi.fd:
-        raise InputError("approximants from different data")
-    if hi.n < lo.n:
-        lo, hi = hi, lo
-    n = lo.n
-    return [
-        [reduce_mod_omega(eh - el, n) for eh, el in zip(rh, rl)]
-        for rh, rl in zip(hi.raw, lo.raw)
-    ]
-
-
-def verify_stabilization(fd, n: int, m: int, cutoff: int = 1) -> bool:
-    """True iff M_m = M_n mod omega_n with every coefficient certified.
-    Raises Indeterminate when certification falls short."""
+def verify_stabilization(fd, n: int, m: int) -> bool:
+    """True iff M_m = M_n mod omega_n, decided exactly."""
     if not (1 <= n <= m):
         raise InputError("need 1 <= n <= m")
-    lo = build_Mn(fd, n)
-    hi = lo if m == n else build_Mn(fd, m)
-    defect = stabilization_defect(lo, hi)
-    pending = None
-    for i, row in enumerate(defect):
-        for j, e in enumerate(row):
-            st, idx = e.zero_status(cutoff)
-            if st == "nonzero":
-                return False
-            if st == "indeterminate" and pending is None:
-                pending = (i, j, idx)
-    if pending is not None:
-        raise Indeterminate(
-            f"stabilization unresolved at entry {pending[:2]}, "
-            f"coefficient {pending[2]}",
-            pending,
-        )
-    return True
+    M = _exact_levels(fd, (n, m))
+    p = fd.ctx.p
+    return not any(_mod_omega(e, p, n)
+                   for row in pmat_sub(M[m], M[n]) for e in row)
+
+
+def _closed_det(fd: FrobeniusData, n: int):
+    s = fd.scaled_dim
+    out = [frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)]
+    for k in range(1, n + 1):
+        phi = [Fraction(c) for c in phi_cyclo_ints(fd.ctx.p, k)]
+        for _ in range(s):
+            out = fpoly_mul(out, phi)
+    return out
 
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
     """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block size."""
-    ctx = fd.ctx
-    s = fd.scaled_dim
-    det_C = frac_det(fd.C_frac())
-    scale = det_C * Fraction(1, ctx.p ** ((n + 1) * s))
-    out = XSeries.from_fractions(ctx, [scale])
-    for k in range(1, n + 1):
-        phi = phi_cyclo(ctx, k)
-        for _ in range(s):
-            out = out * phi
-    return out
+    return XSeries.from_fractions(fd.ctx, _closed_det(fd, n))
 
 
-def det_Mn(fd: FrobeniusData, n: int, cutoff: int = 1):
-    """Exact determinant of M_n and comparison with the closed form,
-    both raw and modulo omega_n."""
-    approx = build_Mn(fd, n)
-    det_raw = cofactor_det(approx.raw)
-    closed = det_closed_form(fd, n)
-    diff = det_raw - closed
-    st_raw, wit_raw = diff.zero_status(cutoff)
-    reduced_diff = reduce_mod_omega(diff, n)
-    st_red, wit_red = reduced_diff.zero_status(cutoff)
-    report = {
+def det_Mn(fd: FrobeniusData, n: int):
+    """Determinant of M_n against the closed form, both as polynomials
+    and modulo omega_n.  The verdicts are exact; det and closed_form are
+    reported as XSeries views."""
+    det = cofactor_det(_exact_levels(fd, (n,))[n])
+    closed = _closed_det(fd, n)
+    diff = fpoly_add(det, fpoly_scale(closed, -1))
+    return {
         "n": n,
-        "det": det_raw,
-        "closed_form": closed,
-        "raw_match": st_raw == "zero",
-        "reduced_match": st_red == "zero",
-        "witness": wit_raw if st_raw == "nonzero" else None,
+        "det": XSeries.from_fractions(fd.ctx, det),
+        "closed_form": XSeries.from_fractions(fd.ctx, closed),
+        "raw_match": not diff,
+        "reduced_match": not _mod_omega(diff, fd.ctx.p, n),
+        "witness": _first_nonzero(diff),
     }
-    if st_raw == "indeterminate" or st_red == "indeterminate":
-        raise Indeterminate(
-            f"determinant comparison unresolved at coefficient "
-            f"{wit_raw if st_raw == 'indeterminate' else wit_red}",
-            report,
-        )
-    return report
 
 
 def min_coeff_valuation(approx: LogMatrixApprox):
@@ -407,7 +398,7 @@ def conjugated_instance(fd: FrobeniusData, B) -> FrobeniusData:
     """The instance whose Frobenius matrix is B C_phi B^{-1} (read off
     through C_w = B C_phi B^{-1} diag(I, p))."""
     B = _validate_adapted(fd, B)
-    middle = mat_mul(mat_mul(B, fd.C_phi_frac()), frac_inv(B))
+    middle = mat_mul(mat_mul(B, fd.C_phi), frac_inv(B))
     C_w = [
         [middle[i][j] * (1 if j < fd.fil_dim else fd.ctx.p)
          for j in range(fd.size)]
@@ -425,13 +416,12 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
     """
     ctx = approx.fd.ctx
     Bq = frac_mat(B)
-    left = _embed_matrix(ctx, Bq)
-    right = _embed_matrix(ctx, frac_inv(Bq))
+    left = _embed_matrix(ctx, pmat_from_frac(Bq))
+    right = _embed_matrix(ctx, pmat_from_frac(frac_inv(Bq)))
     return mat_mul(left, mat_mul(approx.raw, right))
 
 
-def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2),
-                          cutoff: int = 1):
+def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     """Compare B M_{n,v} B^{-1} with the approximant M_{n,w} rebuilt
     from the conjugated instance, exactly and modulo omega_n, per level.
 
@@ -449,53 +439,43 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2),
         is divisible by X (E_k(0) = I), so the value at zero is
         transported.
 
-    Returns a report; raises NotFiltrationAdapted when B lacks the
-    adapted block form.
+    Both approximants come from one chain per instance, and every
+    verdict is exact.  Returns a report; raises NotFiltrationAdapted
+    when B lacks the adapted block form.
     """
     fd_w = conjugated_instance(fd, B)
+    p = fd.ctx.p
+    Bq = frac_mat(B)
+    left = pmat_from_frac(Bq)
+    right = pmat_from_frac(frac_inv(Bq))
+    mv = _exact_levels(fd, levels)
+    mw = _exact_levels(fd_w, levels)
     per_level = {}
-    all_exact = True
-    all_mod = True
     for n in levels:
-        mv = build_Mn(fd, n)
-        mw = build_Mn(fd_w, n)
-        transported = log_matrix_in_basis(mv, B)
-        exact_ok = True
-        mod_ok = True
+        diff = pmat_sub(pmat_mul(pmat_mul(left, mv[n]), right), mw[n])
+        exact_ok = mod_ok = True
         witness = None
-        for i in range(fd.size):
-            for j in range(fd.size):
-                diff = transported[i][j] - mw.raw[i][j]
-                st, idx = diff.zero_status(cutoff)
-                if st == "indeterminate":
-                    raise Indeterminate(
-                        f"conjugation comparison unresolved at level {n}, "
-                        f"entry ({i}, {j}), coefficient {idx}"
-                    )
-                if st == "nonzero":
-                    exact_ok = False
-                    rst, ridx = reduce_mod_omega(diff, n).zero_status(cutoff)
-                    if rst == "indeterminate":
-                        raise Indeterminate(
-                            f"reduced conjugation comparison unresolved at "
-                            f"level {n}, entry ({i}, {j}), coefficient {ridx}"
-                        )
-                    if rst == "nonzero":
-                        mod_ok = False
-                        if witness is None:
-                            witness = (i, j, ridx)
+        for i, row in enumerate(diff):
+            for j, e in enumerate(row):
+                if not e:
+                    continue
+                exact_ok = False
+                rem = _mod_omega(e, p, n)
+                if rem:
+                    mod_ok = False
+                    if witness is None:
+                        witness = (i, j, _first_nonzero(rem))
         per_level[n] = {
             "exact": exact_ok,
             "mod_omega": mod_ok,
             "witness": witness,
         }
-        all_exact = all_exact and exact_ok
-        all_mod = all_mod and mod_ok
+    all_exact = all(lev["exact"] for lev in per_level.values())
     return {
         "adapted": True,
         "levels": per_level,
         "all_exact": all_exact,
-        "all_mod_omega": all_mod,
+        "all_mod_omega": all(lev["mod_omega"] for lev in per_level.values()),
         "ok": all_exact,
         "conjugated_C": fd_w.C,
     }

@@ -10,11 +10,14 @@ Phi_{p^k}(1 + pi), and the level-k connection matrix is
 whose inverse diag(I_{fil}, phi^{k-1}(q) I) * C^{-1} is an honest
 polynomial matrix, the C_k of logmatrix.  The tower approximants
 
-    M'_n = C_phi^n * P_n^{-1} * ... * P_1^{-1}
-         = C_phi * phi(M'_{n-1}) * P_1^{-1}
+    M'_n = C_phi^n * P_n^{-1} * ... * P_1^{-1} = C_phi^n * C_n * ... * C_1
 
-are exact polynomial matrices with M'_n(0) = I, congruent to each other
-modulo (1 + pi)^{p^n} - 1.  The twist of gamma by the tower,
+are read off logmatrix's exact chain C_n ... C_1, the same product
+that gives M_n = C_phi * M'_n.  They are exact polynomial matrices with
+M'_n(0) = I, congruent to each other modulo (1 + pi)^{p^n} - 1, and
+they satisfy M'_n = C_phi * phi(M'_{n-1}) * P_1^{-1}, since phi carries
+C_k to C_{k+1}; the tests check that identity, the library does not
+run it.  The twist of gamma by the tower,
 
     G^(n) = (M'_n)^{-1} * gamma(M'_n),
 
@@ -25,12 +28,13 @@ truncated result is truncated from the start: f is cut to T terms,
 and Horner's rule cuts to T terms after every multiply.  The cost of a
 twist therefore does not depend on the size of c.  M'_n is cut to pi^T
 first and its inverse mod pi^T comes from the adjugate divided by the
-determinant, whose constant term is exactly 1, so that the expansion is
-a denominator-free recurrence.  Only gamma(M'_n) depends on the kind of
-exponent: an integer c runs in exact rational arithmetic, a scalar c
-through a binomial series over the working precision.  The twist must
-come out p-integral and congruent to I mod pi, and these claims are
-verified rather than assumed.
+determinant (linalg's cofactor_det, cut mod pi^T), whose constant term
+is exactly 1, so that the expansion is a denominator-free recurrence.
+Only gamma(M'_n) depends on the kind of exponent: an integer c runs in
+exact rational arithmetic, a scalar c through a binomial series over
+the working precision.  The twist must come out p-integral and
+congruent to I mod pi, and these claims are verified rather than
+assumed.
 
 The commutation relation linking consecutive levels,
 
@@ -53,6 +57,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .linalg import (
+    cofactor_det,
     fpoly_add,
     fpoly_divmod,
     fpoly_mul,
@@ -61,11 +66,10 @@ from .linalg import (
     frac_identity,
     mat_map,
     pmat_const,
-    pmat_from_frac,
     pmat_mul,
     pmat_sub,
 )
-from .logmatrix import FrobeniusData, build_Cn_fpoly
+from .logmatrix import FrobeniusData, build_chain, build_Cn, cphi_power_times
 from .padic import PadicContext, PadicScalar
 from .series import XSeries, omega_ints, phi_cyclo_ints
 
@@ -154,23 +158,6 @@ def gamma_act_poly(gamma: GammaElement, f, trunc=None):
     return _pcompose(f, _binom_shift(gamma.c, trunc), trunc)
 
 
-def _pdet(A, T: int):
-    """Determinant mod pi^T, by cofactor expansion."""
-    d = len(A)
-    if d == 1:
-        return list(A[0][0])
-    acc = []
-    for j in range(d):
-        if not A[0][j]:
-            continue
-        minor = [[A[i][k] for k in range(d) if k != j] for i in range(1, d)]
-        term = fpoly_mul(A[0][j], _pdet(minor, T), T)
-        if j % 2:
-            term = fpoly_scale(term, -1)
-        acc = fpoly_add(acc, term)
-    return acc
-
-
 def _padj(A, T: int):
     """Adjugate mod pi^T."""
     d = len(A)
@@ -183,7 +170,7 @@ def _padj(A, T: int):
                 [A[r][c] for c in range(d) if c != j]
                 for r in range(d) if r != i
             ]
-            cof = _pdet(minor, T)
+            cof = cofactor_det(minor, T)
             if (i + j) % 2:
                 cof = fpoly_scale(cof, -1)
             out[j][i] = cof
@@ -251,7 +238,7 @@ def build_Pn(fd: FrobeniusData, n: int) -> dict:
          for j, x in enumerate(row)]
         for row in fd.C_frac()
     ]
-    return {"P_inv": build_Cn_fpoly(fd, n), "qP": qP, "q_n": qn}
+    return {"P_inv": build_Cn(fd, n), "qP": qP, "q_n": qn}
 
 
 class WachMatrixTower:
@@ -285,7 +272,7 @@ class WachMatrixTower:
         if T < 1:
             raise InputError("trunc must be positive")
         M = mat_map(self.matrix(k), lambda e: fpoly_trim(e[:T]))
-        det = _pdet(M, T)
+        det = cofactor_det(M, T)
         if not det or det[0] != 1:
             raise InputError("tower determinant must have constant term 1")
         inv_det = _pseries_inv(det, T)
@@ -307,20 +294,13 @@ class WachMatrixTower:
 
 
 def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
-    """Build the tower up to level n through the recursion
-    M'_k = C_phi * phi(M'_{k-1}) * P_1^{-1}."""
+    """Build the tower up to level n as M'_k = C_phi^k * C_k ... C_1,
+    from one exact chain."""
     _require_wach(fd)
     if n < 1:
         raise InputError("n must be at least 1")
-    p = fd.ctx.p
-    P1_inv = build_Pn(fd, 1)["P_inv"]
-    C_phi = pmat_from_frac(fd.C_phi_frac())
-    levels = []
-    current = pmat_from_frac(frac_identity(fd.size))
-    for _ in range(n):
-        moved = mat_map(current, lambda e: phi_act_poly(p, e))
-        current = pmat_mul(pmat_mul(C_phi, moved), P1_inv)
-        levels.append(current)
+    chain = build_chain(fd, n)
+    levels = [cphi_power_times(fd, k, chain[k]) for k in range(1, n + 1)]
     return WachMatrixTower(fd, n, levels)
 
 

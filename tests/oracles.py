@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -118,8 +119,15 @@ def perm_det(M):
 
 
 def perm_det_poly(M):
-    """Permutation-expansion determinant for polynomial entries."""
+    """Permutation-expansion determinant for polynomial entries.
+
+    The entries are put over one common denominator D first, so that the
+    expansion multiplies integer numerators; the sum is divided by D^n
+    at the end."""
     n = len(M)
+    den = math.lcm(1, *(Fraction(c).denominator
+                        for row in M for e in row for c in e))
+    num = [[[int(Fraction(c) * den) for c in e] for e in row] for row in M]
     total = []
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -128,11 +136,25 @@ def perm_det_poly(M):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = [Fraction(1)]
+        term = [sign]
         for i in range(n):
-            term = pmul(term, M[i][perm[i]])
-        total = padd(total, pscale(term, sign))
-    return total
+            term = _int_pmul(term, num[i][perm[i]])
+        if len(term) > len(total):
+            total += [0] * (len(term) - len(total))
+        for k, c in enumerate(term):
+            total[k] += c
+    return ptrim([Fraction(c, den ** n) for c in total])
+
+
+def _int_pmul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
 
 
 def charpoly_oracle(A):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from padlog import InputError, NotInImage, SingularOperator
 from padlog.linalg import (
+    cofactor_det,
     fp_rank,
     fpoly_add,
     fpoly_divmod,
@@ -41,6 +42,7 @@ from oracles import (
     padd,
     peval,
     perm_det,
+    perm_det_poly,
     pmul,
     ptrim,
     rank_oracle,
@@ -386,3 +388,19 @@ def test_eliminations_reject_malformed_shapes():
     for call in cases:
         with pytest.raises(InputError):
             call()
+
+
+def test_cofactor_det_matches_permutation_expansion_and_truncates():
+    rng = random.Random(340)
+    for size in (1, 2, 3, 4):
+        for _ in range(6):
+            A = [[ptrim([Fraction(rng.randrange(-5, 6), rng.choice((1, 3, 9)))
+                         for _ in range(rng.randrange(4))])
+                  for _ in range(size)] for _ in range(size)]
+            want = perm_det_poly(A)
+            assert cofactor_det(A) == want
+            for T in (1, 2, 5):
+                assert cofactor_det(A, T) == ptrim(want[:T])
+    for bad in ([], [[[1], [2]]]):
+        with pytest.raises(InputError):
+            cofactor_det(bad)

@@ -7,10 +7,12 @@ from fractions import Fraction
 import pytest
 
 from padlog import (
+    DenominatorBudgetExceeded,
     FrobeniusData,
     HypothesisFailed,
     NotFiltrationAdapted,
     PadicContext,
+    SingularOperator,
     XSeries,
     build_Mn,
     check_evaluation,
@@ -25,8 +27,13 @@ from padlog import (
 )
 from padlog.logmatrix import min_coeff_valuation
 
-from instances import interleaved_gl4, pollack_fd, random_instance
-from oracles import matches_rational, phi_oracle, pmul
+from instances import (
+    interleaved_gl4,
+    pollack_fd,
+    random_adapted_B,
+    random_instance,
+)
+from oracles import inv_oracle, matches_rational, phi_oracle, pmul
 
 
 def test_gate_accepts_half_slope_instance():
@@ -192,3 +199,63 @@ def test_random_instances_pass_full_battery():
         assert check_evaluation(m2)["ok"]
         assert verify_stabilization(fd, 1, 2)
         assert min_coeff_valuation(m2)["ok"]
+
+
+def one_digit_instances():
+    """The antidiagonal and a random size-4 instance at rel_prec = 1:
+    too few digits to certify anything, so only exact checks decide."""
+    return [pollack_fd(rel_prec=1), random_instance(3, 4, 2, 0, rel_prec=1)]
+
+
+def test_exact_checks_decide_at_one_digit():
+    rng = random.Random(61)
+    for fd in one_digit_instances():
+        wide = FrobeniusData.create(PadicContext(3), fd.C, fd.d0)
+        rep = det_Mn(fd, 3)
+        assert rep["raw_match"] and rep["reduced_match"]
+        assert rep["witness"] is None
+        assert verify_stabilization(fd, 2, 3)
+        assert verify_stabilization(fd, 1, 3)
+        B = random_adapted_B(fd, rng)
+        f = fd.fil_dim
+        block_diag = [[B[i][j] if (i < f) == (j < f) else 0
+                       for j in range(fd.size)] for i in range(fd.size)]
+        shear = [[int(i == j or (i, j) == (0, f)) for j in range(fd.size)]
+                 for i in range(fd.size)]
+        changes = (block_diag, B, shear)
+        got = [conjugate_basis_check(fd, Bx) for Bx in changes]
+        assert got == [conjugate_basis_check(wide, Bx) for Bx in changes]
+        assert got[0]["all_exact"]
+        assert not got[2]["levels"][1]["exact"]
+
+
+def test_exact_checks_keep_the_denominator_budget():
+    for fd in one_digit_instances():
+        tight = FrobeniusData.create(
+            PadicContext(3, rel_prec=1, denom_budget=2), fd.C, fd.d0)
+        assert tight.min_val_C_phi() == -1  # level 2 needs budget 3
+        identity = [[int(i == j) for j in range(fd.size)]
+                    for i in range(fd.size)]
+        with pytest.raises(DenominatorBudgetExceeded):
+            det_Mn(tight, 2)
+        with pytest.raises(DenominatorBudgetExceeded):
+            verify_stabilization(tight, 1, 2)
+        with pytest.raises(DenominatorBudgetExceeded):
+            conjugate_basis_check(tight, identity, levels=(1, 2))
+        assert conjugate_basis_check(tight, identity, levels=(1,))["ok"]
+
+
+def test_inverse_and_scaled_matrix_are_cached_on_the_instance():
+    fd = random_instance(5, 4, 2, 1)
+    assert fd.C_inv is fd.C_inv and fd.C_phi is fd.C_phi
+    assert [list(row) for row in fd.C_inv] == inv_oracle(fd.C_frac())
+    p, f = fd.ctx.p, fd.fil_dim
+    assert fd.C_phi == tuple(
+        tuple(x if j < f else x / p for j, x in enumerate(row))
+        for row in fd.C)
+    assert fd.C_phi_frac() == [list(row) for row in fd.C_phi]
+    # a singular matrix still loads under force; only its inverse fails
+    ctx = PadicContext(3)
+    singular = FrobeniusData.create(ctx, [[1, 2], [2, 4]], d0=1, force=True)
+    with pytest.raises(SingularOperator):
+        singular.C_inv

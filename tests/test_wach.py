@@ -37,8 +37,11 @@ from padlog.wach import (
 from instances import random_instance
 from oracles import (
     binomial_power,
+    inv_oracle,
+    mn_poly_oracle,
     padd,
     pdivmod,
+    phi_oracle,
     pmul,
     poly_mat_mul,
     ptrim,
@@ -354,3 +357,33 @@ def test_twist_integrality_violation_carries_witness():
         tower.twist(1, GammaElement(3, 4), 8)
     assert info.value.witness == {"entry": (0, 1), "degree": 3,
                                   "value": "4/3"}
+
+
+def const(M):
+    return [[ptrim([x]) for x in row] for row in M]
+
+
+@pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 2, 1, 0)],
+                         ids=["antidiagonal", "random"])
+def test_tower_is_the_shared_chain(fd):
+    # M'_k = C_phi^-1 M_k with M_k rebuilt by the oracle, and M'_k
+    # satisfies the recursion C_phi phi(M'_(k-1)) P_1^-1 from M'_0 = I,
+    # with phi applied by full_substitution and
+    # P_1^-1 = diag(I, Phi_p(1 + pi) I) C^-1
+    p, g, f = fd.ctx.p, fd.size, fd.fil_dim
+    C = [[Fraction(x) for x in row] for row in fd.C]
+    cphi = [[C[i][j] if j < f else C[i][j] / p for j in range(g)]
+            for i in range(g)]
+    cinv = inv_oracle(C)
+    q = [Fraction(c) for c in phi_oracle(p, 1)]
+    p1_inv = [[ptrim([x]) if i < f else ptrim([x * c for c in q])
+               for x in row] for i, row in enumerate(cinv)]
+    tower = build_M_prime(fd, 3)
+    prev = const([[Fraction(int(i == j)) for j in range(g)]
+                  for i in range(g)])
+    for k in (1, 2, 3):
+        want = poly_mat_mul(const(inv_oracle(cphi)), mn_poly_oracle(fd, k))
+        assert tower.matrix(k) == want
+        moved = [[full_substitution(e, p) for e in row] for row in prev]
+        prev = poly_mat_mul(poly_mat_mul(const(cphi), moved), p1_inv)
+        assert tower.matrix(k) == prev
