@@ -23,6 +23,16 @@ from padlog.coleman import project_vector, scale_vector
 from padlog.linalg import fp_rank
 
 from instances import pollack_fd, random_instance, random_polynomial_vector
+from oracles import (
+    inv_oracle,
+    matches_rational,
+    mn_poly_oracle,
+    omega_oracle,
+    padd,
+    pdivmod,
+    pmul,
+    poly_mat_mul,
+)
 
 
 def classes(fd, n, int_lists):
@@ -200,3 +210,46 @@ def test_integral_shift_certifies():
            XSeries.from_ints(ctx, [0])]
     with pytest.raises(NotIntegral):
         integral_shift(fd, 1, bad)
+
+
+def _forward_oracle(fd, n, vec):
+    """P_n v mod omega_n with P_n = C_phi^-(n+1) M_n, from the oracles."""
+    p, g, fil = fd.ctx.p, fd.size, fd.fil_dim
+    cphi = [[x if j < fil else x / p for j, x in enumerate(row)]
+            for row in fd.C]
+    inv = [[[x] if x else [] for x in row] for row in inv_oracle(cphi)]
+    P = mn_poly_oracle(fd, n)
+    for _ in range(n + 1):
+        P = poly_mat_mul(inv, P)
+    w = omega_oracle(p, n)
+    out = []
+    for row in P:
+        acc = []
+        for e, v in zip(row, vec):
+            acc = padd(acc, pmul(e, v))
+        out.append(pdivmod(acc, w)[1])
+    return out
+
+
+@pytest.mark.parametrize("fd, levels", [
+    (pollack_fd(), (1, 2, 3)),
+    (random_instance(3, 2, 1, 5), (1, 2, 3)),
+    (random_instance(3, 3, 1, 1), (1, 2)),
+    (random_instance(3, 4, 2, 1), (1, 2)),
+], ids=["antidiagonal", "size2", "size3", "size4"])
+def test_forward_matches_chain_oracle(fd, levels):
+    rng = random.Random(23)
+    p = fd.ctx.p
+    for n in levels:
+        for _ in range(2):
+            vec = [[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, p)))
+                    for _ in range(rng.randrange(1, 6))]
+                   for _ in range(fd.size)]
+            got = forward(fd, n, [XSeries.from_fractions(fd.ctx, v)
+                                  for v in vec])
+            want = _forward_oracle(fd, n, vec)
+            for comp, exact in zip(got.components, want):
+                assert len(comp.rep.coeffs) <= p ** n
+                for j in range(p ** n):
+                    value = exact[j] if j < len(exact) else 0
+                    assert matches_rational(comp.rep.coeff(j), value)

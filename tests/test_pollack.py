@@ -115,3 +115,21 @@ def test_truncated_partials_respect_trunc():
     full = log_plus_partial(ctx, 2)
     for i in range(10):
         assert (s.coeff(i) - full.coeff(i)).is_zero_rep
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("rel_prec", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_antidiagonal_decides_at_low_precision(p, rel_prec, n):
+    # the instance and the closed forms are exact, so the verdict must
+    # not depend on how many digits the context keeps
+    fd = pollack_instance(PadicContext(p, rel_prec=rel_prec,
+                                       denom_budget=30))
+    rep = verify_antidiagonal(fd, n)
+    assert rep["ok"]
+    assert rep["diagonal_zero"]
+    assert rep["entries_match_closed_form"]
+    assert rep["upper_is_minus_log_plus_partial"]
+    assert rep["lower_is_p_log_minus_partial"]
+    assert rep["value_at_zero_ok"]
+    assert "mismatches" not in rep
