@@ -197,7 +197,7 @@ def _cmd_pollack(args) -> int:
     report = Report(f"antidiagonal instance at p = {args.p}")
     results = []
     for n in range(1, args.levels + 1):
-        got = verify_antidiagonal(ctx_fd, n, cutoff=args.cutoff)
+        got = verify_antidiagonal(ctx_fd, n)
         report.add(f"level {n} antidiagonal closed form", got["ok"])
         results.append(got)
     report.extra["note"] = results[0]["note"] if results else ""

@@ -25,7 +25,7 @@ from .linalg import (
     pmat_from_frac,
     zp_saturate,
 )
-from .logmatrix import FrobeniusData, build_chain, build_Cn, _embed_matrix
+from .logmatrix import FrobeniusData, build_chain, _embed_matrix
 from .series import (
     LambdaNElement,
     XSeries,
@@ -84,26 +84,35 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
     return out
 
 
-def _apply_matrix(mat, comps, n: int):
-    """matrix of exact polynomials times class vector, reduced."""
+def _apply_matrix(mat, polys, n: int):
+    """Matrix of series times a vector of exact polynomials, as classes
+    modulo omega_n."""
     out = []
     for row in mat:
         acc = None
-        for e, c in zip(row, comps):
-            term = e * c.rep
+        for e, f in zip(row, polys):
+            term = e * f
             acc = term if acc is None else acc + term
         out.append(reduce_mod_omega(acc, n))
     return out
 
 
 def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
-    """C_n ... C_1 applied to col inside the level-n quotient."""
+    """C_n ... C_1 applied to col inside the level-n quotient.
+
+    Stage k applies C^{-1} and multiplies the scaled block by
+    Phi_{p^k}, the steps of factor_level undone in reverse.
+    """
     if n < 1:
         raise InputError("forward needs n >= 1")
     comps = _as_classes(fd, n, col)
+    ctx = fd.ctx
+    C_inv = _embed_matrix(ctx, pmat_from_frac(fd.C_inv))
     for k in range(1, n + 1):
-        Ck = _embed_matrix(fd.ctx, build_Cn(fd, k))
-        comps = _apply_matrix(Ck, comps, n)
+        comps = _apply_matrix(C_inv, [c.rep for c in comps], n)
+        phi = phi_cyclo(ctx, k)
+        comps = [c if i < fd.fil_dim else reduce_mod_omega(c.rep * phi, n)
+                 for i, c in enumerate(comps)]
     return RegulatorVector(n, comps)
 
 
@@ -122,13 +131,9 @@ def factor_level(fd: FrobeniusData, n: int, L,
     C_emb = _embed_matrix(ctx, pmat_from_frac(fd.C))
     for k in range(n, 0, -1):
         phi = phi_cyclo(ctx, k)
-        divided = []
-        for i, c in enumerate(comps):
-            if i < fd.fil_dim:
-                divided.append(c)
-            else:
-                q = divide_exact(c.rep, phi, cutoff)
-                divided.append(LambdaNElement(ctx, n, q))
+        divided = [c.rep if i < fd.fil_dim
+                   else divide_exact(c.rep, phi, cutoff)
+                   for i, c in enumerate(comps)]
         comps = _apply_matrix(C_emb, divided, n)
     return ColemanVector(n, comps, kernel_tag=f"mod ker h_{n}")
 
@@ -157,13 +162,7 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
             raise InputError("raw components must be exact polynomials")
     shift = mat_pow(_cphi_inv(fd), n + 1, frac_identity(fd.size))
     shift_emb = _embed_matrix(ctx, pmat_from_frac(shift))
-    comps = []
-    for row in shift_emb:
-        acc = None
-        for e, f in zip(row, raw):
-            term = e * f
-            acc = term if acc is None else acc + term
-        comps.append(reduce_mod_omega(acc, n))
+    comps = _apply_matrix(shift_emb, raw, n)
     for i, c in enumerate(comps):
         for j, coeff in enumerate(c.rep.coeffs):
             if coeff.is_zero_rep:
@@ -215,7 +214,7 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     hi = forward(fd, n + 1, comps_hi)
     lo = forward(fd, n, [c.project(n) for c in comps_hi])
     cphi_inv_emb = _embed_matrix(fd.ctx, pmat_from_frac(_cphi_inv(fd)))
-    twisted = _apply_matrix(cphi_inv_emb, lo.components, n)
+    twisted = _apply_matrix(cphi_inv_emb, [c.rep for c in lo.components], n)
     for i, (a, b) in enumerate(zip(project_vector(hi, n).components,
                                    twisted)):
         st, idx = (a - b).zero_status(cutoff)
@@ -234,7 +233,7 @@ def kernel_basis(fd: FrobeniusData, n: int):
         raise InputError("kernel_basis needs n >= 1")
     p = fd.ctx.p
     N = p ** n
-    omega = [Fraction(c) for c in omega_ints(p, n)]
+    omega = omega_ints(p, n)
     # C_n ... C_1 has degree below p^n: it is already reduced mod omega_n
     prod = build_chain(fd, n)[n]
     # matrix of the map on coefficient vectors: column (i, j) is the

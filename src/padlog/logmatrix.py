@@ -215,7 +215,7 @@ def build_Cn(fd: FrobeniusData, n: int):
     Fraction polynomials (lists, [] = 0)."""
     if n < 1:
         raise InputError("build_Cn needs n >= 1")
-    phi = [Fraction(c) for c in phi_cyclo_ints(fd.ctx.p, n)]
+    phi = phi_cyclo_ints(fd.ctx.p, n)
     return [
         [fpoly_scale(phi, x) if i >= fd.fil_dim else fpoly_trim([x])
          for x in row]
@@ -292,10 +292,6 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
 # -- verification ----------------------------------------------------------
 
 
-def evaluate_at_zero(approx: LogMatrixApprox):
-    return [[e.eval_at_zero() for e in row] for row in approx.raw]
-
-
 def check_evaluation(approx: LogMatrixApprox, cutoff: int = 1):
     """M_n(0) = C_phi: compare the constant terms against the exact
     embedding entry by entry."""
@@ -331,7 +327,7 @@ def _closed_det(fd: FrobeniusData, n: int):
     s = fd.scaled_dim
     out = [frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)]
     for k in range(1, n + 1):
-        phi = [Fraction(c) for c in phi_cyclo_ints(fd.ctx.p, k)]
+        phi = phi_cyclo_ints(fd.ctx.p, k)
         for _ in range(s):
             out = fpoly_mul(out, phi)
     return out

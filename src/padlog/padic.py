@@ -172,10 +172,6 @@ class PadicScalar:
     def is_zero_rep(self) -> bool:
         return self.u is None
 
-    @property
-    def is_unit(self) -> bool:
-        return self.u is not None and self.v == 0
-
     def valuation(self):
         """Exact valuation for nonzero; INF for a zero representation."""
         return self.v
@@ -290,19 +286,6 @@ class PadicScalar:
             base = base * base if e > 1 else base
             e >>= 1
         return out
-
-    def shift(self, j: int) -> "PadicScalar":
-        """Multiply by p^j without touching the mantissa."""
-        if self.is_zero_rep:
-            if self.prec == INF:
-                return self
-            return self.ctx.zero(self.prec + j)
-        v = self.v + j
-        if v < -self.ctx.denom_budget:
-            raise DenominatorBudgetExceeded(
-                f"shifted valuation {v} below budget -{self.ctx.denom_budget}"
-            )
-        return PadicScalar(self.ctx, v, self.u, self.prec)
 
     # -- comparison / io ---------------------------------------------
 

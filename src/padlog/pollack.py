@@ -24,8 +24,13 @@ The sign bookkeeping for the induced coordinate functionals: the first
 coordinate of a factored preimage pairs with the minus-signed map and
 the second with the negative of the plus-signed one.
 
-Everything is verified exactly; the checks in verify_antidiagonal
-recompute both sides from scratch.
+All of it is exact input, so every check is decided exactly: the
+approximant is read off logmatrix's Fraction-polynomial chain, the
+closed forms are built from the integer cyclotomic coefficients, and
+the two are compared as rational polynomials.  The XSeries returned by
+log_plus_partial, log_minus_partial and closed_form_matrix are views of
+those exact polynomials, each coefficient rounded once to rel_prec
+digits.
 """
 
 from __future__ import annotations
@@ -33,9 +38,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .logmatrix import FrobeniusData, build_Mn, check_evaluation
+from .linalg import fpoly_add, fpoly_mul, fpoly_scale, pmat_const
+from .logmatrix import (
+    FrobeniusData,
+    _embed_matrix,
+    _exact_levels,
+    _first_nonzero,
+)
 from .padic import PadicContext
-from .series import XSeries, phi_cyclo
+from .series import XSeries, phi_cyclo_ints
 
 SIGN_NOTE = (
     "first factored coordinate pairs with the minus map, second with "
@@ -53,48 +64,48 @@ def log_plus_partial(ctx: PadicContext, n_factors: int,
                      trunc=None) -> XSeries:
     """Partial product of the plus logarithm: (1/p) times the product
     of Phi_{p^{2k}}(1 + X) / p for k = 1 .. n_factors."""
-    return _log_partial(ctx, n_factors, even=True, trunc=trunc)
+    return _log_partial(ctx, n_factors, 2, trunc)
 
 
 def log_minus_partial(ctx: PadicContext, n_factors: int,
                       trunc=None) -> XSeries:
     """Partial product of the minus logarithm: (1/p) times the product
     of Phi_{p^{2k-1}}(1 + X) / p for k = 1 .. n_factors."""
-    return _log_partial(ctx, n_factors, even=False, trunc=trunc)
+    return _log_partial(ctx, n_factors, 1, trunc)
 
 
-def _log_partial(ctx, n_factors, even, trunc):
+def _log_partial(ctx, n_factors, first, trunc):
     if n_factors < 0:
         raise InputError("n_factors must be nonnegative")
-    out = XSeries.from_fractions(ctx, [Fraction(1, ctx.p)])
-    for k in range(1, n_factors + 1):
-        level = 2 * k if even else 2 * k - 1
-        out = out * phi_cyclo(ctx, level)
-        out = out.scale(Fraction(1, ctx.p))
-    if trunc is not None:
-        out = out.truncate(trunc)
+    levels = range(first, first + 2 * n_factors, 2)
+    return XSeries.from_fractions(ctx, _log_product(ctx.p, levels), trunc)
+
+
+def _log_product(p: int, levels):
+    """(1/p) * prod over k in levels of Phi_{p^k}(1 + X) / p, exact."""
+    out = [Fraction(1, p)]
+    for k in levels:
+        out = fpoly_scale(fpoly_mul(out, phi_cyclo_ints(p, k)),
+                          Fraction(1, p))
     return out
 
 
-def closed_form_matrix(fd: FrobeniusData, n: int):
-    """The predicted value of M_n for the antidiagonal instance, as an
-    exact 2 x 2 matrix of series, computed without the recursion."""
-    _require_pollack(fd)
-    ctx = fd.ctx
+def _closed_form(p: int, n: int):
+    """[[0, -E_n / p^(q+1)], [O_n / p^t, 0]], written as minus the plus
+    partial product (even levels up to n) and p times the minus one
+    (odd levels up to n)."""
     if n < 1:
         raise InputError("n must be at least 1")
-    q, t = n // 2, (n + 1) // 2
-    even = XSeries.from_fractions(ctx, [Fraction(1)])
-    odd = XSeries.from_fractions(ctx, [Fraction(1)])
-    for k in range(1, n + 1):
-        if k % 2 == 0:
-            even = even * phi_cyclo(ctx, k)
-        else:
-            odd = odd * phi_cyclo(ctx, k)
-    zero = XSeries.zero(ctx)
-    upper = even.scale(Fraction(-1, ctx.p ** (q + 1)))
-    lower = odd.scale(Fraction(1, ctx.p ** t))
-    return [[zero, upper], [lower, zero]]
+    plus = _log_product(p, range(2, n + 1, 2))
+    minus = _log_product(p, range(1, n + 1, 2))
+    return [[[], fpoly_scale(plus, -1)], [fpoly_scale(minus, p), []]]
+
+
+def closed_form_matrix(fd: FrobeniusData, n: int):
+    """The predicted value of M_n for the antidiagonal instance, as a
+    2 x 2 matrix of series, computed without the recursion."""
+    _require_pollack(fd)
+    return _embed_matrix(fd.ctx, _closed_form(fd.ctx.p, n))
 
 
 def _require_pollack(fd: FrobeniusData) -> None:
@@ -105,61 +116,40 @@ def _require_pollack(fd: FrobeniusData) -> None:
             "[[0, -1], [1, 0]] with d0 = 1, r = 1")
 
 
-def _series_is_zero(s: XSeries, cutoff: int):
-    status, witness = s.zero_status(cutoff)
-    return status, witness
+def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
+    """Check M_n against the closed antidiagonal form, exactly.
 
-
-def verify_antidiagonal(fd: FrobeniusData, n: int, cutoff: int = 1) -> dict:
-    """Check M_n against the closed antidiagonal form.
-
-    Confirms: the diagonal vanishes exactly, both off-diagonal entries
-    match the even/odd cyclotomic products, the same entries are the
-    partial signed logarithms (up to the stated scalings), and the
-    value at zero is [[0, -1/p], [1, 0]].  Returns a report dict with
-    an overall ``ok`` flag.
+    Confirms: the diagonal vanishes, both off-diagonal entries match
+    the even/odd cyclotomic products, the same entries are the partial
+    signed logarithms (up to the stated scalings), and the value at
+    zero is C_phi = [[0, -1/p], [1, 0]].  A mismatching entry is
+    reported as ("nonzero", first differing degree).  Returns a report
+    dict with an overall ``ok`` flag.
     """
     _require_pollack(fd)
-    ctx = fd.ctx
-    approx = build_Mn(fd, n)
-    M = approx.raw
-    predicted = closed_form_matrix(fd, n)
+    predicted = _closed_form(fd.ctx.p, n)
+    M = _exact_levels(fd, (n,))[n]
     report = {"n": n, "note": SIGN_NOTE}
+    report["diagonal_zero"] = not M[0][0] and not M[1][1]
 
-    diag_ok = True
-    for i in (0, 1):
-        status, _ = _series_is_zero(M[i][i], cutoff)
-        if status != "zero":
-            diag_ok = False
-    report["diagonal_zero"] = diag_ok
-
-    entries_ok = True
     witnesses = {}
     for i in (0, 1):
         for j in (0, 1):
-            status, witness = _series_is_zero(M[i][j] - predicted[i][j],
-                                              cutoff)
-            if status != "zero":
-                entries_ok = False
-                witnesses[f"{i},{j}"] = (status, witness)
-    report["entries_match_closed_form"] = entries_ok
+            diff = fpoly_add(M[i][j], fpoly_scale(predicted[i][j], -1))
+            if diff:
+                witnesses[f"{i},{j}"] = ("nonzero", _first_nonzero(diff))
+    report["entries_match_closed_form"] = not witnesses
     if witnesses:
         report["mismatches"] = witnesses
 
-    q, t = n // 2, (n + 1) // 2
-    plus = log_plus_partial(ctx, q).scale(Fraction(-1))
-    status_p, _ = _series_is_zero(M[0][1] - plus, cutoff)
-    report["upper_is_minus_log_plus_partial"] = status_p == "zero"
-    minus = log_minus_partial(ctx, t).scale(Fraction(ctx.p))
-    status_m, _ = _series_is_zero(M[1][0] - minus, cutoff)
-    report["lower_is_p_log_minus_partial"] = status_m == "zero"
-
-    eval_report = check_evaluation(approx, cutoff=cutoff)
-    report["value_at_zero_ok"] = eval_report["ok"]
+    # the predicted entries are the signed partial logarithms themselves
+    report["upper_is_minus_log_plus_partial"] = "0,1" not in witnesses
+    report["lower_is_p_log_minus_partial"] = "1,0" not in witnesses
+    report["value_at_zero_ok"] = pmat_const(M) == fd.C_phi_frac()
 
     report["ok"] = (
-        diag_ok
-        and entries_ok
+        report["diagonal_zero"]
+        and report["entries_match_closed_form"]
         and report["upper_is_minus_log_plus_partial"]
         and report["lower_is_p_log_minus_partial"]
         and report["value_at_zero_ok"]

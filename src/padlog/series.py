@@ -107,15 +107,6 @@ class XSeries:
             return self.ctx.zero()
         return self.coeffs[0] if self.coeffs else self.ctx.zero()
 
-    def eval_at(self, x: PadicScalar) -> PadicScalar:
-        """Horner evaluation; exact polynomials only."""
-        if not self.is_exact_poly:
-            raise PrecisionLoss("cannot evaluate a truncated series at a point")
-        acc = self.ctx.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     # -- arithmetic ------------------------------------------------------
 
     def _join_trunc(self, other):
@@ -172,14 +163,6 @@ class XSeries:
         if not isinstance(a, PadicScalar):
             a = self.ctx.from_rational(a)
         return XSeries(self.ctx, [a * c for c in self.coeffs], self.trunc)
-
-    def shift_x(self, k: int) -> "XSeries":
-        """Multiply by X^k."""
-        if k < 0:
-            raise InputError("shift_x needs k >= 0")
-        t = None if self.trunc is None else self.trunc + k
-        pad = [self.ctx.zero() for _ in range(k)]
-        return XSeries(self.ctx, pad + list(self.coeffs), t)
 
     def truncate(self, T: int) -> "XSeries":
         if self.trunc is not None and self.trunc < T:
@@ -287,7 +270,9 @@ def divide_exact(f: XSeries, g: XSeries, cutoff: int = 1) -> XSeries:
 
 
 @lru_cache(maxsize=None)
-def _phi_coeffs(p: int, k: int):
+def phi_cyclo_ints(p: int, k: int):
+    """Integer coefficient tuple of Phi_{p^k}(1+X): the sum of
+    (1+X)^(i*p^(k-1)) over 0 <= i < p."""
     if k < 1:
         raise InputError("phi_cyclo needs k >= 1")
     deg = (p - 1) * p ** (k - 1)
@@ -300,7 +285,8 @@ def _phi_coeffs(p: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def _omega_coeffs(p: int, n: int):
+def omega_ints(p: int, n: int):
+    """Integer coefficient tuple of (1+X)^(p^n) - 1."""
     if n < 0:
         raise InputError("omega needs n >= 0")
     e = p ** n
@@ -310,23 +296,13 @@ def _omega_coeffs(p: int, n: int):
 
 
 def phi_cyclo(ctx: PadicContext, k: int) -> XSeries:
-    """Phi_{p^k}(1+X): sum of (1+X)^(i*p^(k-1)) over 0 <= i < p."""
-    return XSeries.from_ints(ctx, _phi_coeffs(ctx.p, k))
+    """Phi_{p^k}(1+X) as an exact polynomial of the context."""
+    return XSeries.from_ints(ctx, phi_cyclo_ints(ctx.p, k))
 
 
 def omega(ctx: PadicContext, n: int) -> XSeries:
     """(1+X)^(p^n) - 1, the level-n kernel polynomial."""
-    return XSeries.from_ints(ctx, _omega_coeffs(ctx.p, n))
-
-
-def phi_cyclo_ints(p: int, k: int):
-    """Integer coefficient tuple of Phi_{p^k}(1+X)."""
-    return _phi_coeffs(p, k)
-
-
-def omega_ints(p: int, n: int):
-    """Integer coefficient tuple of (1+X)^(p^n) - 1."""
-    return _omega_coeffs(p, n)
+    return XSeries.from_ints(ctx, omega_ints(ctx.p, n))
 
 
 class LambdaNElement:
@@ -411,29 +387,6 @@ def reduce_mod_omega(f: XSeries, n: int) -> LambdaNElement:
         return LambdaNElement(f.ctx, n, f)
     _, r = poly_divmod(f, w)
     return LambdaNElement(f.ctx, n, r)
-
-
-def coefficient_valuation_profile(elem: LambdaNElement):
-    """Per-block lower bounds on coefficient valuations.
-
-    Block 0 is the constant term; block k covers degrees p^(k-1)..p^k-1.
-    Zero representations contribute their absolute precision, so each
-    entry is a certified lower bound, INF when the whole block is
-    exactly zero.
-    """
-    p = elem.ctx.p
-    n = elem.level
-    bounds = []
-    edges = [0, 1] + [p ** k for k in range(1, n + 1)]
-    for b in range(n + 1):
-        lo, hi = edges[b], edges[b + 1]
-        best = INF
-        for j in range(lo, min(hi, len(elem.rep.coeffs))):
-            c = elem.rep.coeffs[j]
-            val = c.prec if c.is_zero_rep else c.v
-            best = min(best, val)
-        bounds.append(best)
-    return bounds
 
 
 def invert_series(f: XSeries, T: int) -> XSeries:

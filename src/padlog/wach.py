@@ -59,7 +59,6 @@ from .errors import (
 from .linalg import (
     cofactor_det,
     fpoly_add,
-    fpoly_divmod,
     fpoly_mul,
     fpoly_scale,
     fpoly_trim,
@@ -69,9 +68,15 @@ from .linalg import (
     pmat_mul,
     pmat_sub,
 )
-from .logmatrix import FrobeniusData, build_chain, build_Cn, cphi_power_times
+from .logmatrix import (
+    FrobeniusData,
+    _mod_omega,
+    build_chain,
+    build_Cn,
+    cphi_power_times,
+)
 from .padic import PadicContext, PadicScalar
-from .series import XSeries, omega_ints, phi_cyclo_ints
+from .series import XSeries, phi_cyclo_ints
 
 
 def wach_context(p: int, rel_prec: int = 60, denom_budget: int = 64):
@@ -216,23 +221,19 @@ def q_poly(p: int):
     return [Fraction(c) for c in phi_cyclo_ints(p, 1)]
 
 
-def q_level_poly(p: int, k: int):
-    """phi^{k-1}(q) = Phi_{p^k}(1 + pi)."""
-    return [Fraction(c) for c in phi_cyclo_ints(p, k)]
-
-
 def build_Pn(fd: FrobeniusData, n: int) -> dict:
     """The level-n connection data.
 
     Returns the exact polynomial inverse ``P_inv`` =
     diag(I, phi^{n-1}(q) I) C^{-1}, the cleared form ``qP`` =
     C diag(phi^{n-1}(q) I, I) with q_n P_n = qP, and the scalar
-    polynomial ``q_n`` itself.
+    polynomial ``q_n`` = phi^{n-1}(q) = Phi_{p^n}(1 + pi) itself, with
+    integer coefficients.
     """
     _require_wach(fd)
     if n < 1:
         raise InputError("n must be at least 1")
-    qn = q_level_poly(fd.ctx.p, n)
+    qn = list(phi_cyclo_ints(fd.ctx.p, n))
     qP = [
         [fpoly_scale(qn, x) if j < fd.fil_dim else fpoly_trim([x])
          for j, x in enumerate(row)]
@@ -308,14 +309,10 @@ def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
     """Whether M'_m = M'_n modulo (1 + pi)^{p^n} - 1, exactly."""
     if not 1 <= n <= m <= tower.n:
         raise InputError("need 1 <= n <= m <= built level")
-    wn = [Fraction(c) for c in omega_ints(tower.fd.ctx.p, n)]
-    diff = pmat_sub(tower.matrix(m), tower.matrix(n))
-    for row in diff:
-        for e in row:
-            _, rem = fpoly_divmod(e, wn)
-            if rem:
-                return False
-    return True
+    p = tower.fd.ctx.p
+    return not any(_mod_omega(e, p, n)
+                   for row in pmat_sub(tower.matrix(m), tower.matrix(n))
+                   for e in row)
 
 
 # ---------------------------------------------------------------------------
