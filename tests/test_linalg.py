@@ -28,6 +28,7 @@ from padlog.linalg import (
     hull_root_valuations,
     mat_mul,
     newton_lower_hull,
+    pmat_mul,
     smith_zp,
     vp_frac,
     zp_saturate,
@@ -44,6 +45,7 @@ from oracles import (
     perm_det,
     perm_det_poly,
     pmul,
+    poly_mat_mul,
     ptrim,
     rank_oracle,
     vp_rational,
@@ -390,13 +392,23 @@ def test_eliminations_reject_malformed_shapes():
             call()
 
 
+# denominators mix powers of p = 3 with units, as in C^-1 for a C with
+# unit denominators
+POLY_DENS = (1, 2, 3, 5, 7, 9)
+
+
+def _rand_fpoly(rng, max_len):
+    """A Fraction polynomial of fewer than max_len terms, often []."""
+    return ptrim([Fraction(rng.randrange(-5, 6), rng.choice(POLY_DENS))
+                  for _ in range(rng.randrange(max_len))])
+
+
 def test_cofactor_det_matches_permutation_expansion_and_truncates():
     rng = random.Random(340)
     for size in (1, 2, 3, 4):
         for _ in range(6):
-            A = [[ptrim([Fraction(rng.randrange(-5, 6), rng.choice((1, 3, 9)))
-                         for _ in range(rng.randrange(4))])
-                  for _ in range(size)] for _ in range(size)]
+            A = [[_rand_fpoly(rng, 4) for _ in range(size)]
+                 for _ in range(size)]
             want = perm_det_poly(A)
             assert cofactor_det(A) == want
             for T in (1, 2, 5):
@@ -404,3 +416,24 @@ def test_cofactor_det_matches_permutation_expansion_and_truncates():
     for bad in ([], [[[1], [2]]]):
         with pytest.raises(InputError):
             cofactor_det(bad)
+
+
+def _pad(A, n):
+    """A as the top-left block of an n x n matrix of polynomials."""
+    rows = [list(row) + [[]] * (n - len(row)) for row in A]
+    return rows + [[[] for _ in range(n)] for _ in range(n - len(A))]
+
+
+def test_pmat_mul_matches_oracle_on_rectangular_shapes():
+    rng = random.Random(341)
+    for _ in range(40):
+        r, m, c = (rng.randint(1, 4) for _ in range(3))
+        A = [[_rand_fpoly(rng, 5) for _ in range(m)] for _ in range(r)]
+        B = [[_rand_fpoly(rng, 5) for _ in range(c)] for _ in range(m)]
+        # the oracle multiplies square matrices: pad with zero entries
+        n = max(r, m, c)
+        full = poly_mat_mul(_pad(A, n), _pad(B, n))
+        want = [row[:c] for row in full[:r]]
+        for T in (None, 1, 2, 5):
+            assert pmat_mul(A, B, T) == [[ptrim(e[:T]) for e in row]
+                                         for row in want]

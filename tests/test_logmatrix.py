@@ -33,7 +33,19 @@ from instances import (
     random_adapted_B,
     random_instance,
 )
-from oracles import inv_oracle, matches_rational, phi_oracle, pmul
+from oracles import (
+    inv_oracle,
+    matches_rational,
+    mn_poly_oracle,
+    omega_oracle,
+    padd,
+    pdivmod,
+    perm_det,
+    perm_det_poly,
+    phi_oracle,
+    pmul,
+    pscale,
+)
 
 
 def test_gate_accepts_half_slope_instance():
@@ -259,3 +271,60 @@ def test_inverse_and_scaled_matrix_are_cached_on_the_instance():
     singular = FrobeniusData.create(ctx, [[1, 2], [2, 4]], d0=1, force=True)
     with pytest.raises(SingularOperator):
         singular.C_inv
+
+
+def unit_denominator_instances():
+    """Admitted instances at p = 3 whose p-integral C has denominators
+    prime to p, so that C^-1 has denominators other than det C."""
+    ctx = PadicContext(3)
+    F = Fraction
+    return [
+        FrobeniusData.create(
+            ctx, [[F(1, 2), F(-1, 5)], [F(5, 7), 0]], d0=1),
+        FrobeniusData.create(ctx, [
+            [2, F(4, 5), 0, 0],
+            [F(-4, 5), 2, 2, F(1, 2)],
+            [0, F(1, 5), F(-3, 2), 0],
+            [3, 0, 1, 0],
+        ], d0=2),
+    ]
+
+
+def _series_is(e, want):
+    """The XSeries view e agrees with the exact polynomial want."""
+    return all(
+        matches_rational(e.coeff(k), want[k] if k < len(want) else 0)
+        for k in range(max(len(e.coeffs), len(want))))
+
+
+def test_non_integral_C_matches_the_oracles():
+    for fd in unit_denominator_instances():
+        p, s = fd.ctx.p, fd.scaled_dim
+        C = fd.C_frac()
+        Cinv = inv_oracle(C)
+        det_C = perm_det(C)
+        assert [list(row) for row in fd.C_inv] == Cinv
+        assert all(x.denominator % p for row in C for x in row)
+        # for an integer C every denominator of C^-1 divides det C
+        assert any(det_C.numerator % x.denominator
+                   for row in Cinv for x in row)
+        want = {n: mn_poly_oracle(fd, n) for n in (1, 2, 3)}
+        for n in (1, 2, 3):
+            approx = build_Mn(fd, n)
+            assert all(_series_is(e, w) for row, wrow in
+                       zip(approx.raw, want[n]) for e, w in zip(row, wrow))
+            det = perm_det_poly(want[n])
+            closed = [det_C / p ** ((n + 1) * s)]
+            for k in range(1, n + 1):
+                for _ in range(s):
+                    closed = pmul(closed, phi_oracle(p, k))
+            assert det == closed
+            rep = det_Mn(fd, n)
+            assert rep["raw_match"] and rep["reduced_match"]
+            assert _series_is(rep["det"], det)
+        for n, m in ((1, 2), (1, 3), (2, 3)):
+            omega = omega_oracle(p, n)
+            assert all(
+                pdivmod(padd(a, pscale(b, -1)), omega)[1] == []
+                for ra, rb in zip(want[m], want[n]) for a, b in zip(ra, rb))
+            assert verify_stabilization(fd, n, m)

@@ -1,14 +1,19 @@
 """Every function that perfbench's per-layer tracer wraps must still
-exist, so that renaming or deleting one fails here rather than in a
-traced benchmark run."""
+exist, and the benchmark's output checks must still accept the library's
+results, so that either kind of break fails here rather than in a
+benchmark run."""
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _spans():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    path = ROOT / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
@@ -29,3 +34,13 @@ def test_every_traced_span_resolves():
         if not found:
             missing.append(f"{modname}.{attr}")
     assert not missing, f"traced functions no longer defined: {missing}"
+
+
+def test_benchmark_checks_accept_genuine_and_reject_faulty_output():
+    """perfbench/selftest.py runs each benchmark check on the library's
+    output and on a copy with one planted fault; it exits 0 only when
+    every genuine output passes and every fault is caught."""
+    got = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                         cwd=ROOT, capture_output=True, text=True,
+                         timeout=120)
+    assert got.returncode == 0, got.stdout + got.stderr
