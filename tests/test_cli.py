@@ -179,6 +179,20 @@ def test_pollack_p5(capsys):
     assert main(["pollack", "--p", "5", "--levels", "2"]) == 0
 
 
+def test_cutoff_is_ignored_by_the_exact_subcommands(capsys):
+    printed = []
+    for cutoff in ("0", "5"):
+        assert main(["pollack", "--p", "3", "--levels", "2",
+                     "--cutoff", cutoff]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    for command in ("check", "basis", "pollack", "wach"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--cutoff CUTOFF ignored: these checks are exact" in out
+
+
 def test_wach_subcommand(capsys):
     assert main(["wach", "--p", "3", "--c", "4", "--levels", "2",
                  "--trunc", "24"]) == 0
