@@ -17,13 +17,16 @@ complete the admission gate's toolkit.
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
 Matrices of them carry the one exact tower that logmatrix builds and
 coleman and wach read; their products and their cofactor determinant
-can be cut mod X^T as they are formed.
+can be cut mod X^T as they are formed.  Both put each row (and each
+column of the right factor) over one denominator, multiply and sum the
+integer numerators, and form one Fraction per output coefficient.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
+from operator import add
 
 from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
@@ -373,16 +376,54 @@ def pmat_from_frac(M):
     return [[[Fraction(x)] if x else [] for x in row] for row in M]
 
 
+def _over_one_denominator(entries, T):
+    """(numerators, d): the Fraction polynomials cut mod X^T, as integer
+    polynomials over their least common denominator d."""
+    entries = [e[:T] for e in entries]
+    d = lcm(*(c.denominator for e in entries for c in e))
+    return [[c.numerator * (d // c.denominator) for c in e]
+            for e in entries], d
+
+
+def _int_mul_into(acc, f, g):
+    """acc += f * g on integer coefficient lists, cut to len(acc)."""
+    n = len(acc)
+    for i, a in enumerate(f[:n]):
+        if a:
+            span = g[:n - i]
+            end = i + len(span)
+            acc[i:end] = map(add, acc[i:end], map(a.__mul__, span))
+
+
+def _fraction_poly(acc, d):
+    """The integer polynomial acc divided by d, as trimmed Fractions."""
+    while acc and not acc[-1]:
+        acc.pop()
+    return [Fraction(c, d) for c in acc]
+
+
 def pmat_mul(A, B, T=None):
-    """A * B, mod X^T when T is given."""
+    """A * B, mod X^T when T is given.  Each row of A and each column of
+    B is put over one denominator once; the products are summed on
+    integer numerators, and each output coefficient is one Fraction."""
+    ra, ca = mat_shape(A)
+    rb, cb = mat_shape(B)
+    if ca != rb:
+        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    rows = [_over_one_denominator(row, T) for row in A]
+    cols = [_over_one_denominator([brow[j] for brow in B], T)
+            for j in range(cb)]
     out = []
-    for row in A:
+    for row, da in rows:
+        longest = max(map(len, row), default=0)
         out_row = []
-        for j in range(len(B[0])):
-            acc = []
-            for a, brow in zip(row, B):
-                acc = fpoly_add(acc, fpoly_mul(a, brow[j], T))
-            out_row.append(acc)
+        for col, db in cols:
+            n = longest + max(map(len, col), default=0) - 1
+            acc = [0] * (n if T is None else min(n, T))
+            for a, b in zip(row, col):
+                if a and b:
+                    _int_mul_into(acc, a, b)
+            out_row.append(_fraction_poly(acc, da * db))
         out.append(out_row)
     return out
 
@@ -402,19 +443,31 @@ def pmat_const(A):
 def cofactor_det(A, T=None):
     """Determinant of a square Fraction-polynomial matrix by cofactor
     expansion along the first row, mod X^T when T is given; fine for the
-    small sizes used here."""
+    small sizes used here.  Each row is put over one denominator, and
+    the expansion runs on integer numerators."""
     n, m = mat_shape(A)
     if n != m or n == 0:
         raise InputError("determinant needs a nonempty square matrix")
-    if n == 1:
-        return fpoly_trim(A[0][0][:T])
-    acc = []
+    rows = [_over_one_denominator(row, T) for row in A]
+    den = prod(d for _, d in rows)
+    return _fraction_poly(_int_det([num for num, _ in rows], T), den)
+
+
+def _int_det(A, T):
+    """Cofactor expansion of a square matrix of integer polynomials, mod
+    X^T when T is given."""
+    if len(A) == 1:
+        return A[0][0]
+    minors = []
     for j, a in enumerate(A[0]):
-        if not a:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in A[1:]]
-        term = fpoly_mul(a, cofactor_det(minor, T), T)
-        acc = fpoly_add(acc, fpoly_scale(term, -1) if j % 2 else term)
+        if a:
+            minor = _int_det([row[:j] + row[j + 1:] for row in A[1:]], T)
+            if minor:
+                minors.append((a if j % 2 == 0 else [-c for c in a], minor))
+    n = max((len(a) + len(b) - 1 for a, b in minors), default=0)
+    acc = [0] * (n if T is None else min(n, T))
+    for a, minor in minors:
+        _int_mul_into(acc, a, minor)
     return acc
 
 

@@ -437,3 +437,6 @@ def test_pmat_mul_matches_oracle_on_rectangular_shapes():
         for T in (None, 1, 2, 5):
             assert pmat_mul(A, B, T) == [[ptrim(e[:T]) for e in row]
                                          for row in want]
+    for bad in (([[[1], [2]]], [[[1], [2]]]), ([[[1], [2]], [[3]]], [[[1]]])):
+        with pytest.raises(InputError):
+            pmat_mul(*bad)
