@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
-from operator import add
 
 from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
@@ -380,7 +379,7 @@ def _over_one_denominator(entries, T):
     """(numerators, d): the Fraction polynomials cut mod X^T, as integer
     polynomials over their least common denominator d."""
     entries = [e[:T] for e in entries]
-    d = lcm(*(c.denominator for e in entries for c in e))
+    d = lcm(*{c.denominator for e in entries for c in e})
     return [[c.numerator * (d // c.denominator) for c in e]
             for e in entries], d
 
@@ -390,9 +389,8 @@ def _int_mul_into(acc, f, g):
     n = len(acc)
     for i, a in enumerate(f[:n]):
         if a:
-            span = g[:n - i]
-            end = i + len(span)
-            acc[i:end] = map(add, acc[i:end], map(a.__mul__, span))
+            for k, b in enumerate(g[:n - i], i):
+                acc[k] += a * b
 
 
 def _fraction_poly(acc, d):
