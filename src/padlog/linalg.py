@@ -379,6 +379,9 @@ def _over_one_denominator(entries, T):
     """(numerators, d): the Fraction polynomials cut mod X^T, as integer
     polynomials over their least common denominator d."""
     entries = [e[:T] for e in entries]
+    # a set, not a generator: a tuple built from a generator is resized
+    # as it grows and then parks on CPython's tuple free list, which
+    # grew the resident size by a megabyte over a few dozen twist rounds
     d = lcm(*{c.denominator for e in entries for c in e})
     return [[c.numerator * (d // c.denominator) for c in e]
             for e in entries], d
