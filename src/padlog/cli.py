@@ -66,17 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, exact=False):
+    def common(sp, cutoff="certification depth p^cutoff (default 1)"):
         sp.add_argument("--out", metavar="FILE",
                         help="write a JSON report here")
-        sp.add_argument("--cutoff", type=int, default=1,
-                        help="ignored: these checks are exact"
-                        if exact else
-                        "certification depth p^cutoff (default 1)")
+        sp.add_argument("--cutoff", type=int, default=1, help=cutoff)
+
+    exact = "ignored: these checks are exact"
 
     sp = sub.add_parser("check", help="run the admission gate")
     sp.add_argument("--input", required=True, metavar="FILE")
-    common(sp, exact=True)
+    common(sp, exact)
 
     sp = sub.add_parser("logmatrix", help="build and verify M_n")
     sp.add_argument("--input", required=True, metavar="FILE")
@@ -94,13 +93,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=("admissible", "strong"),
                     default="admissible")
     sp.add_argument("--seed", type=int, default=0)
-    common(sp, exact=True)
+    common(sp, "ignored: the subset determinants are exact, and rel_prec "
+               "sets the depth at which they count as units")
 
     sp = sub.add_parser("pollack", help="antidiagonal closed forms")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--levels", type=int, default=3,
                     help="check n = 1..levels (default 3)")
-    common(sp, exact=True)
+    common(sp, exact)
 
     sp = sub.add_parser("wach", help="tower and twist checks")
     sp.add_argument("--p", type=int, required=True)
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="gamma exponent, 1 mod p")
     sp.add_argument("--levels", type=int, default=2)
     sp.add_argument("--trunc", type=int, default=30)
-    common(sp, exact=True)
+    common(sp, exact)
 
     return parser
 
