@@ -387,13 +387,20 @@ def _over_one_denominator(entries, T):
             for e in entries], d
 
 
-def _int_mul_into(acc, f, g):
-    """acc += f * g on integer coefficient lists, cut to len(acc)."""
-    n = len(acc)
-    for i, a in enumerate(f[:n]):
-        if a:
-            for k, b in enumerate(g[:n - i], i):
-                acc[k] += a * b
+def _int_dot(pairs, T):
+    """The sum of f * g over pairs of integer polynomials, mod X^T when T
+    is given."""
+    pairs = [(f, g) for f, g in pairs if f and g]
+    n = max((len(f) + len(g) - 1 for f, g in pairs), default=0)
+    if T is not None:
+        n = min(n, T)
+    acc = [0] * n
+    for f, g in pairs:
+        for i, a in enumerate(f[:n]):
+            if a:
+                for k, b in enumerate(g[:n - i], i):
+                    acc[k] += a * b
+    return acc
 
 
 def _fraction_poly(acc, d):
@@ -414,19 +421,8 @@ def pmat_mul(A, B, T=None):
     rows = [_over_one_denominator(row, T) for row in A]
     cols = [_over_one_denominator([brow[j] for brow in B], T)
             for j in range(cb)]
-    out = []
-    for row, da in rows:
-        longest = max(map(len, row), default=0)
-        out_row = []
-        for col, db in cols:
-            n = longest + max(map(len, col), default=0) - 1
-            acc = [0] * (n if T is None else min(n, T))
-            for a, b in zip(row, col):
-                if a and b:
-                    _int_mul_into(acc, a, b)
-            out_row.append(_fraction_poly(acc, da * db))
-        out.append(out_row)
-    return out
+    return [[_fraction_poly(_int_dot(zip(row, col), T), da * db)
+             for col, db in cols] for row, da in rows]
 
 
 def pmat_sub(A, B):
@@ -455,21 +451,14 @@ def cofactor_det(A, T=None):
 
 
 def _int_det(A, T):
-    """Cofactor expansion of a square matrix of integer polynomials, mod
-    X^T when T is given."""
+    """Cofactor expansion of a square matrix of integer polynomials along
+    its first row, mod X^T when T is given."""
     if len(A) == 1:
         return A[0][0]
-    minors = []
-    for j, a in enumerate(A[0]):
-        if a:
-            minor = _int_det([row[:j] + row[j + 1:] for row in A[1:]], T)
-            if minor:
-                minors.append((a if j % 2 == 0 else [-c for c in a], minor))
-    n = max((len(a) + len(b) - 1 for a, b in minors), default=0)
-    acc = [0] * (n if T is None else min(n, T))
-    for a, minor in minors:
-        _int_mul_into(acc, a, minor)
-    return acc
+    return _int_dot(
+        ((a if j % 2 == 0 else [-c for c in a],
+          _int_det([row[:j] + row[j + 1:] for row in A[1:]], T))
+         for j, a in enumerate(A[0]) if a), T)
 
 
 # -- Z_(p) reductions ------------------------------------------------------
