@@ -390,12 +390,14 @@ def _over_one_denominator(entries, T):
 def _int_dot(pairs, T):
     """The sum of f * g over pairs of integer polynomials, mod X^T when T
     is given."""
-    pairs = [(f, g) for f, g in pairs if f and g]
-    n = max((len(f) + len(g) - 1 for f, g in pairs), default=0)
-    if T is not None:
-        n = min(n, T)
-    acc = [0] * n
+    acc = []
     for f, g in pairs:
+        if not (f and g):
+            continue
+        n = len(f) + len(g) - 1
+        if T is not None:
+            n = min(n, T)
+        acc += [0] * (n - len(acc))
         for i, a in enumerate(f[:n]):
             if a:
                 for k, b in enumerate(g[:n - i], i):
