@@ -1,19 +1,24 @@
 """Factorization of the forward map on finite-level quotients:
 roundtrips, kernel structure, tower compatibility, negative controls."""
 
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
 from padlog import (
+    INF,
     InputError,
     NotInImage,
     NotIntegral,
+    PadicScalar,
+    PrecisionLoss,
     XSeries,
     build_Mn,
     factor_level,
     forward,
+    integral_shift,
     kernel_basis,
     reduce_mod_omega,
     roundtrip_check,
@@ -30,8 +35,10 @@ from oracles import (
     omega_oracle,
     padd,
     pdivmod,
+    phi_oracle,
     pmul,
     poly_mat_mul,
+    pscale,
 )
 
 
@@ -253,3 +260,153 @@ def test_forward_matches_chain_oracle(fd, levels):
                 for j in range(p ** n):
                     value = exact[j] if j < len(exact) else 0
                     assert matches_rational(comp.rep.coeff(j), value)
+
+
+# -- low-precision inputs, verdicts, random instances, integral shift ------
+
+
+def _series_at(ctx, ints, prec):
+    """The integers as coefficients known modulo p^prec."""
+    return XSeries(ctx, [PadicScalar.from_mantissa(ctx, 0, m, prec)
+                         for m in ints])
+
+
+def _certifies(vec, exact, length):
+    """Every coefficient below length agrees with the exact polynomials
+    at the precision it claims; an exact zero must be exactly zero."""
+    for comp, want in zip(vec.components, exact):
+        for j in range(length):
+            value = want[j] if j < len(want) else 0
+            if not matches_rational(comp.rep.coeff(j), value, depth=60):
+                return False
+    return True
+
+
+def _residue(c, q):
+    """The p-integral rational c modulo q, in range(q)."""
+    return c.numerator * pow(c.denominator, -1, q) % q
+
+
+def _factor_oracle(fd, n, vec):
+    """The stage-by-stage inverse of forward on exact polynomials: for
+    k = n..1 divide the scaled block by Phi_{p^k}, then multiply by C."""
+    p, g, fil = fd.ctx.p, fd.size, fd.fil_dim
+    C = [[Fraction(x) for x in row] for row in fd.C]
+    vec = [pdivmod(v, omega_oracle(p, n))[1] for v in vec]
+    for k in range(n, 0, -1):
+        phi = phi_oracle(p, k)
+        for i in range(fil, g):
+            q, r = pdivmod(vec[i], phi)
+            assert r == [], "the lifts are chosen inside the image"
+            vec[i] = q
+        vec = [functools.reduce(padd, (pscale(v, C[i][j])
+                                       for j, v in enumerate(vec)), [])
+               for i in range(g)]
+    return vec
+
+
+@pytest.mark.parametrize("fd", [
+    pollack_fd(), random_instance(3, 3, 1, 1), random_instance(3, 2, 1, 5),
+], ids=["antidiagonal", "size3", "size2"])
+def test_low_precision_maps_certify_only_what_every_lift_shares(fd):
+    # inputs known modulo 3^4: every output coefficient must agree, at
+    # the precision it claims, with the exact map applied to several
+    # lifts x + 3^4 y, where y moves only the stored coefficients
+    rng = random.Random(24)
+    ctx, p = fd.ctx, fd.ctx.p
+    q = p ** 4
+    for n in (1, 2):
+        N = p ** n
+        inputs = [[[rng.randrange(q) for _ in range(rng.randrange(1, N + 1))]
+                   for _ in range(fd.size)] for _ in range(2)]
+        inputs.append([[0] * N for _ in range(fd.size)])
+        for x in inputs:
+            got = forward(fd, n, [_series_at(ctx, c, 4) for c in x])
+            for _ in range(3):
+                lift = [[a + q * rng.randrange(-20, 21) for a in c]
+                        for c in x]
+                assert _certifies(got, _forward_oracle(fd, n, lift), N)
+            if not any(map(any, x)):
+                # the all-O(p^4) vector: no coefficient of its image is
+                # known to vanish exactly
+                for comp in got.components:
+                    assert all(not (comp.rep.coeff(j).is_zero_rep
+                                    and comp.rep.coeff(j).prec == INF)
+                               for j in range(N))
+            # factor_level: the input is an image known modulo 3^4, and
+            # its lifts stay inside the image
+            image = _forward_oracle(fd, n, x)
+            L = [[_residue(image[i][j], q) if j < len(image[i]) else 0
+                  for j in range(N)] for i in range(fd.size)]
+            got = factor_level(fd, n, [_series_at(ctx, c, 4) for c in L])
+            for _ in range(3):
+                u = [[rng.randrange(-20, 21) for _ in range(N)]
+                     for _ in range(fd.size)]
+                lift = _forward_oracle(fd, n, [padd(c, pscale(d, q))
+                                               for c, d in zip(x, u)])
+                assert _certifies(got, _factor_oracle(fd, n, lift), N)
+
+
+def test_factor_level_verdicts_at_precision_three():
+    # Phi_3(1+X) = 3 + 3X + X^2 and the unscaled component is [1, 2],
+    # all known modulo 3^3
+    fd = pollack_fd()
+    ctx = fd.ctx
+
+    def vector(scaled):
+        return [_series_at(ctx, [1, 2], 3), _series_at(ctx, scaled, 3)]
+
+    # divisible modulo 3^3 only: certified at cutoff 1, not at 5
+    with pytest.raises(PrecisionLoss):
+        factor_level(fd, 1, vector([3, 3, 1]), cutoff=5)
+    got = factor_level(fd, 1, vector([3, 3, 1]), cutoff=1)
+    assert _certifies(got, [[-1], [1, 2]], 3)
+    # 30 = 3 mod 3^3: the remainder 27 is invisible at this precision
+    with pytest.raises(PrecisionLoss):
+        factor_level(fd, 1, vector([30, 3, 1]), cutoff=5)
+    with pytest.raises(NotInImage):
+        factor_level(fd, 1, vector([1]))
+
+
+@pytest.mark.parametrize("fd", [
+    random_instance(3, 3, 1, 1), random_instance(3, 4, 2, 1),
+], ids=["size3", "size4"])
+def test_tower_projection_and_roundtrip_on_random_instances(fd):
+    # random C_k are not antidiagonal, so a transposed or misplaced
+    # factor shows here
+    rng = random.Random(25)
+    for n in (1, 2):
+        for _ in range(3):
+            col = random_polynomial_vector(fd, rng)
+            assert tower_projection_check(fd, n, col) == {
+                "ok": True, "witness": None}
+            rep = roundtrip_check(fd, n, col)
+            assert rep["ok"] and rep["witness"] is None
+
+
+@pytest.mark.parametrize("fd", [
+    pollack_fd(), random_instance(3, 3, 1, 1), random_instance(3, 4, 2, 1),
+], ids=["antidiagonal", "size3", "size4"])
+def test_integral_shift_matches_oracle(fd):
+    # C_phi^-(n+1) x mod omega_n, rebuilt from the oracles
+    rng = random.Random(27)
+    p, g, fil = fd.ctx.p, fd.size, fd.fil_dim
+    cphi = [[Fraction(x) if j < fil else Fraction(x) / p
+             for j, x in enumerate(row)] for row in fd.C]
+    inv = [[[x] if x else [] for x in row] for row in inv_oracle(cphi)]
+    for n in (1, 2):
+        shift = [[[Fraction(int(i == j))] for j in range(g)]
+                 for i in range(g)]
+        for _ in range(n + 1):
+            shift = poly_mat_mul(inv, shift)
+        for _ in range(2):
+            vec = [[Fraction(rng.randrange(-9, 10), rng.choice((1, 2, 5)))
+                    for _ in range(rng.randrange(1, 2 * p ** n))]
+                   for _ in range(g)]
+            got = integral_shift(fd, n, [XSeries.from_fractions(fd.ctx, v)
+                                         for v in vec])
+            w = omega_oracle(p, n)
+            want = [pdivmod(functools.reduce(
+                padd, (pmul(e, v) for e, v in zip(row, vec)), []), w)[1]
+                for row in shift]
+            assert _certifies(got, want, p ** n)

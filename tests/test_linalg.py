@@ -41,6 +41,7 @@ from oracles import (
     inv_oracle,
     lower_hull_oracle,
     padd,
+    pdivmod,
     peval,
     perm_det,
     perm_det_poly,
@@ -440,3 +441,21 @@ def test_pmat_mul_matches_oracle_on_rectangular_shapes():
     for bad in (([[[1], [2]]], [[[1], [2]]]), ([[[1], [2]], [[3]]], [[[1]]])):
         with pytest.raises(InputError):
             pmat_mul(*bad)
+
+
+def test_fpoly_divmod_matches_oracle_on_rational_divisors():
+    # non-monic divisors, negative and p-divisible leading coefficients,
+    # Fraction coefficients on both sides, and dividends shorter than
+    # the divisor
+    rng = random.Random(342)
+    for _ in range(60):
+        f = _rand_fpoly(rng, 9)
+        g = _rand_fpoly(rng, 5)
+        if not g:
+            continue
+        assert fpoly_divmod(f, g) == pdivmod(f, g)
+    assert fpoly_divmod([1, 0, 1], (1, 1)) == ([-1, 1], [2])
+    assert fpoly_divmod([], [Fraction(2, 3)]) == ([], [])
+    for zero in ([], [0, 0]):
+        with pytest.raises(InputError):
+            fpoly_divmod([1], zero)
