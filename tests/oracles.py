@@ -282,16 +282,17 @@ def inv_oracle(M):
 
 
 def poly_mat_mul(A, B):
-    """Product of matrices whose entries are Fraction coefficient
-    lists."""
-    n = len(A)
+    """Product of an r x m and an m x c matrix whose entries are Fraction
+    coefficient lists."""
+    m = len(B)
+    assert m and all(len(row) == m for row in A), "inner sizes differ"
     return [
         [
             functools.reduce(
-                padd, (pmul(A[i][k], B[k][j]) for k in range(n)), [])
-            for j in range(n)
+                padd, (pmul(row[k], B[k][j]) for k in range(m)), [])
+            for j in range(len(B[0]))
         ]
-        for i in range(n)
+        for row in A
     ]
 
 
