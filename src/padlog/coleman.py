@@ -7,6 +7,11 @@ Division happens on the degree-reduced representative, which is sound
 because Phi_{p^k} divides omega_n: a class is divisible iff its reduced
 representative is divisible as a polynomial.
 
+The maps run exactly on the input lifted once to Fraction polynomials,
+with one absolute precision N for the whole vector.  Each output
+coefficient is rounded once at N, less the digits a non-p-integral
+matrix could lose (none when admitted); a zero one is O(p^N).
+
 The factorization result is unique only modulo the kernel of the
 forward map; the kernel_tag records that, and kernel_basis computes an
 explicit saturated basis for small sizes.
@@ -16,24 +21,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, NotIntegral, PrecisionLoss
+from .errors import InputError, NotInImage, NotIntegral, PrecisionLoss
 from .linalg import (
+    fpoly_add,
     fpoly_divmod,
+    fpoly_scale,
     frac_nullspace,
     mat_pow,
     frac_identity,
     pmat_from_frac,
+    pmat_mul,
+    vp_frac,
     zp_saturate,
 )
-from .logmatrix import FrobeniusData, build_chain, _embed_matrix
-from .series import (
-    LambdaNElement,
-    XSeries,
-    divide_exact,
-    omega_ints,
-    phi_cyclo,
-    reduce_mod_omega,
-)
+from .logmatrix import FrobeniusData, build_chain, _mod_omega
+from .padic import INF, PadicScalar
+from .series import LambdaNElement, XSeries, phi_cyclo_ints
 
 
 class RegulatorVector:
@@ -65,77 +68,112 @@ class ColemanVector:
         self.kernel_tag = kernel_tag
 
 
+def _lift(c: PadicScalar):
+    """The rational p^v u of a scalar; 0 for a zero representation."""
+    if c.is_zero_rep:
+        return 0
+    return c.u * c.p ** c.v if c.v >= 0 else Fraction(c.u, c.p ** -c.v)
+
+
 def _as_classes(fd: FrobeniusData, n: int, comps):
+    """Lift the components once: (polys, N), the components as Fraction
+    polynomials reduced mod omega_n and one absolute precision N for the
+    whole vector, the least abs_prec() of its coefficients (INF only when
+    every coefficient is an exact zero)."""
     if isinstance(comps, (RegulatorVector, ColemanVector)):
         comps = comps.components
     comps = list(comps)
     if len(comps) != fd.size:
         raise InputError(f"expected {fd.size} components")
-    out = []
+    p = fd.ctx.p
+    polys, N = [], INF
     for c in comps:
         if isinstance(c, LambdaNElement):
             if c.level != n:
                 raise InputError(f"component at level {c.level}, need {n}")
-            out.append(c)
-        elif isinstance(c, XSeries):
-            out.append(reduce_mod_omega(c, n))
-        else:
+            c = c.rep
+        elif not isinstance(c, XSeries):
             raise InputError("components must be series or classes")
-    return out
+        elif not c.is_exact_poly:
+            raise PrecisionLoss("cannot reduce a truncated series modulo "
+                                "omega_n")
+        N = min(N, min((x.abs_prec() for x in c.coeffs), default=INF))
+        polys.append(_mod_omega([_lift(x) for x in c.coeffs], p, n))
+    return polys, N
 
 
-def _apply_matrix(mat, polys, n: int):
-    """Matrix of series times a vector of exact polynomials, as classes
-    modulo omega_n."""
-    out = []
-    for row in mat:
-        acc = None
-        for e, f in zip(row, polys):
-            term = e * f
-            acc = term if acc is None else acc + term
-        out.append(reduce_mod_omega(acc, n))
-    return out
+def _depth(M, p: int):
+    """min(0, least valuation of the constant matrix M): how many digits
+    of absolute precision a product with M can lose."""
+    return min(0, *(vp_frac(x, p) for row in M for x in row))
+
+
+def _apply(M, polys, p: int, n: int):
+    """M times a vector of Fraction polynomials, reduced mod omega_n."""
+    return [_mod_omega(e, p, n)
+            for (e,) in pmat_mul(M, [[f] for f in polys])]
+
+
+def _embed(ctx, n: int, polys, N):
+    """Level-n classes of exact polynomials known modulo p^N.  Each
+    coefficient is rounded once; a zero one is O(p^N), not an exact
+    zero, so each representative is padded to p^n terms unless N is
+    INF."""
+    length = 0 if N == INF else ctx.p ** n
+    return [LambdaNElement(ctx, n, XSeries(
+        ctx, [ctx.from_rational(c, N)
+              for c in f + [0] * (length - len(f))])) for f in polys]
 
 
 def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     """C_n ... C_1 applied to col inside the level-n quotient.
 
-    Stage k applies C^{-1} and multiplies the scaled block by
-    Phi_{p^k}, the steps of factor_level undone in reverse.
+    The lifted vector is multiplied by the exact chain P_n and reduced
+    mod omega_n; the image is certified to the input's absolute
+    precision, less what C^-1 can lose at each of the n stages (nothing
+    for an admitted instance).
     """
     if n < 1:
         raise InputError("forward needs n >= 1")
-    comps = _as_classes(fd, n, col)
-    ctx = fd.ctx
-    C_inv = _embed_matrix(ctx, pmat_from_frac(fd.C_inv))
-    for k in range(1, n + 1):
-        comps = _apply_matrix(C_inv, [c.rep for c in comps], n)
-        phi = phi_cyclo(ctx, k)
-        comps = [c if i < fd.fil_dim else reduce_mod_omega(c.rep * phi, n)
-                 for i, c in enumerate(comps)]
-    return RegulatorVector(n, comps)
+    x, N = _as_classes(fd, n, col)
+    p = fd.ctx.p
+    image = _apply(build_chain(fd, n)[n], x, p, n)
+    return RegulatorVector(
+        n, _embed(fd.ctx, n, image, N + n * _depth(fd.C_inv, p)))
 
 
 def factor_level(fd: FrobeniusData, n: int, L,
                  cutoff: int = 1) -> ColemanVector:
     """Invert forward stage by stage.
 
-    At stage k the scaled block must be divisible by Phi_{p^k}; a
-    certified nonzero remainder raises NotInImage, an uncertified one
-    raises PrecisionLoss.  The result is unique modulo ker(forward).
+    At stage k = n..1 the scaled block is divided by Phi_{p^k} and the
+    vector is multiplied by C, exactly on the lifted representatives.  A
+    remainder coefficient of valuation below the certified precision N
+    raises NotInImage; a remainder that vanishes modulo p^N with N below
+    the cutoff raises PrecisionLoss.  The result is unique modulo
+    ker(forward).
     """
     if n < 1:
         raise InputError("factor_level needs n >= 1")
-    comps = _as_classes(fd, n, L)
-    ctx = fd.ctx
-    C_emb = _embed_matrix(ctx, pmat_from_frac(fd.C))
+    x, N = _as_classes(fd, n, L)
+    p = fd.ctx.p
+    C, lost = pmat_from_frac(fd.C), _depth(fd.C, p)
     for k in range(n, 0, -1):
-        phi = phi_cyclo(ctx, k)
-        divided = [c.rep if i < fd.fil_dim
-                   else divide_exact(c.rep, phi, cutoff)
-                   for i, c in enumerate(comps)]
-        comps = _apply_matrix(C_emb, divided, n)
-    return ColemanVector(n, comps, kernel_tag=f"mod ker h_{n}")
+        phi = phi_cyclo_ints(p, k)
+        for i in range(fd.fil_dim, fd.size):
+            x[i], rem = fpoly_divmod(x[i], phi)
+            j = next((j for j, c in enumerate(rem) if vp_frac(c, p) < N),
+                     None)
+            if j is not None:
+                raise NotInImage("division leaves certified-nonzero "
+                                 f"remainder at X^{j}")
+            if N < cutoff:
+                raise PrecisionLoss(f"remainder known only modulo p^{N}, "
+                                    f"unresolved at cutoff {cutoff}")
+        x = _apply(C, x, p, n)
+        N += lost
+    return ColemanVector(n, _embed(fd.ctx, n, x, N),
+                         kernel_tag=f"mod ker h_{n}")
 
 
 def _cphi_inv(fd: FrobeniusData):
@@ -153,16 +191,17 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     """
     if n < 1:
         raise InputError("integral_shift needs n >= 1")
-    ctx = fd.ctx
     raw = list(raw)
     if len(raw) != fd.size:
         raise InputError(f"expected {fd.size} series")
     for e in raw:
         if not isinstance(e, XSeries) or not e.is_exact_poly:
             raise InputError("raw components must be exact polynomials")
+    x, N = _as_classes(fd, n, raw)
+    p = fd.ctx.p
     shift = mat_pow(_cphi_inv(fd), n + 1, frac_identity(fd.size))
-    shift_emb = _embed_matrix(ctx, pmat_from_frac(shift))
-    comps = _apply_matrix(shift_emb, raw, n)
+    comps = _embed(fd.ctx, n, _apply(pmat_from_frac(shift), x, p, n),
+                   N + _depth(shift, p))
     for i, c in enumerate(comps):
         for j, coeff in enumerate(c.rep.coeffs):
             if coeff.is_zero_rep:
@@ -209,15 +248,24 @@ def project_vector(vec, m: int):
 
 def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """Project the level-(n+1) forward image down to level n and compare
-    with C_phi^{-1} times the forward image of the projected vector."""
-    comps_hi = _as_classes(fd, n + 1, col)
-    hi = forward(fd, n + 1, comps_hi)
-    lo = forward(fd, n, [c.project(n) for c in comps_hi])
-    cphi_inv_emb = _embed_matrix(fd.ctx, pmat_from_frac(_cphi_inv(fd)))
-    twisted = _apply_matrix(cphi_inv_emb, [c.rep for c in lo.components], n)
-    for i, (a, b) in enumerate(zip(project_vector(hi, n).components,
-                                   twisted)):
-        st, idx = (a - b).zero_status(cutoff)
+    with C_phi^{-1} times the forward image of the projected vector.
+
+    Both images read one chain, P_{n+1} and P_n, on the lifted vector;
+    projecting to level n is reducing mod omega_n, which divides
+    omega_{n+1}.
+    """
+    x, N = _as_classes(fd, n + 1, col)
+    p = fd.ctx.p
+    chain = build_chain(fd, n + 1)
+    cphi_inv = _cphi_inv(fd)
+    hi = _apply(chain[n + 1], x, p, n)
+    twisted = _apply(pmat_from_frac(cphi_inv), _apply(chain[n], x, p, n),
+                     p, n)
+    lost = _depth(fd.C_inv, p)
+    N += min((n + 1) * lost, n * lost + _depth(cphi_inv, p))
+    diff = [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(hi, twisted)]
+    for i, d in enumerate(_embed(fd.ctx, n, diff, N)):
+        st, idx = d.zero_status(cutoff)
         if st != "zero":
             return {"ok": False, "witness": (i, idx, st)}
     return {"ok": True, "witness": None}
@@ -233,7 +281,6 @@ def kernel_basis(fd: FrobeniusData, n: int):
         raise InputError("kernel_basis needs n >= 1")
     p = fd.ctx.p
     N = p ** n
-    omega = omega_ints(p, n)
     # C_n ... C_1 has degree below p^n: it is already reduced mod omega_n
     prod = build_chain(fd, n)[n]
     # matrix of the map on coefficient vectors: column (i, j) is the
@@ -245,8 +292,7 @@ def kernel_basis(fd: FrobeniusData, n: int):
             col_idx = i * N + j
             for c in range(fd.size):
                 entry = prod[c][i]
-                shifted = fpoly_divmod(
-                    [Fraction(0)] * j + list(entry), omega)[1]
+                shifted = _mod_omega([0] * j + list(entry), p, n)
                 for deg, val in enumerate(shifted):
                     H[c * N + deg][col_idx] = val
     null = frac_nullspace(H)

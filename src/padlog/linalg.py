@@ -340,24 +340,29 @@ def fpoly_mul(f, g, T=None):
 
 
 def fpoly_divmod(f, g):
-    """Division with remainder; g must have an invertible (nonzero)
-    leading coefficient."""
-    f = [Fraction(c) for c in fpoly_trim(f)]
-    g = [Fraction(c) for c in fpoly_trim(g)]
+    """(q, r) with f = q g + r and deg r < deg g, for any nonzero g.
+    With f = F/df and g = G/dg, lead^m F = Q G + R is a pseudo-division
+    on integers, m = deg F - deg G + 1; then q = Q dg / (lead^m df) and
+    r = R / (lead^m df), one Fraction per output coefficient."""
+    f, g = fpoly_trim(f), fpoly_trim(g)
     if not g:
         raise InputError("division by zero polynomial")
-    dg = len(g) - 1
-    lead = g[-1]
-    q = [Fraction(0)] * max(len(f) - dg, 0)
-    rem = f[:]
-    for j in range(len(rem) - 1, dg - 1, -1):
-        if rem[j] == 0:
-            continue
-        factor = rem[j] / lead
-        q[j - dg] = factor
-        for i in range(dg + 1):
-            rem[j - dg + i] -= factor * g[i]
-    return fpoly_trim(q), fpoly_trim(rem[:dg])
+    (F,), df = _over_one_denominator([f], None)
+    (G,), dg = _over_one_denominator([g], None)
+    deg, lead = len(G) - 1, G[-1]
+    m = max(len(F) - deg, 0)
+    scale = lead ** m
+    rem = [c * scale for c in F] if scale != 1 else F
+    low = G[:deg]
+    q = [0] * m
+    for j in range(len(rem) - 1, deg - 1, -1):
+        if rem[j]:
+            t = q[j - deg] = rem[j] // lead
+            for i, c in enumerate(low, j - deg):
+                rem[i] -= t * c
+    den = scale * df
+    return (_fraction_poly([c * dg for c in q], den),
+            _fraction_poly(rem[:deg], den))
 
 
 def fpoly_eval(f, x):

@@ -87,19 +87,23 @@ class PadicContext:
     def one(self) -> "PadicScalar":
         return self.integer(1)
 
-    def from_rational(self, value) -> "PadicScalar":
-        """Embed an exact rational (Fraction, int, or num/den pair)."""
+    def from_rational(self, value, abs_prec=INF) -> "PadicScalar":
+        """Embed a rational (Fraction, int, or num/den pair) known modulo
+        p^abs_prec, exact by default, keeping at most rel_prec digits.
+        A value that vanishes modulo p^abs_prec is O(p^abs_prec)."""
         if isinstance(value, tuple):
             value = Fraction(value[0], value[1])
         else:
             value = Fraction(value)
         if value == 0:
-            return self.zero()
+            return self.zero(abs_prec)
         vn, un = self.valuation_of_integer(value.numerator)
         vd, ud = self.valuation_of_integer(value.denominator)
         v = vn - vd
-        # mantissa = un/ud reduced to rel_prec digits
-        k = self.rel_prec
+        # mantissa = un/ud reduced to the digits known below p^abs_prec
+        k = min(self.rel_prec, abs_prec - v)
+        if k <= 0:
+            return self.zero(abs_prec)
         mod = self.p ** k
         u = (un % mod) * pow(ud % mod, -1, mod) % mod
         return PadicScalar(self, v, u, k)

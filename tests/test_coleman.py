@@ -311,7 +311,8 @@ def _factor_oracle(fd, n, vec):
 def test_low_precision_maps_certify_only_what_every_lift_shares(fd):
     # inputs known modulo 3^4: every output coefficient must agree, at
     # the precision it claims, with the exact map applied to several
-    # lifts x + 3^4 y, where y moves only the stored coefficients
+    # lifts x + 3^4 y, where y moves only the stored coefficients; the
+    # first component of the second vector is known modulo 3^6
     rng = random.Random(24)
     ctx, p = fd.ctx, fd.ctx.p
     q = p ** 4
@@ -320,11 +321,13 @@ def test_low_precision_maps_certify_only_what_every_lift_shares(fd):
         inputs = [[[rng.randrange(q) for _ in range(rng.randrange(1, N + 1))]
                    for _ in range(fd.size)] for _ in range(2)]
         inputs.append([[0] * N for _ in range(fd.size)])
-        for x in inputs:
-            got = forward(fd, n, [_series_at(ctx, c, 4) for c in x])
+        for x, first in zip(inputs, (4, 6, 4)):
+            precs = [first] + [4] * (fd.size - 1)
+            got = forward(fd, n, [_series_at(ctx, c, e)
+                                  for c, e in zip(x, precs)])
             for _ in range(3):
-                lift = [[a + q * rng.randrange(-20, 21) for a in c]
-                        for c in x]
+                lift = [[a + p ** e * rng.randrange(-20, 21) for a in c]
+                        for c, e in zip(x, precs)]
                 assert _certifies(got, _forward_oracle(fd, n, lift), N)
             if not any(map(any, x)):
                 # the all-O(p^4) vector: no coefficient of its image is
@@ -410,3 +413,31 @@ def test_integral_shift_matches_oracle(fd):
                 padd, (pmul(e, v) for e, v in zip(row, vec)), []), w)[1]
                 for row in shift]
             assert _certifies(got, want, p ** n)
+
+
+def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
+    # the five entry points compute on the exact layer: no XSeries
+    # product and no XSeries long division on their path
+    import padlog.series as series
+
+    fd = random_instance(3, 3, 1, 1)
+    col = random_polynomial_vector(fd, random.Random(26), max_deg=8)
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(series.XSeries, "__mul__",
+                        counted("XSeries.__mul__", series.XSeries.__mul__))
+    monkeypatch.setattr(series, "poly_divmod",
+                        counted("poly_divmod", series.poly_divmod))
+    for n in (1, 2):
+        L = forward(fd, n, col)
+        factor_level(fd, n, L)
+        assert roundtrip_check(fd, n, col)["ok"]
+        assert tower_projection_check(fd, n, col)["ok"]
+        integral_shift(fd, n, col)
+    assert calls == []
