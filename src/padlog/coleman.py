@@ -68,11 +68,11 @@ class ColemanVector:
         self.kernel_tag = kernel_tag
 
 
-def _lift(c: PadicScalar):
+def _lift(c: PadicScalar, p: int):
     """The rational p^v u of a scalar; 0 for a zero representation."""
-    if c.is_zero_rep:
+    if c.u is None:
         return 0
-    return c.u * c.p ** c.v if c.v >= 0 else Fraction(c.u, c.p ** -c.v)
+    return c.u * p ** c.v if c.v >= 0 else Fraction(c.u, p ** -c.v)
 
 
 def _as_classes(fd: FrobeniusData, n: int, comps):
@@ -98,14 +98,24 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
             raise PrecisionLoss("cannot reduce a truncated series modulo "
                                 "omega_n")
         N = min(N, min((x.abs_prec() for x in c.coeffs), default=INF))
-        polys.append(_mod_omega([_lift(x) for x in c.coeffs], p, n))
+        polys.append(_mod_omega([_lift(x, p) for x in c.coeffs], p, n))
     return polys, N
 
 
 def _depth(M, p: int):
     """min(0, least valuation of the constant matrix M): how many digits
     of absolute precision a product with M can lose."""
-    return min(0, *(vp_frac(x, p) for row in M for x in row))
+    return min((vp_frac(x, p) for row in M for x in row
+                if x.denominator % p == 0), default=0)
+
+
+def _first_below(f, p: int, N):
+    """Index of the first coefficient of f of valuation below N, or None."""
+    if N == INF or N <= 0:
+        return next((j for j, c in enumerate(f) if vp_frac(c, p) < N), None)
+    pN = p ** N
+    return next((j for j, c in enumerate(f)
+                 if c.numerator % pN or c.denominator % p == 0), None)
 
 
 def _apply(M, polys, p: int, n: int):
@@ -120,8 +130,9 @@ def _embed(ctx, n: int, polys, N):
     zero, so each representative is padded to p^n terms unless N is
     INF."""
     length = 0 if N == INF else ctx.p ** n
+    zero = ctx.zero(N)
     return [LambdaNElement(ctx, n, XSeries(
-        ctx, [ctx.from_rational(c, N)
+        ctx, [ctx.from_rational(c, N) if c else zero
               for c in f + [0] * (length - len(f))])) for f in polys]
 
 
@@ -162,8 +173,7 @@ def factor_level(fd: FrobeniusData, n: int, L,
         phi = phi_cyclo_ints(p, k)
         for i in range(fd.fil_dim, fd.size):
             x[i], rem = fpoly_divmod(x[i], phi)
-            j = next((j for j, c in enumerate(rem) if vp_frac(c, p) < N),
-                     None)
+            j = _first_below(rem, p, N)
             if j is not None:
                 raise NotInImage("division leaves certified-nonzero "
                                  f"remainder at X^{j}")

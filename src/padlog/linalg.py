@@ -347,6 +347,8 @@ def fpoly_divmod(f, g):
     f, g = fpoly_trim(f), fpoly_trim(g)
     if not g:
         raise InputError("division by zero polynomial")
+    if len(f) < len(g):
+        return [], [c if isinstance(c, Fraction) else Fraction(c) for c in f]
     (F,), df = _over_one_denominator([f], None)
     (G,), dg = _over_one_denominator([g], None)
     deg, lead = len(G) - 1, G[-1]

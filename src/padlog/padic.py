@@ -93,9 +93,9 @@ class PadicContext:
         A value that vanishes modulo p^abs_prec is O(p^abs_prec)."""
         if isinstance(value, tuple):
             value = Fraction(value[0], value[1])
-        else:
+        elif not isinstance(value, (int, Fraction)):
             value = Fraction(value)
-        if value == 0:
+        if not value:
             return self.zero(abs_prec)
         vn, un = self.valuation_of_integer(value.numerator)
         vd, ud = self.valuation_of_integer(value.denominator)

@@ -27,7 +27,8 @@ class XSeries:
     def __init__(self, ctx: PadicContext, coeffs, trunc=None):
         coeffs = list(coeffs)
         for c in coeffs:
-            if not isinstance(c, PadicScalar) or c.ctx != ctx:
+            if not isinstance(c, PadicScalar) or (c.ctx is not ctx
+                                                   and c.ctx != ctx):
                 raise InputError("coefficients must be scalars of the same context")
         if trunc is None:
             while coeffs and coeffs[-1].is_zero_rep and coeffs[-1].prec == INF:
