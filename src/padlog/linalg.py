@@ -16,10 +16,13 @@ complete the admission gate's toolkit.
 
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
 Matrices of them carry the one exact tower that logmatrix builds and
-coleman and wach read; their products and their cofactor determinant
-can be cut mod X^T as they are formed.  Both put each row (and each
-column of the right factor) over one denominator, multiply and sum the
-integer numerators, and form one Fraction per output coefficient.
+coleman and wach read, and the Coleman maps apply them to lifted
+vectors; their products and their cofactor determinant can be cut mod
+X^T as they are formed.  Both put each row (and each column of the
+right factor) over one denominator, multiply and sum the integer
+numerators, and form one Fraction per output coefficient.  Division with
+remainder (by omega_n, Phi_{p^k} or any nonzero divisor) is an integer
+pseudo-division on the numerators, formed into Fractions the same way.
 """
 
 from __future__ import annotations
@@ -352,9 +355,9 @@ def fpoly_divmod(f, g):
     (F,), df = _over_one_denominator([f], None)
     (G,), dg = _over_one_denominator([g], None)
     deg, lead = len(G) - 1, G[-1]
-    m = max(len(F) - deg, 0)
+    m = len(F) - deg
     scale = lead ** m
-    rem = [c * scale for c in F] if scale != 1 else F
+    rem = [c * scale for c in F]
     low = G[:deg]
     q = [0] * m
     for j in range(len(rem) - 1, deg - 1, -1):
