@@ -317,10 +317,11 @@ def test_low_precision_maps_certify_only_what_every_lift_shares(fd):
     ctx, p = fd.ctx, fd.ctx.p
     q = p ** 4
     for n in (1, 2):
-        N = p ** n
-        inputs = [[[rng.randrange(q) for _ in range(rng.randrange(1, N + 1))]
+        terms = p ** n
+        inputs = [[[rng.randrange(q)
+                    for _ in range(rng.randrange(1, terms + 1))]
                    for _ in range(fd.size)] for _ in range(2)]
-        inputs.append([[0] * N for _ in range(fd.size)])
+        inputs.append([[0] * terms for _ in range(fd.size)])
         for x, first in zip(inputs, (4, 6, 4)):
             precs = [first] + [4] * (fd.size - 1)
             got = forward(fd, n, [_series_at(ctx, c, e)
@@ -328,26 +329,26 @@ def test_low_precision_maps_certify_only_what_every_lift_shares(fd):
             for _ in range(3):
                 lift = [[a + p ** e * rng.randrange(-20, 21) for a in c]
                         for c, e in zip(x, precs)]
-                assert _certifies(got, _forward_oracle(fd, n, lift), N)
+                assert _certifies(got, _forward_oracle(fd, n, lift), terms)
             if not any(map(any, x)):
                 # the all-O(p^4) vector: no coefficient of its image is
                 # known to vanish exactly
                 for comp in got.components:
                     assert all(not (comp.rep.coeff(j).is_zero_rep
                                     and comp.rep.coeff(j).prec == INF)
-                               for j in range(N))
+                               for j in range(terms))
             # factor_level: the input is an image known modulo 3^4, and
             # its lifts stay inside the image
             image = _forward_oracle(fd, n, x)
             L = [[_residue(image[i][j], q) if j < len(image[i]) else 0
-                  for j in range(N)] for i in range(fd.size)]
+                  for j in range(terms)] for i in range(fd.size)]
             got = factor_level(fd, n, [_series_at(ctx, c, 4) for c in L])
             for _ in range(3):
-                u = [[rng.randrange(-20, 21) for _ in range(N)]
+                u = [[rng.randrange(-20, 21) for _ in range(terms)]
                      for _ in range(fd.size)]
                 lift = _forward_oracle(fd, n, [padd(c, pscale(d, q))
                                                for c, d in zip(x, u)])
-                assert _certifies(got, _factor_oracle(fd, n, lift), N)
+                assert _certifies(got, _factor_oracle(fd, n, lift), terms)
 
 
 def test_factor_level_verdicts_at_precision_three():
