@@ -20,7 +20,7 @@ import argparse
 import sys
 
 from .basis import construct_admissible, construct_strongly_admissible
-from .coleman import forward, roundtrip_check
+from .coleman import roundtrip_check
 from .errors import (
     DenominatorBudgetExceeded,
     HypothesisFailed,
@@ -31,11 +31,12 @@ from .errors import (
     PrecisionLoss,
 )
 from .logmatrix import (
-    build_Mn,
+    _approx,
+    _det_check,
+    _exact_levels,
+    _stabilizes,
     check_evaluation,
     check_hypotheses,
-    det_Mn,
-    verify_stabilization,
 )
 from .padic import PadicContext
 from .pollack import pollack_instance, verify_antidiagonal
@@ -142,18 +143,21 @@ def _cmd_logmatrix(args) -> int:
     if args.n < 1:
         raise InputError("--n must be at least 1")
     report = Report(f"M_{args.n} for {args.input}")
-    approx = build_Mn(fd, args.n)
+    # M_(n-1) and M_n from one chain
+    M = _exact_levels(fd, (args.n - 1, args.n) if args.n >= 2 else (args.n,))
+    approx = _approx(fd, args.n, M[args.n])
     try:
         ev = check_evaluation(approx, cutoff=args.cutoff)
         report.add("value at zero is C_phi", ev["ok"], witness=ev["witness"])
     except Indeterminate as exc:
         report.add("value at zero is C_phi", Status.INDETERMINATE, str(exc))
-    det = det_Mn(fd, args.n)
+    det = _det_check(fd, args.n, M[args.n])
     report.add("determinant closed form (raw)", det["raw_match"])
     report.add("determinant closed form (reduced)", det["reduced_match"])
     if args.n >= 2:
         report.add(f"stabilization mod omega_{args.n - 1}",
-                   verify_stabilization(fd, args.n - 1, args.n))
+                   _stabilizes(fd.ctx.p, args.n - 1, M[args.n - 1],
+                               M[args.n]))
     payload = {"matrix": matrix_to_record(approx.raw)}
     return _finish(report, args, payload)
 
@@ -172,9 +176,8 @@ def _cmd_coleman(args) -> int:
         report.add(f"vector {idx} roundtrip at level {n}", got["ok"],
                    witness=got["witness"])
         if got["ok"]:
-            image = forward(fd, n, comps)
             payload["factored"].append(
-                classes_to_record(n, image.components))
+                classes_to_record(n, got["image"].components))
     return _finish(report, args, payload)
 
 

@@ -26,17 +26,17 @@ from .linalg import (
     fpoly_add,
     fpoly_divmod,
     fpoly_scale,
-    frac_nullspace,
     mat_pow,
     frac_identity,
     pmat_from_frac,
     pmat_mul,
     vp_frac,
-    zp_saturate,
+    zp_nullspace,
+    _over_one_denominator,
 )
 from .logmatrix import FrobeniusData, build_chain, _mod_omega
 from .padic import INF, PadicScalar
-from .series import LambdaNElement, XSeries, phi_cyclo_ints
+from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
 
 class RegulatorVector:
@@ -136,6 +136,21 @@ def _embed(ctx, n: int, polys, N):
               for c in f + [0] * (length - len(f))])) for f in polys]
 
 
+def _chain_top(fd: FrobeniusData, n: int):
+    """P_n = C_n ... C_1, exact; its degree is below p^n."""
+    if n < 1:
+        raise InputError("forward needs n >= 1")
+    return build_chain(fd, n)[n]
+
+
+def _image(fd: FrobeniusData, n: int, P, col) -> RegulatorVector:
+    """P col inside the level-n quotient, certified as forward is."""
+    x, N = _as_classes(fd, n, col)
+    p = fd.ctx.p
+    return RegulatorVector(n, _embed(fd.ctx, n, _apply(P, x, p, n),
+                                     N + n * _depth(fd.C_inv, p)))
+
+
 def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     """C_n ... C_1 applied to col inside the level-n quotient.
 
@@ -144,13 +159,7 @@ def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     precision, less what C^-1 can lose at each of the n stages (nothing
     for an admitted instance).
     """
-    if n < 1:
-        raise InputError("forward needs n >= 1")
-    x, N = _as_classes(fd, n, col)
-    p = fd.ctx.p
-    image = _apply(build_chain(fd, n)[n], x, p, n)
-    return RegulatorVector(
-        n, _embed(fd.ctx, n, image, N + n * _depth(fd.C_inv, p)))
+    return _image(fd, n, _chain_top(fd, n), col)
 
 
 def factor_level(fd: FrobeniusData, n: int, L,
@@ -230,15 +239,17 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
 
 
 def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
-    """forward(factor_level(forward(col))) vs forward(col), exactly."""
-    L = forward(fd, n, col)
+    """forward(factor_level(forward(col))) vs forward(col), exactly, both
+    images read from one chain; "image" is forward(col)."""
+    P = _chain_top(fd, n)
+    L = _image(fd, n, P, col)
     recovered = factor_level(fd, n, L)
-    L2 = forward(fd, n, recovered)
+    L2 = _image(fd, n, P, recovered)
     for i, (a, b) in enumerate(zip(L.components, L2.components)):
         st, idx = (a - b).zero_status(cutoff)
         if st != "zero":
-            return {"ok": False, "witness": (i, idx, st)}
-    return {"ok": True, "witness": None, "recovered": recovered}
+            return {"ok": False, "witness": (i, idx, st), "image": L}
+    return {"ok": True, "witness": None, "recovered": recovered, "image": L}
 
 
 def scale_vector(vec, a: LambdaNElement):
@@ -281,41 +292,44 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     return {"ok": True, "witness": None}
 
 
+def _times_x(f, omega):
+    """X f mod omega for an integer polynomial f of length deg omega and
+    a monic integer omega."""
+    top = f[-1]
+    out = [0] + f[:-1]
+    return [c - top * w for c, w in zip(out, omega)] if top else out
+
+
 def kernel_basis(fd: FrobeniusData, n: int):
-    """Saturated basis of ker(forward) as explicit vectors, via exact
-    rational linear algebra on coefficient blocks.  Sizes are capped:
-    the coefficient space has dimension size * p^n."""
+    """Saturated basis of ker(forward) as explicit vectors, from one
+    integer elimination over Z_(p) on coefficient blocks.  Sizes are
+    capped: the coefficient space has dimension size * p^n."""
     if fd.size > 4:
         raise InputError("kernel_basis supports size <= 4")
     if n < 1:
         raise InputError("kernel_basis needs n >= 1")
     p = fd.ctx.p
     N = p ** n
-    # C_n ... C_1 has degree below p^n: it is already reduced mod omega_n
-    prod = build_chain(fd, n)[n]
-    # matrix of the map on coefficient vectors: column (i, j) is the
-    # image of X^j in component i
-    dim = fd.size * N
-    H = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(fd.size):
-        for j in range(N):
-            col_idx = i * N + j
-            for c in range(fd.size):
-                entry = prod[c][i]
-                shifted = _mod_omega([0] * j + list(entry), p, n)
-                for deg, val in enumerate(shifted):
-                    H[c * N + deg][col_idx] = val
-    null = frac_nullspace(H)
-    if not null:
-        return []
-    sat = zp_saturate(null, p)
+    omega = omega_ints(p, n)
+    # the matrix of the map on coefficient vectors: column (i, j) is the
+    # image of X^j in component i.  Each row of C_n ... C_1 (of degree
+    # below p^n) is put over one denominator, which scales the N rows of
+    # its block and leaves the kernel as it is.
+    H = []
+    for prow in _chain_top(fd, n):
+        nums, _ = _over_one_denominator(prow, None)
+        block = [[0] * (fd.size * N) for _ in range(N)]
+        for i, f in enumerate(nums):
+            f = f + [0] * (N - len(f))
+            for j in range(N):
+                for deg, val in enumerate(f):
+                    block[deg][i * N + j] = val
+                f = _times_x(f, omega)
+        H += block
     ctx = fd.ctx
     out = []
-    for vec in sat:
-        comps = []
-        for i in range(fd.size):
-            coeffs = vec[i * N:(i + 1) * N]
-            comps.append(LambdaNElement(
-                ctx, n, XSeries.from_ints(ctx, coeffs)))
+    for vec in zp_nullspace(H, p):
+        comps = [LambdaNElement(ctx, n, XSeries.from_ints(
+            ctx, vec[i * N:(i + 1) * N])) for i in range(fd.size)]
         out.append(ColemanVector(n, comps, kernel_tag="kernel element"))
     return out

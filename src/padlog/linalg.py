@@ -8,11 +8,12 @@ The exact layer works on Fractions and is the decision engine.  One
 forward elimination gives the rank, the determinant and a row echelon
 form; one back-substitution turns that into the reduced form, from which
 the inverse, the solution of a square system and the canonical nullspace
-basis are read.  The rank over F_p and the Smith form over Z_(p) keep
-their own eliminations, as their arithmetic differs; the Smith form feeds
-the integral solve and the saturation that the basis and factorization
-modules lean on.  Characteristic polynomials and Newton polygons
-complete the admission gate's toolkit.
+basis are read.  The rank over F_p, the Smith form over Z_(p) and the
+saturated nullspace over Z_(p) keep their own eliminations, as their
+arithmetic differs; the Smith form feeds the integral solve, and the
+nullspace, a fraction-free integer elimination, gives the Coleman
+kernel.  Characteristic polynomials and Newton polygons complete the
+admission gate's toolkit.
 
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
 Matrices of them carry the one exact tower that logmatrix builds and
@@ -28,7 +29,7 @@ pseudo-division on the numerators, formed into Fractions the same way.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
@@ -569,19 +570,83 @@ def zp_solve_integral(columns, target, p: int):
     return x
 
 
-def zp_saturate(rows_in, p: int):
-    """Basis of the saturation of the row span inside Z_(p)^n: returns
-    integer rows with unit elementary divisors spanning the same
-    rational subspace."""
-    W = frac_mat(rows_in)
-    if not W:
-        return []
-    snf = smith_zp(W, p)
-    basis = [snf["Qinv"][k] for k, _ in snf["pivots"]]
-    out = []
-    for row in basis:
-        den = lcm(*(x.denominator for x in row)) if row else 1
-        if den % p == 0:
-            raise InputError("saturation produced a non-unit denominator")
-        out.append([int(x * den) for x in row])
-    return out
+def _strip_unit_content(row, p: int):
+    """row divided by the part of its content that is prime to p."""
+    g = gcd(*row)
+    while g and g % p == 0:
+        g //= p
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _zp_pivot(M, p: int):
+    """(v, i, j): the first entry of the nonzero integer matrix M of
+    least valuation v, row by row."""
+    v, q = 0, p
+    while True:
+        for i, row in enumerate(M):
+            for j, x in enumerate(row):
+                if x % q:
+                    return v, i, j
+        v, q = v + 1, q * p
+
+
+def zp_nullspace(A, p: int):
+    """Saturated basis of ker A inside Z_(p)^n, as integer vectors.
+
+    Each row of the rational matrix A is put over one denominator.  The
+    forward elimination takes as pivot an entry of least valuation v in
+    what is left, so u = pivot / p^v is a unit and every a / p^v below
+    it is an integer: the step row <- u row - (a / p^v) pivot row is
+    exact and invertible over Z_(p), and each new row is divided by the
+    part of its content prime to p.  Every entry of a pivot row then has
+    valuation at least v, so the row divided by p^v has a unit pivot,
+    and back-substitution on those rows stays integral.  The result has
+    one vector per free column, primitive and positive there and 0 at
+    the other free columns; that unit diagonal makes it saturated.
+    """
+    _, cols = mat_shape(A)
+    M = []
+    for row in A:
+        d = lcm(*{x.denominator for x in row})
+        row = [x.numerator * (d // x.denominator) for x in row]
+        if any(row):
+            M.append(_strip_unit_content(row, p))
+    echelon = []
+    while M:
+        v, i, c = _zp_pivot(M, p)
+        top = M.pop(i)
+        pv = p ** v
+        u = top[c] // pv
+        rest = []
+        for row in M:
+            if row[c]:
+                f = row[c] // pv
+                row = _strip_unit_content(
+                    [u * x - f * y for x, y in zip(row, top)], p)
+            if any(row):
+                rest.append(row)
+        M = rest
+        echelon.append(([x // pv for x in top], c))
+    for k in reversed(range(len(echelon))):
+        low, c = echelon[k]
+        u = low[c]
+        for i in range(k):
+            row, ci = echelon[i]
+            if row[c]:
+                f = row[c]
+                row = [u * x - f * y for x, y in zip(row, low)]
+                g = gcd(*row)
+                echelon[i] = ([x // g for x in row], ci)
+    pivots = {c for _, c in echelon}
+    L = lcm(*{row[c] for row, c in echelon})
+    basis = []
+    for fc in range(cols):
+        if fc in pivots:
+            continue
+        vec = [0] * cols
+        vec[fc] = L
+        for row, c in echelon:
+            vec[c] = -row[fc] * (L // row[c])
+        g = gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis

@@ -284,7 +284,12 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
     """M_n = C_phi^(n+1) * C_n ... C_1, built exactly and embedded once.
     Its degree is below p^n, so the omega_n classes share the raw
     representatives."""
-    raw = _embed_matrix(fd.ctx, _exact_levels(fd, (n,))[n])
+    return _approx(fd, n, _exact_levels(fd, (n,))[n])
+
+
+def _approx(fd: FrobeniusData, n: int, M) -> LogMatrixApprox:
+    """The XSeries views of the exact M_n."""
+    raw = _embed_matrix(fd.ctx, M)
     reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
     return LogMatrixApprox(fd, n, raw, reduced)
 
@@ -318,9 +323,13 @@ def verify_stabilization(fd, n: int, m: int) -> bool:
     if not (1 <= n <= m):
         raise InputError("need 1 <= n <= m")
     M = _exact_levels(fd, (n, m))
-    p = fd.ctx.p
+    return _stabilizes(fd.ctx.p, n, M[n], M[m])
+
+
+def _stabilizes(p: int, n: int, low, high) -> bool:
+    """True iff the exact M_m (high) = M_n (low) mod omega_n."""
     return not any(_mod_omega(e, p, n)
-                   for row in pmat_sub(M[m], M[n]) for e in row)
+                   for row in pmat_sub(high, low) for e in row)
 
 
 def _closed_det(fd: FrobeniusData, n: int):
@@ -342,7 +351,12 @@ def det_Mn(fd: FrobeniusData, n: int):
     """Determinant of M_n against the closed form, both as polynomials
     and modulo omega_n.  The verdicts are exact; det and closed_form are
     reported as XSeries views."""
-    det = cofactor_det(_exact_levels(fd, (n,))[n])
+    return _det_check(fd, n, _exact_levels(fd, (n,))[n])
+
+
+def _det_check(fd: FrobeniusData, n: int, M):
+    """det_Mn on the exact M_n."""
+    det = cofactor_det(M)
     closed = _closed_det(fd, n)
     diff = fpoly_add(det, fpoly_scale(closed, -1))
     return {

@@ -196,6 +196,31 @@ def rank_oracle(rows):
     return rank
 
 
+def rank_mod_p(rows, p: int):
+    """Rank over F_p of a matrix of p-integral rationals: the largest k
+    with a k x k minor prime to p, found by row reduction of the
+    residues."""
+    M = []
+    for row in rows:
+        res = []
+        for x in row:
+            x = Fraction(x)
+            assert x.denominator % p, f"{x} is not p-integral"
+            res.append(x.numerator * pow(x.denominator, p - 2, p) % p)
+        M.append(res)
+    rank = 0
+    for c in range(len(M[0]) if M else 0):
+        piv = next((i for i in range(rank, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][c] * pow(M[rank][c], p - 2, p)
+            M[i] = [(x - f * y) % p for x, y in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
 def in_span(rows, vec) -> bool:
     base = rank_oracle(rows) if rows else 0
     return rank_oracle(list(rows) + [list(vec)]) == base

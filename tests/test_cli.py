@@ -102,6 +102,28 @@ def test_logmatrix_out_matrix_is_padic_records(tmp_path):
     assert err == 0 or vp_rational(err, 3) >= v + prec
 
 
+def test_logmatrix_and_coleman_build_one_chain(instance_file, tmp_path,
+                                               monkeypatch):
+    import padlog.coleman as coleman
+    import padlog.logmatrix as logmatrix
+
+    calls = []
+    for mod in (coleman, logmatrix):
+        build = mod.build_chain
+        monkeypatch.setattr(mod, "build_chain", lambda fd, n, build=build:
+                            calls.append(n) or build(fd, n))
+    assert main(["logmatrix", "--input", instance_file, "--n", "3"]) == 0
+    assert calls == [3]
+    # one chain per vector, for both images of the roundtrip and the
+    # factored output
+    calls.clear()
+    vec_path = tmp_path / "vectors.json"
+    vec_path.write_text(json.dumps(VECTORS))
+    assert main(["coleman", "--input", instance_file,
+                 "--vectors", str(vec_path)]) == 0
+    assert calls == [1, 2]
+
+
 def test_logmatrix_gate_rejects_bad_instance(tmp_path, capsys):
     path = tmp_path / "ordinary.json"
     path.write_text(json.dumps(ORDINARY))

@@ -148,11 +148,8 @@ def test_kernel_gl4_count():
     assert len(ker) == fd.scaled_dim * (3 - 1)
 
 
-def test_kernel_random_instance_level_two():
-    # a random size-3 instance, whose C_k are not antidiagonal
-    fd = random_instance(3, 3, 1, 1)
-    p, n = 3, 2
-    ker = kernel_basis(fd, n)
+def _assert_saturated_kernel(fd, n, ker):
+    p = fd.ctx.p
     assert len(ker) == fd.scaled_dim * (p ** n - 1)
     for vec in ker:
         for c in forward(fd, n, vec).components:
@@ -168,6 +165,18 @@ def test_kernel_random_instance_level_two():
             row += digits + [0] * (p ** n - len(digits))
         residues.append(row)
     assert fp_rank(residues, p) == len(ker)
+
+
+def test_kernel_random_instance_level_two():
+    # a random size-3 instance, whose C_k are not antidiagonal
+    fd = random_instance(3, 3, 1, 1)
+    _assert_saturated_kernel(fd, 2, kernel_basis(fd, 2))
+
+
+def test_kernel_dimension_54():
+    # 2 * 3^3 coefficients: the largest kernel the benchmark computes
+    fd = random_instance(3, 2, 1, 1)
+    _assert_saturated_kernel(fd, 3, kernel_basis(fd, 3))
 
 
 def test_tower_projection_compatibility():
@@ -386,6 +395,22 @@ def test_tower_projection_and_roundtrip_on_random_instances(fd):
                 "ok": True, "witness": None}
             rep = roundtrip_check(fd, n, col)
             assert rep["ok"] and rep["witness"] is None
+
+
+def test_roundtrip_reads_one_chain_and_returns_the_image(monkeypatch):
+    import padlog.coleman as coleman
+
+    fd = random_instance(3, 3, 1, 1)
+    col = random_polynomial_vector(fd, random.Random(27))
+    want = forward(fd, 2, col)
+    calls = []
+    build = coleman.build_chain
+    monkeypatch.setattr(coleman, "build_chain",
+                        lambda fd, n: calls.append(n) or build(fd, n))
+    rep = roundtrip_check(fd, 2, col)
+    assert rep["ok"] and calls == [2]
+    assert ([list(c.rep.coeffs) for c in rep["image"].components]
+            == [list(c.rep.coeffs) for c in want.components])
 
 
 @pytest.mark.parametrize("fd", [

@@ -31,7 +31,7 @@ from padlog.linalg import (
     pmat_mul,
     smith_zp,
     vp_frac,
-    zp_saturate,
+    zp_nullspace,
     zp_solve_integral,
 )
 
@@ -48,6 +48,7 @@ from oracles import (
     pmul,
     poly_mat_mul,
     ptrim,
+    rank_mod_p,
     rank_oracle,
     vp_rational,
 )
@@ -200,28 +201,70 @@ def test_zp_solve_integral_negative():
         zp_solve_integral([[1, 0]], [0, 1], p)
 
 
-def test_zp_saturate_divides_out_p():
-    p = 3
-    rows = [[3, 0], [0, 6]]
-    sat = zp_saturate(rows, p)
-    assert len(sat) == 2
-    snf = smith_zp(sat, p)
-    assert all(v == 0 for _, v in snf["pivots"])
-    # same rational span
-    for r in rows:
-        assert in_span(sat, r)
-    for s in sat:
-        assert in_span(rows, s)
+def _is_integral_kernel_basis(A, basis, p):
+    """Integer vectors killed by A, independent mod p, one per dimension
+    of ker A, spanning the rational kernel that frac_nullspace finds."""
+    cols = len(A[0])
+    assert len(basis) == cols - rank_oracle(A)
+    assert rank_mod_p(basis, p) == len(basis)
+    for v in basis:
+        assert len(v) == cols and all(type(x) is int for x in v)
+        assert _apply(A, v) == [0] * len(A)
+    ns = frac_nullspace(A)
+    assert all(in_span(basis, w) for w in ns)
+    assert all(in_span(ns, v) for v in basis)
 
 
-def test_zp_saturate_rank_deficient():
+def test_zp_nullspace_divides_out_p():
+    # frac_nullspace gives (-1/3, -1/3, 1, 0) and (-1/3, -1/3, 0, 1);
+    # cleared of denominators they differ by 3 (0, 0, 1, -1)
     p = 3
-    rows = [[3, 6, 9], [1, 2, 3], [0, 0, 3]]
-    sat = zp_saturate(rows, p)
-    assert len(sat) == 2
-    assert rank_oracle(sat) == 2
-    for r in rows:
-        assert in_span(sat, r)
+    A = [[3, 0, 1, 1], [0, 3, 1, 1]]
+    basis = zp_nullspace(A, p)
+    _is_integral_kernel_basis(A, basis, p)
+    cleared = [[int(3 * x) for x in v] for v in frac_nullspace(A)]
+    with pytest.raises(NotInImage):
+        zp_solve_integral(cleared, [0, 0, 1, -1], p)
+    zp_solve_integral(basis, [0, 0, 1, -1], p)
+    for v in cleared:
+        zp_solve_integral(basis, v, p)
+
+
+def test_zp_nullspace_rank_deficient():
+    p = 3
+    A = [[3, 6, 9], [1, 2, 3], [0, 0, 3]]
+    basis = zp_nullspace(A, p)
+    assert basis == [[-2, 1, 0]]
+    _is_integral_kernel_basis(A, basis, p)
+
+
+def test_zp_nullspace_of_zero_and_of_full_column_rank():
+    assert zp_nullspace([[0, 0, 0], [0, 0, 0]], 3) == [
+        [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert zp_nullspace([[0, Fraction(0)]], 5) == [[1, 0], [0, 1]]
+    # full column rank, with and without a determinant divisible by p
+    assert zp_nullspace([[1, 2], [3, 4], [5, 6]], 3) == []
+    assert zp_nullspace([[3, 0], [0, 9]], 3) == []
+
+
+def test_zp_nullspace_with_p_in_the_denominator():
+    p = 3
+    A = [[Fraction(1, 3), Fraction(2, 9)]]
+    assert zp_nullspace(A, p) == [[2, -3]]
+    A = [[Fraction(1, 3), Fraction(1, 9), 1],
+         [Fraction(2, 27), 0, Fraction(5, 3)]]
+    _is_integral_kernel_basis(A, zp_nullspace(A, p), p)
+
+
+def test_zp_nullspace_is_a_saturated_kernel_basis():
+    rng = random.Random(38)
+    for A in rectangular_cases(38, 120):
+        p = rng.choice((2, 3, 5))
+        # columns scaled by powers of p, so that the kernel vectors cleared
+        # of denominators are often divisible by p
+        scale = [p ** rng.randrange(3) for _ in A[0]]
+        A = [[x * s for x, s in zip(row, scale)] for row in A]
+        _is_integral_kernel_basis(A, zp_nullspace(A, p), p)
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
@@ -375,7 +418,7 @@ def test_fp_rank_matches_unit_minor_bruteforce():
                              rng.randint(0, min(rows, cols)), dens)
         # a multiple of p on top keeps the rank mod p but not over Q
         A = [[a + p * rng.randrange(-2, 3) for a in row] for row in A]
-        assert fp_rank(A, p) == unit_minor_rank(A, p)
+        assert fp_rank(A, p) == unit_minor_rank(A, p) == rank_mod_p(A, p)
 
 
 def test_eliminations_reject_malformed_shapes():
@@ -387,6 +430,7 @@ def test_eliminations_reject_malformed_shapes():
         lambda: frac_rank(ragged),
         lambda: frac_nullspace(ragged),
         lambda: fp_rank(ragged, 3),
+        lambda: zp_nullspace(ragged, 3),
     ]
     for call in cases:
         with pytest.raises(InputError):
