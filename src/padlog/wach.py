@@ -30,11 +30,11 @@ twist therefore does not depend on the size of c.  M'_n is cut to pi^T
 first and its inverse mod pi^T comes from the adjugate divided by the
 determinant (linalg's cofactor_det, cut mod pi^T), whose constant term
 is exactly 1, so that the expansion is a denominator-free recurrence.
-Only gamma(M'_n) depends on the kind of exponent: an integer c runs in
-exact rational arithmetic, a scalar c through a binomial series over
-the working precision.  The twist must come out p-integral and
-congruent to I mod pi, and these claims are verified rather than
-assumed.
+The twist runs in exact rational arithmetic for both kinds of exponent:
+a PadicScalar c known mod p^N runs on its lift, and each coefficient is
+then rounded once to the digits that every lift of c shares.  The twist
+must come out p-integral and congruent to I mod pi, and these claims
+are verified rather than assumed.
 
 The commutation relation linking consecutive levels,
 
@@ -67,6 +67,7 @@ from .linalg import (
     pmat_const,
     pmat_mul,
     pmat_sub,
+    vp_frac,
 )
 from .logmatrix import (
     FrobeniusData,
@@ -89,8 +90,8 @@ def wach_context(p: int, rel_prec: int = 60, denom_budget: int = 64):
 class GammaElement:
     """A group element gamma_c acting by pi -> (1 + pi)^c - 1.
 
-    ``c`` is either a positive integer congruent to 1 mod p (the exact
-    path) or a PadicScalar congruent to 1 mod p (the series path).
+    ``c`` is either a positive integer congruent to 1 mod p or a
+    PadicScalar certified congruent to 1 mod p.
     """
 
     __slots__ = ("p", "c")
@@ -100,8 +101,8 @@ class GammaElement:
             if c.p != p:
                 raise InputError("gamma scalar lives over a different prime")
             diff = c - c.ctx.one()
-            if not diff.is_zero_rep and diff.valuation() < 1:
-                raise InputError("gamma exponent must be 1 mod p")
+            if diff.abs_prec() < 1 or diff.valuation() < 1:
+                raise InputError("gamma exponent must be certified 1 mod p")
         else:
             c = int(c)
             if c < 1 or c % p != 1:
@@ -265,9 +266,11 @@ class WachMatrixTower:
 
         Integer exponents run exactly over rationals; the result must be
         p-integral with constant term I, and IntegralityViolation carries
-        a witness otherwise.  Scalar exponents run over the working
-        precision and raise PrecisionExhausted when the binomial series
-        cannot certify the requested truncation.
+        a witness otherwise.  A scalar c known mod p^N runs on its lift
+        c0 and rounds degree j to p^(N - v_p(j!) - d_M - d_inv), as
+        binom(c, i) = binom(c0, i) mod p^(N - v_p(i!)); d_M and d_inv are
+        the denominator depths of M'_k and its inverse mod pi^T; with no
+        digit left at degree T - 1 it raises PrecisionExhausted.
         """
         T = trunc
         if T < 1:
@@ -278,18 +281,23 @@ class WachMatrixTower:
             raise InputError("tower determinant must have constant term 1")
         inv_det = _pseries_inv(det, T)
         Minv = mat_map(_padj(M, T), lambda e: fpoly_mul(e, inv_det, T))
+        c = gamma.c if gamma.is_integer else gamma.c.lift()
+        shift = _binom_shift(c, T)
+        G = pmat_mul(Minv, mat_map(M, lambda e: _pcompose(e, shift, T)), T)
         if gamma.is_integer:
-            moved = mat_map(M, lambda e: gamma_act_poly(gamma, e, T))
-            G = pmat_mul(Minv, moved, T)
             _certify_exact_twist(self.fd, G)
             return {"G": G, "exact": True, "trunc": T, "n": k}
-        ctx = self.fd.ctx
-        shift = _one_plus_pi_power(ctx, gamma.c, T)
-        moved = [[XSeries.from_fractions(ctx, e, T).compose(shift)
-                  for e in row] for row in M]
-        G = [[sum((XSeries.from_fractions(ctx, a, T) * moved[m][j]
-                   for m, a in enumerate(row)), XSeries.zero(ctx, T))
-              for j in range(len(M))] for row in Minv]
+        ctx, p = self.fd.ctx, self.fd.ctx.p
+        N = gamma.c.abs_prec() + sum(  # less the depths d_M and d_inv
+            min([0] + [vp_frac(x, p) for row in A for e in row for x in e
+                       if x.denominator % p == 0]) for A in (M, Minv))
+        Ns = [N - vp_frac(math.factorial(j), p) for j in range(T)]
+        if Ns[-1] < 1:
+            raise PrecisionExhausted(
+                f"c has too few digits to certify G at degree {T - 1}")
+        G = [[XSeries(ctx, [ctx.from_rational(x, Nj) for x, Nj in
+                            zip(e + [0] * (T - len(e)), Ns)], T)
+              for e in row] for row in G]
         report = _certify_series_twist(self.fd, G)
         return {"G": G, "exact": False, "trunc": T, "n": k, **report}
 

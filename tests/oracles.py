@@ -101,9 +101,15 @@ def phi_oracle(p: int, k: int):
 
 
 def perm_det(M):
-    """Permutation-expansion determinant; entries are Fractions."""
+    """Permutation-expansion determinant; entries are Fractions.
+
+    As in perm_det_poly, the entries are put over one common denominator
+    D first, so that the expansion multiplies integer numerators; the sum
+    is divided by D^n at the end."""
     n = len(M)
-    total = Fraction(0)
+    den = math.lcm(1, *(Fraction(x).denominator for row in M for x in row))
+    num = [[int(Fraction(x) * den) for x in row] for row in M]
+    total = 0
     for perm in itertools.permutations(range(n)):
         sign = 1
         seen = list(perm)
@@ -111,11 +117,11 @@ def perm_det(M):
             for j in range(i + 1, n):
                 if seen[i] > seen[j]:
                     sign = -sign
-        term = Fraction(1)
+        term = sign
         for i in range(n):
-            term *= Fraction(M[i][perm[i]])
-        total += sign * term
-    return total
+            term *= num[i][perm[i]]
+        total += term
+    return Fraction(total, den ** n)
 
 
 def perm_det_poly(M):

@@ -1,6 +1,7 @@
 """Connection-matrix towers and the gamma twist: exact recursion over
 rational polynomials, integrality certification, structural identities."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -45,6 +46,7 @@ from oracles import (
     pmul,
     poly_mat_mul,
     ptrim,
+    vp_rational,
 )
 
 
@@ -149,6 +151,15 @@ def test_gamma_element_validation():
     with pytest.raises(InputError):
         GammaElement(3, ctx.integer(2))  # not 1 mod 3
     assert GammaElement.default(3).c == 4
+
+
+@pytest.mark.parametrize("c", (1, 2))
+def test_gamma_element_rejects_exponent_of_unknown_residue(c):
+    # at abs_prec 0 nothing is known mod p, so c - 1 is O(p^0) and is
+    # not certified divisible by p
+    ctx = PadicContext(3, rel_prec=10, denom_budget=12)
+    with pytest.raises(InputError):
+        GammaElement(3, ctx.from_rational(c, abs_prec=0))
 
 
 def test_p1_frozen_shapes():
@@ -296,6 +307,104 @@ def test_twist_identity_at_large_exponent(p, c):
         rhs = [[ptrim(full_substitution(e, c)[:T]) for e in row]
                for row in M]
         assert lhs == rhs
+
+
+def truncated_substitution(f, e, T):
+    """f((1 + X)^e - 1) mod X^T, by Horner's rule in the oracle's
+    polynomial product; the binomials come straight from math.comb."""
+    shift = ptrim([Fraction(0)] + [Fraction(math.comb(e, i))
+                                   for i in range(1, T)])
+    out = []
+    for c in reversed(f[:T]):
+        out = padd(ptrim(pmul(out, shift)[:T]), [Fraction(c)])
+    return out
+
+
+def solve_unipotent(M, R, T):
+    """X with M X = R mod X^T, for M(0) = I, by forward substitution
+    on the coefficient matrices."""
+    g = len(M)
+
+    def at(A, d):
+        return [[e[d] if d < len(e) else Fraction(0) for e in row]
+                for row in A]
+
+    Ms = [at(M, d) for d in range(T)]
+    Xs = []
+    for d in range(T):
+        X = at(R, d)
+        for a in range(1, d + 1):
+            for i in range(g):
+                for j in range(g):
+                    X[i][j] -= sum(Ms[a][i][m] * Xs[d - a][m][j]
+                                   for m in range(g))
+        Xs.append(X)
+    return [[[Xs[d][i][j] for d in range(T)] for j in range(g)]
+            for i in range(g)]
+
+
+def scalar_value(a):
+    """The rational that a packaged scalar stores."""
+    return Fraction(0) if a.is_zero_rep else Fraction(a.p) ** a.v * a.u
+
+
+@pytest.mark.parametrize("T", (9, 12, 20))
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2)])
+def test_lifted_twist_agrees_with_both_lifts(p, n, T):
+    # c = 1/(1 - p) is no integer; the twist is certified mod p^(N_j) at
+    # degree j, so it must agree there with the exact twists at the lift
+    # c0 and at c0 + p^N, whose right-hand sides gamma(M'_n) mod pi^T the
+    # test composes through the oracle's polynomial product.  c is taken
+    # at the full 40 digits and at 20, below the context's precision.
+    cases = itertools.product(
+        (pollack_instance(wach_context(p, 40)),
+         random_instance(p, 2, 1, 0, rel_prec=40, denom_budget=64)),
+        (40, 20))
+    for fd, N in cases:
+        c = fd.ctx.from_rational(Fraction(1, 1 - p), abs_prec=N)
+        assert c.abs_prec() == N
+        tower = build_M_prime(fd, n)
+        out = tower.twist(n, GammaElement(p, c), T)
+        assert not out["exact"]
+        assert out["integral"] and out["constant_is_identity"]
+        M = [[ptrim(e[:T]) for e in row] for row in tower.matrix(n)]
+        for e in (c.lift(), c.lift() + p ** N):
+            rhs = [[truncated_substitution(f, e, T) for f in row]
+                   for row in M]
+            want = solve_unipotent(M, rhs, T)
+            for i, row in enumerate(out["G"]):
+                for j, xs in enumerate(row):
+                    assert len(xs.coeffs) == T
+                    for d, a in enumerate(xs.coeffs):
+                        assert 1 <= a.abs_prec() <= N
+                        err = vp_rational(scalar_value(a) - want[i][j][d],
+                                          p)
+                        assert err is None or err >= a.abs_prec()
+
+
+def test_scalar_twist_makes_no_series_arithmetic(monkeypatch):
+    calls = []
+    for name in ("__mul__", "compose"):
+        def counted(self, *args, _name=name, _fn=getattr(XSeries, name)):
+            calls.append(_name)
+            return _fn(self, *args)
+        monkeypatch.setattr(XSeries, name, counted)
+    fd = random_instance(3, 2, 1, 0, rel_prec=40, denom_budget=64)
+    c = fd.ctx.from_rational(Fraction(1, -2))
+    out = build_M_prime(fd, 2).twist(2, GammaElement(3, c), 12)
+    assert not out["exact"] and out["integral"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_scalar_twist_precision_exhaustion(p):
+    # 5 digits of c do not cover v_p(19!) and the two denominator
+    # depths at degree 19
+    fd = random_instance(p, 2, 1, 0, rel_prec=5, denom_budget=64)
+    c = fd.ctx.from_rational(Fraction(1, 1 - p))
+    tower = build_M_prime(fd, 1)
+    with pytest.raises(PrecisionExhausted):
+        tower.twist(1, GammaElement(p, c), 20)
 
 
 def test_binomial_series_frozen_integer_exponent():
