@@ -12,9 +12,11 @@ The package computes, over Z_p[X] with certified precision tracking:
     logarithms, and
   * Wach-style polynomial towers with their Galois twists.
 
-All number crunching is exact integer and rational arithmetic; p-adic
-scalars are floating representations (p^v * unit) carrying explicit
-precision so every zero test is a certification, never a guess.
+All number crunching is exact integer and rational arithmetic: inputs
+are lifted once, computed on exactly, and rounded once.  p-adic scalars
+(PadicScalar) are floating representations (p^v * unit) carrying
+explicit precision, and XSeries and LambdaNElement are views built from
+them, so every zero test is a certification, never a guess.
 """
 
 from .errors import (
@@ -39,7 +41,6 @@ from .series import (
     LambdaNElement,
     XSeries,
     divide_exact,
-    invert_series,
     omega,
     phi_cyclo,
     poly_divmod,
@@ -164,7 +165,6 @@ __all__ = [
     "generic_position_extend",
     "image_condition_at_zero",
     "integral_shift",
-    "invert_series",
     "is_admissible",
     "is_strongly_admissible",
     "kernel_basis",

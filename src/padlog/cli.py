@@ -172,9 +172,13 @@ def _cmd_coleman(args) -> int:
     for idx, rec in enumerate(records):
         n, comps = vector_from_record(rec, fd,
                                       where=f"{args.vectors}[{idx}]")
-        got = roundtrip_check(fd, n, comps, cutoff=args.cutoff)
-        report.add(f"vector {idx} roundtrip at level {n}", got["ok"],
-                   witness=got["witness"])
+        name = f"vector {idx} roundtrip at level {n}"
+        try:
+            got = roundtrip_check(fd, n, comps, cutoff=args.cutoff)
+        except PrecisionLoss as exc:
+            report.add(name, Status.INDETERMINATE, str(exc))
+            continue
+        report.add(name, got["ok"], witness=got["witness"])
         if got["ok"]:
             payload["factored"].append(
                 classes_to_record(n, got["image"].components))
@@ -198,6 +202,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_pollack(args) -> int:
+    if args.levels < 1:
+        raise InputError("--levels must be at least 1")
     ctx_fd = pollack_instance(_pollack_context(args.p, args.levels))
     report = Report(f"antidiagonal instance at p = {args.p}")
     results = []
@@ -205,7 +211,7 @@ def _cmd_pollack(args) -> int:
         got = verify_antidiagonal(ctx_fd, n)
         report.add(f"level {n} antidiagonal closed form", got["ok"])
         results.append(got)
-    report.extra["note"] = results[0]["note"] if results else ""
+    report.extra["note"] = results[0]["note"]
     return _finish(report, args, {"levels": [
         {k: v for k, v in r.items() if k != "note"} for r in results
     ]})

@@ -240,31 +240,18 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
 
 def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """forward(factor_level(forward(col))) vs forward(col), exactly, both
-    images read from one chain; "image" is forward(col)."""
+    images read from one chain; "image" is forward(col).  The
+    factorization runs at the same cutoff, so it raises PrecisionLoss
+    when the image is known to fewer than cutoff digits."""
     P = _chain_top(fd, n)
     L = _image(fd, n, P, col)
-    recovered = factor_level(fd, n, L)
+    recovered = factor_level(fd, n, L, cutoff)
     L2 = _image(fd, n, P, recovered)
     for i, (a, b) in enumerate(zip(L.components, L2.components)):
         st, idx = (a - b).zero_status(cutoff)
         if st != "zero":
             return {"ok": False, "witness": (i, idx, st), "image": L}
     return {"ok": True, "witness": None, "recovered": recovered, "image": L}
-
-
-def scale_vector(vec, a: LambdaNElement):
-    """Multiply every component by a fixed level element."""
-    comps = [a * c for c in vec.components]
-    if isinstance(vec, RegulatorVector):
-        return RegulatorVector(vec.level, comps)
-    return ColemanVector(vec.level, comps, vec.kernel_tag)
-
-
-def project_vector(vec, m: int):
-    comps = [c.project(m) for c in vec.components]
-    if isinstance(vec, RegulatorVector):
-        return RegulatorVector(m, comps)
-    return ColemanVector(m, comps, vec.kernel_tag)
 
 
 def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):

@@ -371,13 +371,6 @@ def fpoly_divmod(f, g):
             _fraction_poly(rem[:deg], den))
 
 
-def fpoly_eval(f, x):
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * Fraction(x) + Fraction(c)
-    return acc
-
-
 # -- matrices of Fraction polynomials --------------------------------------
 
 

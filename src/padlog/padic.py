@@ -272,25 +272,6 @@ class PadicScalar:
         u = pow(self.u, -1, self.p ** self.prec)
         return PadicScalar(self.ctx, v, u, self.prec)
 
-    def __truediv__(self, other):
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        return self * other.inv()
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int):
-            return NotImplemented
-        if e < 0:
-            return self.inv() ** (-e)
-        out = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
-
     # -- comparison / io ---------------------------------------------
 
     def __eq__(self, other):

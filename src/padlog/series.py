@@ -1,15 +1,17 @@
-"""Polynomials and truncated power series over certified p-adic scalars,
-plus the finite-level cyclotomic machinery built on them.
+"""Certified views of polynomials, truncated series and Lambda_n classes,
+and the integer coefficients of Phi_{p^k}(1+X) and omega_n.
 
 An XSeries is either an exact polynomial (trunc is None, trailing
 certified-exact zero coefficients stripped) or a series known modulo
 X^trunc (coefficient list padded to exactly trunc entries).  The p-adic
 uncertainty of each coefficient is tracked by the scalars themselves;
-trunc tracks only the X-adic uncertainty.
+trunc tracks only the X-adic uncertainty.  A LambdaNElement is a class
+in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
+degree-reduced representative.
 
-Finite levels use omega_n = (1+X)^(p^n) - 1 and the cyclotomic factors
-Phi_{p^k}(1+X); reduce_mod_omega produces LambdaNElement classes with
-degree-reduced representatives.
+The library computes on exact Fraction polynomials (linalg's fpoly_*)
+and rounds once into these views.  The arithmetic left here serves
+log_matrix_in_basis, roundtrip_check and serialize.
 """
 
 from __future__ import annotations
@@ -56,18 +58,6 @@ class XSeries:
     @classmethod
     def from_fractions(cls, ctx, fracs, trunc=None):
         return cls(ctx, [ctx.from_rational(q) for q in fracs], trunc)
-
-    @classmethod
-    def zero(cls, ctx, trunc=None):
-        return cls(ctx, [], trunc)
-
-    @classmethod
-    def one(cls, ctx, trunc=None):
-        return cls.from_ints(ctx, [1], trunc)
-
-    @classmethod
-    def x(cls, ctx, trunc=None):
-        return cls.from_ints(ctx, [0, 1], trunc)
 
     # -- structure -----------------------------------------------------
 
@@ -160,28 +150,12 @@ class XSeries:
             out.append(acc)
         return XSeries(self.ctx, out, t)
 
-    def scale(self, a) -> "XSeries":
-        if not isinstance(a, PadicScalar):
-            a = self.ctx.from_rational(a)
-        return XSeries(self.ctx, [a * c for c in self.coeffs], self.trunc)
-
     def truncate(self, T: int) -> "XSeries":
         if self.trunc is not None and self.trunc < T:
             raise PrecisionLoss(
                 f"series known only mod X^{self.trunc}, cannot report mod X^{T}"
             )
         return XSeries(self.ctx, self.coeffs[:T], T)
-
-    def compose(self, g: "XSeries") -> "XSeries":
-        """Substitute g for X; g must have exactly-zero constant term."""
-        self._check(g)
-        if g.coeffs and not (g.coeffs[0].is_zero_rep and g.coeffs[0].prec == INF):
-            raise InputError("composition requires g(0) = 0 exactly")
-        t = self._join_trunc(g)
-        acc = XSeries(self.ctx, [], t)
-        for c in reversed(self.coeffs):
-            acc = acc * g + XSeries(self.ctx, [c], t)
-        return acc
 
     # -- predicates / io -------------------------------------------------
 
@@ -345,21 +319,6 @@ class LambdaNElement:
             return NotImplemented
         return self + (-other)
 
-    def __mul__(self, other):
-        if not isinstance(other, LambdaNElement):
-            return NotImplemented
-        self._check(other)
-        return reduce_mod_omega(self.rep * other.rep, self.level)
-
-    def scale(self, a):
-        return LambdaNElement(self.ctx, self.level, self.rep.scale(a))
-
-    def project(self, m: int) -> "LambdaNElement":
-        """Natural projection to a lower level m <= level."""
-        if m > self.level:
-            raise InputError("projection target above current level")
-        return reduce_mod_omega(self.rep, m)
-
     def zero_status(self, cutoff: int = 1):
         return self.rep.zero_status(cutoff)
 
@@ -389,22 +348,3 @@ def reduce_mod_omega(f: XSeries, n: int) -> LambdaNElement:
     _, r = poly_divmod(f, w)
     return LambdaNElement(f.ctx, n, r)
 
-
-def invert_series(f: XSeries, T: int) -> XSeries:
-    """Multiplicative inverse of f modulo X^T by the standard term
-    recurrence; f(0) must be certified nonzero.  Denominator growth is
-    bounded by the context budget, which raises if exceeded."""
-    if f.trunc is not None and f.trunc < T:
-        raise PrecisionLoss(f"need f mod X^{T}, have X^{f.trunc}")
-    f0 = f.eval_at_zero()
-    if f0.zero_status() != "nonzero":
-        raise InputError("cannot invert a series with uncertified constant term")
-    ctx = f.ctx
-    f0_inv = f0.inv()
-    out = [f0_inv]
-    for j in range(1, T):
-        acc = ctx.zero()
-        for i in range(1, min(j, len(f.coeffs) - 1) + 1):
-            acc = acc + f.coeffs[i] * out[j - i]
-        out.append(-(f0_inv * acc))
-    return XSeries(ctx, out, T)

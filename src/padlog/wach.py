@@ -349,26 +349,6 @@ def _certify_exact_twist(fd, G):
             witness={"constant_term": mat_map(const, str)})
 
 
-def _one_plus_pi_power(ctx: PadicContext, c: PadicScalar, T: int) -> XSeries:
-    """(1 + pi)^c - 1 mod pi^T through the binomial series.
-
-    The constant term vanishes identically and is stored as an exact
-    zero; division by k! costs v_p(k!) digits, so the scalar must carry
-    enough precision to keep every kept coefficient meaningful.
-    """
-    coeffs = [ctx.zero()]
-    term = ctx.one()
-    for k in range(1, T):
-        factor = c - ctx.integer(k - 1)
-        term = term * factor / ctx.integer(k)
-        if term.is_zero_rep and term.prec <= 0:
-            raise PrecisionExhausted(
-                f"binomial coefficient at degree {k} lost all precision; "
-                "raise rel_prec on the context")
-        coeffs.append(term)
-    return XSeries(ctx, coeffs, T)
-
-
 def _certify_series_twist(fd, G):
     """Constant term I and integrality, at working precision."""
     const_ok = True

@@ -1,6 +1,8 @@
 """Command line driver: exit codes, printed report lines, JSON output."""
 
 import json
+import re
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 from padlog.cli import main
 
 from oracles import vp_rational
+
+ROOT = Path(__file__).resolve().parent.parent
 
 POLLACK3 = {
     "p": 3,
@@ -90,7 +94,7 @@ def test_logmatrix_report_and_json(instance_file, tmp_path, capsys):
 def test_logmatrix_out_matrix_is_padic_records(tmp_path):
     # README, "File formats": {v, u, prec} stands for p^v u + O(p^(v+prec))
     out_path = tmp_path / "m.json"
-    sample = Path(__file__).resolve().parent.parent / "sample_inputs"
+    sample = ROOT / "sample_inputs"
     assert main(["logmatrix", "--input", str(sample / "pollack3.json"),
                  "--n", "1", "--out", str(out_path)]) == 0
     entry = json.loads(out_path.read_text())["matrix"][0][1]
@@ -154,6 +158,26 @@ def test_coleman_single_record(instance_file, tmp_path):
     vec_path.write_text(json.dumps(VECTORS[0]))
     assert main(["coleman", "--input", instance_file,
                  "--vectors", str(vec_path)]) == 0
+
+
+def test_coleman_cutoff_beyond_precision_is_indeterminate(tmp_path,
+                                                          capsys):
+    # at rel_prec 2 the image is known modulo 3^2, so the factorization
+    # cannot certify its remainders at cutoff 3
+    inst_path = tmp_path / "instance.json"
+    inst_path.write_text(json.dumps(dict(POLLACK3, rel_prec=2)))
+    vec_path = tmp_path / "vector.json"
+    vec_path.write_text(json.dumps(
+        {"n": 1, "components": [["1", "2"], ["3", "3", "1"]]}))
+    out_path = tmp_path / "coleman.json"
+    args = ["coleman", "--input", str(inst_path), "--vectors",
+            str(vec_path), "--out", str(out_path), "--cutoff"]
+    assert main(args + ["2"]) == 0
+    capsys.readouterr()
+    assert main(args + ["3"]) == 2
+    assert ("[INDETERMINATE] vector 0 roundtrip at level 1"
+            in capsys.readouterr().out)
+    assert json.loads(out_path.read_text())["status"] == "indeterminate"
 
 
 def test_basis_admissible(tmp_path, capsys):
@@ -230,6 +254,27 @@ def test_wach_subcommand(capsys):
 
 def test_wach_rejects_bad_exponent(capsys):
     assert main(["wach", "--p", "3", "--c", "2"]) == 3
+
+
+@pytest.mark.parametrize("levels", ("0", "-1"))
+def test_levels_below_one_is_input_error(levels, capsys):
+    for command in (["pollack", "--p", "3"],
+                    ["wach", "--p", "3", "--c", "4"]):
+        assert main(command + [f"--levels={levels}"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--levels must be at least 1" in captured.err
+
+
+def test_readme_commands_pass(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    commands = [line for block in re.findall(r"```sh\n(.*?)```", readme,
+                                             re.S)
+                for line in block.splitlines() if line.startswith("padlog ")]
+    assert len(commands) == 7
+    monkeypatch.chdir(ROOT)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
 
 
 def test_out_json_is_always_valid(instance_file, tmp_path):

@@ -24,7 +24,6 @@ from padlog import (
     roundtrip_check,
     tower_projection_check,
 )
-from padlog.coleman import project_vector, scale_vector
 from padlog.linalg import fp_rank
 
 from instances import pollack_fd, random_instance, random_polynomial_vector
@@ -186,22 +185,6 @@ def test_tower_projection_compatibility():
         col = random_polynomial_vector(fd, rng)
         assert tower_projection_check(fd, 1, col)["ok"]
         assert tower_projection_check(fd, 2, col)["ok"]
-
-
-def test_scale_and_project_helpers():
-    fd = pollack_fd()
-    n = 2
-    col = classes(fd, n, [[1, 0, 2], [3]])
-    vec = forward(fd, n, col)
-    a = reduce_mod_omega(XSeries.from_ints(fd.ctx, [0, 1]), n)
-    scaled = scale_vector(vec, a)
-    assert scaled.level == n
-    for orig, sc in zip(vec.components, scaled.components):
-        assert ((a * orig) - sc).zero_status()[0] == "zero"
-    down = project_vector(vec, 1)
-    assert down.level == 1
-    for hi, lo in zip(vec.components, down.components):
-        assert (hi.project(1) - lo).zero_status()[0] == "zero"
 
 
 def test_forward_input_validation():
