@@ -17,7 +17,10 @@ power of p is reported as indeterminate rather than silently classified.
 The constructive lemmas (escaping a union of proper summands, merging
 two complements, extending a basis in generic position) are exposed as
 standalone functions since they are useful on their own and are tested
-against brute-force certificates.
+against brute-force certificates.  None of them searches without a
+bound: the extension in unit position is a closed-form arc in F_p^m,
+the normal rational curve for m <= p and a frame for m > p, as large as
+the bounds of Ball and of Bush allow (see generic_position_extend).
 """
 
 from __future__ import annotations
@@ -328,7 +331,9 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
     ``hyperplanes`` is a list of bases, each consisting of rank-1
     many independent vectors of length ``rank``.  The returned vector
     has integer entries, is divisible by no positive power of p, and
-    avoids the rational span of every hyperplane.
+    avoids the rational span of every hyperplane.  The 0/1 vectors are
+    tried first, then at most h (rank - 1) + 1 points of the moment
+    curve for h hyperplanes, one of which always escapes.
     """
     if rank < 1:
         raise InputError("rank must be at least 1")
@@ -345,27 +350,19 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
     def escapes(vec) -> bool:
         return not any(_span_contains(H, vec) for H in hyps)
 
-    def strip_p(vec):
-        out = list(vec)
-        while all(x % ctx.p == 0 for x in out):
-            out = [x // ctx.p for x in out]
-        return out
-
     # structured candidates first: standard vectors, then small sums
     for size in range(1, rank + 1):
         for pos in itertools.combinations(range(rank), size):
             vec = [1 if i in pos else 0 for i in range(rank)]
             if escapes(vec):
-                return strip_p(vec)
-    # widening coefficient sweep; a finite union of proper subspaces
-    # cannot contain every residue pattern, so this terminates
-    for bound in (ctx.p, ctx.p ** 2, ctx.p ** 3):
-        for tup in itertools.product(range(bound), repeat=rank):
-            if all(x == 0 for x in tup):
-                continue
-            vec = list(tup)
-            if escapes(vec):
-                return strip_p(vec)
+                return vec
+    # then the moment curve: a nonzero functional vanishes at no more
+    # than rank - 1 of its points, so one of the first h (rank - 1) + 1
+    # escapes all h hyperplanes; its leading 1 keeps it primitive
+    for t in range(1, len(hyps) * (rank - 1) + 2):
+        vec = [t ** i for i in range(rank)]
+        if escapes(vec):
+            return vec
     raise SearchExhausted(
         f"no vector escaping {len(hyps)} hyperplanes in rank {rank}")
 
@@ -516,10 +513,18 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
     m-element subset of the output is itself a basis (mode ``units``)
     or at least spans rationally (mode ``nonzero``).
 
-    Returns (vectors, achieved_mode).  Mode ``auto`` attempts units
-    first and degrades to nonzero when the residue field is too small
-    for the unit requirement, which happens once the family outgrows
-    p + 1 vectors.
+    Returns (vectors, achieved_mode).  Over a unit basis, a family is in
+    unit position exactly when its coordinates mod p form an arc in
+    F_p^m: m + k points of which every m are independent.  The arc is
+    written down, not searched for.  For m = 1 the point 1, repeated, is
+    an arc of any size.  For 2 <= m <= p the normal rational curve
+    (1, t, ..., t^(m-1)), t in F_p, with (0, ..., 0, 1) is an arc of
+    p + 1 points, and Ball (J. Eur. Math. Soc. 14, 2012) shows that no
+    arc is larger.  For m > p the frame e_1, ..., e_m, (1, ..., 1) has
+    m + 1 points, the bound of Bush (Ann. Math. Statist. 23, 1952).  One
+    inverse mod p sends the first m points onto the given basis.  Past
+    the bound, mode ``units`` raises SearchExhausted and mode ``auto``
+    degrades to nonzero.
     """
     if mode not in ("units", "nonzero", "auto"):
         raise InputError(f"unknown mode {mode!r}")
@@ -549,57 +554,40 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
                 return False
         return True
 
-    def try_units():
-        out = [list(v) for v in basis]
-        for _ in range(k):
-            found = None
-            for tup in itertools.product(range(p), repeat=m):
-                if all(t == 0 for t in tup):
-                    continue
-                # coordinates in the given basis keep the output inside W
-                cand = [
-                    sum(tup[i] * basis[i][j] for i in range(m))
-                    for j in range(m)
-                ]
-                good = True
-                for sub in itertools.combinations(out, m - 1):
-                    det = frac_det(
-                        [[col[i] for col in list(sub) + [cand]]
-                         for i in range(m)])
-                    if det == 0 or vp_frac(det, p) != 0:
-                        good = False
-                        break
-                if good:
-                    found = cand
-                    break
-            if found is None:
-                return None
-            out.append(found)
-        return out
+    def extend(coordinates):
+        # coordinates in the given basis keep the output inside W
+        return [list(v) for v in basis] + [
+            [sum(c * v[j] for c, v in zip(coords, basis)) for j in range(m)]
+            for coords in coordinates]
 
     if mode in ("units", "auto"):
-        out = try_units()
-        if out is not None and all_subset_dets_ok(out, True):
-            return out, "units"
+        if m == 1:
+            arc = [[1]] * (k + 1)
+        elif m <= p:
+            # the normal rational curve at t = 0, infinity, 1, ..., p - 1
+            arc = [[pow(t, i, p) for i in range(m)] for t in range(p)]
+            arc.insert(1, [0] * (m - 1) + [1])
+        else:
+            arc = [[int(i == j) for j in range(m)] for i in range(m)]
+            arc.append([1] * m)
+        if len(arc) >= m + k:
+            inv = frac_inv(arc[:m])
+            coords = [[sum(x * y for x, y in zip(pt, col))
+                       for col in zip(*inv)] for pt in arc[m:m + k]]
+            out = extend([[c.numerator * pow(c.denominator, -1, p) % p
+                           for c in row] for row in coords])
+            if all_subset_dets_ok(out, True):
+                return out, "units"
         if mode == "units":
             raise SearchExhausted(
                 f"cannot keep all {m}-subset determinants unital for "
-                f"{m + k} vectors over F_{p}; the bound is p + 1 vectors")
+                f"{m + k} vectors over F_{p}; an arc in F_{p}^{m} has at "
+                f"most {len(arc)} vectors")
 
     # moment-curve extension: coordinates (1, t, t^2, ...) at distinct
     # positive integers t give every mixed minor a nonzero generalized
     # Vandermonde determinant
-    out = [list(v) for v in basis]
-    t = 0
-    added = 0
-    while added < k:
-        t += 1
-        cand = [
-            sum(t ** i * basis[i][j] for i in range(m))
-            for j in range(m)
-        ]
-        out.append(cand)
-        added += 1
+    out = extend([t ** i for i in range(m)] for t in range(1, k + 1))
     if not all_subset_dets_ok(out, False):
         raise SearchExhausted("moment-curve extension failed verification")
     return out, "nonzero"
@@ -710,36 +698,29 @@ def construct_strongly_admissible(setup: LatticeSetup,
         cert = is_strongly_admissible(setup, vecs)
         if not cert.strongly_admissible:
             return None
-        return cert
+        return CandidateBasis(
+            vectors=tuple(tuple(_integerize_unit(v, p)) for v in vecs),
+            admissible=cert.plain.admissible,
+            saturated=cert.plain.saturated,
+            is_basis=True,
+            strongly_admissible=True,
+            certificates={"strong": cert},
+        )
 
     rng = random.Random(seed)
     for _ in range(64):
         vecs = []
-        dead = False
-        for _pos in range(g):
-            placed = False
-            for _try in range(64):
-                cand = [Fraction(rng.randrange(p * p)) for _ in range(g)]
-                if partial_ok(vecs + [cand]):
-                    vecs.append(cand)
-                    placed = True
-                    break
-            if not placed:
-                dead = True
+        while len(vecs) < g:
+            tries = ([Fraction(rng.randrange(p * p)) for _ in range(g)]
+                     for _try in range(64))
+            cand = next((c for c in tries if partial_ok(vecs + [c])), None)
+            if cand is None:
                 break
-        if dead:
-            continue
-        cert = finish(vecs)
-        if cert is not None:
-            vectors = [_integerize_unit(v, p) for v in vecs]
-            return CandidateBasis(
-                vectors=tuple(tuple(v) for v in vectors),
-                admissible=cert.plain.admissible,
-                saturated=cert.plain.saturated,
-                is_basis=True,
-                strongly_admissible=True,
-                certificates={"strong": cert},
-            )
+            vecs.append(cand)
+        if len(vecs) == g:
+            found = finish(vecs)
+            if found is not None:
+                return found
 
     # deterministic fallback over small residues
     pool = list(itertools.product(range(p), repeat=g))
@@ -747,7 +728,7 @@ def construct_strongly_admissible(setup: LatticeSetup,
 
     def grow(vecs):
         if len(vecs) == g:
-            return vecs if finish(vecs) is not None else None
+            return finish(vecs)
         for cand in pool:
             if partial_ok(vecs + [cand]):
                 got = grow(vecs + [cand])
@@ -755,17 +736,8 @@ def construct_strongly_admissible(setup: LatticeSetup,
                     return got
         return None
 
-    vecs = grow([])
-    if vecs is None:
+    found = grow([])
+    if found is None:
         raise SearchExhausted(
             "no strongly admissible basis found by sampling or sweep")
-    cert = finish(vecs)
-    vectors = [_integerize_unit(v, p) for v in vecs]
-    return CandidateBasis(
-        vectors=tuple(tuple(v) for v in vectors),
-        admissible=cert.plain.admissible,
-        saturated=cert.plain.saturated,
-        is_basis=True,
-        strongly_admissible=True,
-        certificates={"strong": cert},
-    )
+    return found

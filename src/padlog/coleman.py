@@ -34,7 +34,7 @@ from .linalg import (
     zp_nullspace,
     _over_one_denominator,
 )
-from .logmatrix import FrobeniusData, build_chain, _mod_omega
+from .logmatrix import FrobeniusData, build_Cn, build_chain, _mod_omega
 from .padic import INF, PadicScalar
 from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
@@ -258,17 +258,17 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """Project the level-(n+1) forward image down to level n and compare
     with C_phi^{-1} times the forward image of the projected vector.
 
-    Both images read one chain, P_{n+1} and P_n, on the lifted vector;
-    projecting to level n is reducing mod omega_n, which divides
-    omega_{n+1}.
+    Both images read P_n once, applied once to the lifted vector x.
+    omega_n divides omega_(n+1), so projecting P_(n+1) x = C_(n+1) P_n x
+    to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n.
     """
     x, N = _as_classes(fd, n + 1, col)
     p = fd.ctx.p
-    chain = build_chain(fd, n + 1)
+    low = _apply(_chain_top(fd, n), x, p, n)
+    top = [[_mod_omega(e, p, n) for e in row] for row in build_Cn(fd, n + 1)]
     cphi_inv = _cphi_inv(fd)
-    hi = _apply(chain[n + 1], x, p, n)
-    twisted = _apply(pmat_from_frac(cphi_inv), _apply(chain[n], x, p, n),
-                     p, n)
+    hi = _apply(top, low, p, n)
+    twisted = _apply(pmat_from_frac(cphi_inv), low, p, n)
     lost = _depth(fd.C_inv, p)
     N += min((n + 1) * lost, n * lost + _depth(cphi_inv, p))
     diff = [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(hi, twisted)]

@@ -5,15 +5,17 @@ ring operator overloads (certified scalars, series, finite-level
 classes, Fractions).
 
 The exact layer works on Fractions and is the decision engine.  One
-forward elimination gives the rank, the determinant and a row echelon
-form; one back-substitution turns that into the reduced form, from which
-the inverse, the solution of a square system and the canonical nullspace
-basis are read.  The rank over F_p, the Smith form over Z_(p) and the
-saturated nullspace over Z_(p) keep their own eliminations, as their
-arithmetic differs; the Smith form feeds the integral solve, and the
-nullspace, a fraction-free integer elimination, gives the Coleman
-kernel.  Characteristic polynomials and Newton polygons complete the
-admission gate's toolkit.
+fraction-free elimination (Bareiss) puts each row over one denominator
+and runs on the integer numerators; it gives the rank, the determinant
+and an integer row echelon form.  One back-substitution turns that into
+the reduced form over the rationals, from which the inverse, the
+solution of a square system and the canonical nullspace basis are read.
+The rank over F_p, the Smith form over Z_(p) and the saturated
+nullspace over Z_(p) keep their own eliminations, as their arithmetic
+differs; the Smith form feeds the integral solve, and the nullspace, a
+fraction-free integer elimination, gives the Coleman kernel.
+Characteristic polynomials and Newton polygons complete the admission
+gate's toolkit.
 
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
 Matrices of them carry the one exact tower that logmatrix builds and
@@ -148,44 +150,56 @@ def fp_rank(rows, p: int) -> int:
 
 
 def _echelon(A):
-    """Forward elimination of a copy of A.
+    """Fraction-free forward elimination (Bareiss) of A.
 
-    Returns a row echelon form, its pivot columns and the signed product
-    of the pivots, which is det(A) when A is square of full rank.  Pivot
-    rows are not normalised: each row below takes off f = M[i][c] / pivot
-    times the pivot row.
+    Each row is put over one denominator, and the integer rows are
+    eliminated as row <- (a * row - f * pivot row) // prev, where a is the
+    pivot, f the row's entry in the pivot column and prev the previous
+    pivot (1 at first).  Every entry stays a minor of the integer matrix,
+    so the division is exact; a row whose entry is already zero is still
+    rescaled by a / prev.  Returns the integer row echelon form, its pivot
+    columns and sign * last pivot / (product of the row denominators),
+    which is det(A) when A is square of full rank.
     """
-    M = frac_mat(A)
-    rows, cols = mat_shape(M)
+    rows, cols = mat_shape(A)
+    M, den = [], 1
+    for row in A:
+        d = lcm(*{x.denominator for x in row})
+        M.append([x.numerator * (d // x.denominator) for x in row])
+        den *= d
     pivots = []
-    det = Fraction(1)
+    sign = prev = 1
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if M[i][c]), None)
         if piv is None:
             continue
         if piv != r:
             M[r], M[piv] = M[piv], M[r]
-            det = -det
-        det *= M[r][c]
-        inv = 1 / M[r][c]
+            sign = -sign
+        top = M[r]
+        a = top[c]
         for i in range(r + 1, rows):
-            if M[i][c] != 0:
-                f = M[i][c] * inv
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            f = M[i][c]
+            if f:
+                M[i] = [(a * x - f * y) // prev for x, y in zip(M[i], top)]
+            elif a != prev:
+                M[i] = [a * x // prev for x in M[i]]
         pivots.append(c)
+        prev = a
         r += 1
-    return M, pivots, det
+    return M, pivots, Fraction(sign * prev, den)
 
 
 def _back_substitute(M, pivots):
-    """Turn a row echelon form into the reduced one, in place: scale each
-    pivot to 1 and clear the entries above it, last pivot first."""
+    """The reduced form of an integer row echelon form, in place: scale
+    each pivot row by Fraction(1, pivot) and clear the entries above the
+    pivot, last pivot first."""
     for r in reversed(range(len(pivots))):
         c = pivots[r]
-        inv = 1 / M[r][c]
+        inv = Fraction(1, M[r][c])
         M[r] = [x * inv for x in M[r]]
         for i in range(r):
             if M[i][c] != 0:

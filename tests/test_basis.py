@@ -3,6 +3,7 @@ escape from hyperplane unions, slope avoidance, complement merging,
 generic-position extension, and the two basis constructors."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,24 @@ def test_escape_union_frozen_small_case():
     assert any(x % 3 for x in v)
 
 
+def test_escape_union_when_every_small_candidate_is_blocked():
+    # rank 2: lines through (1, 0), (0, 1) and the first three points
+    # (1, t) of the moment curve; h = 5 allows t up to 6, and t = 4 is
+    # the first point off every line
+    lines = [[[1, 0]], [[0, 1]], [[1, 1]], [[1, 2]], [[1, 3]]]
+    assert escape_union(CTX, 2, lines) == [1, 4]
+    # rank 3: a plane through each of the seven 0/1 vectors and through
+    # (1, 2, 4), the point t = 2 of the curve
+    small = [list(v) for v in itertools.product((0, 1), repeat=3) if any(v)]
+    planes = [[v, [1, 2, 4]] for v in small]
+    v = escape_union(CTX, 3, planes)
+    t = next(t for t in range(1, 16)
+             if not any(in_span(H, [1, t, t * t]) for H in planes))
+    assert t > 2 and v == [1, t, t * t]
+    for H in planes:
+        assert not in_span(H, v)
+
+
 def test_escape_union_many_hyperplanes():
     # every hyperplane x_i = x_j plus the coordinate planes
     hyps = []
@@ -225,6 +244,50 @@ def test_generic_position_units_bound():
     # p + 1 = 4 vectors is the ceiling over F_3
     with pytest.raises(SearchExhausted):
         generic_position_extend(CTX, ident, 3, mode="units")
+
+
+def _unit_basis(rng, p, m):
+    while True:
+        basis = [[rng.randrange(-3, 4) for _ in range(m)] for _ in range(m)]
+        det = perm_det(basis)
+        if det != 0 and vp_rational(det, p) == 0:
+            return basis
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_generic_position_units_meets_the_arc_bound(p, monkeypatch):
+    # p + 1 vectors for 2 <= m <= p (Ball), m + 1 for m > p (Bush), any
+    # number for m = 1; m > p is checked at p = 3 and 5, where the
+    # permutation expansion of the subset determinants stays small
+    import padlog.basis as basis_mod
+
+    ctx = PadicContext(p)
+    rng = random.Random(p)
+    for m in range(1, 7 if p < 7 else 6):
+        bound = 3 * p if m == 1 else p + 1 if m <= p else m + 1
+        basis = _unit_basis(rng, p, m)
+        out, mode = generic_position_extend(ctx, basis, bound - m,
+                                            mode="units")
+        assert mode == "units" and len(out) == bound
+        assert out[:m] == basis
+        for sub in itertools.combinations(out, m):
+            det = perm_det([[col[i] for col in sub] for i in range(m)])
+            assert det != 0 and vp_rational(det, p) == 0
+        for k in range(1, bound - m):
+            assert generic_position_extend(ctx, basis, k,
+                                           mode="units")[0] == out[:m + k]
+        if m == 1:
+            continue
+        calls = []
+        det = basis_mod.frac_det
+        monkeypatch.setattr(basis_mod, "frac_det",
+                            lambda A: calls.append(1) or det(A))
+        with pytest.raises(SearchExhausted):
+            generic_position_extend(ctx, basis, bound - m + 1, mode="units")
+        assert len(calls) <= 1
+        monkeypatch.undo()
+        assert generic_position_extend(ctx, basis, bound - m + 1,
+                                       mode="auto")[1] == "nonzero"
 
 
 def test_generic_position_auto_degrades():

@@ -396,6 +396,29 @@ def test_roundtrip_reads_one_chain_and_returns_the_image(monkeypatch):
             == [list(c.rep.coeffs) for c in want.components])
 
 
+def test_tower_projection_reads_the_chain_only_to_level_n(monkeypatch):
+    # P_(n+1) has degree p^(n+1) - 1; the level-n projection needs only
+    # P_n and C_(n+1) mod omega_n, so no chain grows past level n
+    import padlog.coleman as coleman
+    import padlog.logmatrix as logmatrix
+
+    fd = random_instance(3, 3, 1, 1)
+    rng = random.Random(28)
+    chains, stages = [], []
+    build_chain, build_Cn = coleman.build_chain, logmatrix.build_Cn
+    monkeypatch.setattr(coleman, "build_chain",
+                        lambda fd, n: chains.append(n) or build_chain(fd, n))
+    monkeypatch.setattr(logmatrix, "build_Cn",
+                        lambda fd, n: stages.append(n) or build_Cn(fd, n))
+    for n in (1, 2, 3):
+        chains.clear()
+        stages.clear()
+        col = random_polynomial_vector(fd, rng)
+        assert tower_projection_check(fd, n, col)["ok"]
+        assert chains == [n]
+        assert max(stages) == n
+
+
 @pytest.mark.parametrize("fd", [
     pollack_fd(), random_instance(3, 3, 1, 1), random_instance(3, 4, 2, 1),
 ], ids=["antidiagonal", "size3", "size4"])

@@ -392,6 +392,55 @@ def test_frac_nullspace_is_the_canonical_kernel_basis():
             assert [v[c] for c in free] == [int(c == free[k]) for c in free]
 
 
+def _elimination_case(rng, rows, cols):
+    """Rational entries, many of them zero, over denominators with p, p^2
+    and units, often with a zero column or a repeated row, so that the
+    elimination swaps rows, skips columns and meets rank deficiency."""
+    p = rng.choice((3, 5, 7))
+    dens = (1, 2, p, p * p)
+    A = [[Fraction(rng.choice((0, 0, 0, 1, -1, 2, -3, 4, p)), rng.choice(dens))
+          for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.3:
+        c = rng.randrange(cols)
+        for row in A:
+            row[c] = Fraction(0)
+    if rows > 1 and rng.random() < 0.3:
+        i, j = rng.sample(range(rows), 2)
+        A[i] = list(A[j])
+    return A
+
+
+def test_eliminations_match_the_oracles_on_every_shape():
+    rng = random.Random(37)
+    for rows in range(1, 7):
+        for cols in range(1, 8):
+            for _ in range(5):
+                A = _elimination_case(rng, rows, cols)
+                rank = rank_oracle(A)
+                assert frac_rank(A) == rank
+                ns = frac_nullspace(A)
+                assert len(ns) == cols - rank
+                free = free_columns(A)
+                for k, v in enumerate(ns):
+                    assert _apply(A, v) == [0] * rows
+                    assert [v[c] for c in free] == [int(c == free[k])
+                                                    for c in free]
+                if rows != cols:
+                    continue
+                det = perm_det(A)
+                assert frac_det(A) == det
+                b = [Fraction(rng.randrange(-5, 6), rng.choice((1, 3)))
+                     for _ in range(rows)]
+                if det == 0:
+                    with pytest.raises(SingularOperator):
+                        frac_inv(A)
+                    with pytest.raises(SingularOperator):
+                        frac_solve(A, b)
+                else:
+                    assert frac_inv(A) == inv_oracle(A)
+                    assert _apply(A, frac_solve(A, b)) == b
+
+
 def unit_minor_rank(A, p):
     """Largest k such that some k x k minor has a determinant prime to
     p, which is the rank of A over F_p."""
