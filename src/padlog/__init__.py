@@ -42,7 +42,6 @@ from .series import (
     XSeries,
     divide_exact,
     omega,
-    phi_cyclo,
     poly_divmod,
     reduce_mod_omega,
 )
@@ -172,7 +171,6 @@ __all__ = [
     "log_plus_partial",
     "merge_complement",
     "omega",
-    "phi_cyclo",
     "pollack_instance",
     "poly_divmod",
     "reduce_mod_omega",

@@ -301,11 +301,18 @@ def is_strongly_admissible(setup: LatticeSetup,
     if len(vecs) != setup.g:
         raise InputError(f"expected {setup.g} vectors, got {len(vecs)}")
     T = setup.transport_operator()
+    return _strong_certificate(setup, vecs, [_transport(T, v) for v in vecs])
+
+
+def _transport(T, v):
+    """T v for a g x g matrix T and a vector v."""
+    return [sum(t * x for t, x in zip(row, v)) for row in T]
+
+
+def _strong_certificate(setup: LatticeSetup, vecs, moved):
+    """The plain certificate of vecs and the transported one of
+    moved = T vecs, with T already applied."""
     plain = _subset_certificates(setup, vecs, "plain")
-    moved = [
-        [sum(T[i][j] * v[j] for j in range(setup.g)) for i in range(setup.g)]
-        for v in vecs
-    ]
     transported = _subset_certificates(setup, moved, "transported")
     return StrongAdmissibilityCertificate(
         plain, transported, plain.admissible and transported.admissible)
@@ -669,7 +676,8 @@ def construct_strongly_admissible(setup: LatticeSetup,
     Vectors are sampled one at a time; a partial family is kept only
     when every subset of the appropriate size has full column rank
     against fil0_dual for both the plain and the transported family.
-    The finished family is re-verified through is_strongly_admissible
+    Each accepted vector is transported once, and the finished family is
+    re-verified with the same certificates as is_strongly_admissible
     and must additionally be a basis.  Falls back to a deterministic
     sweep over small residues before giving up.
     """
@@ -678,24 +686,24 @@ def construct_strongly_admissible(setup: LatticeSetup,
     T = setup.transport_operator()
     fil_rows = [list(v) for v in setup.fil0_dual]
 
-    def partial_ok(vecs) -> bool:
+    def extend(vecs, moved, cand):
+        """The families vecs and moved = T vecs grown by cand and T cand,
+        or None unless both keep full rank against fil0_dual on every
+        subset of the appropriate size."""
+        vecs, moved = vecs + [cand], moved + [_transport(T, cand)]
         size = min(m, len(vecs))
-        moved = [
-            [sum(T[i][j] * v[j] for j in range(g)) for i in range(g)]
-            for v in vecs
-        ]
         for fam in (vecs, moved):
             for sub in itertools.combinations(fam, size):
                 rows = [list(v) for v in sub] + fil_rows
                 if frac_rank(rows) != size + setup.g_plus:
-                    return False
-        return True
+                    return None
+        return vecs, moved
 
-    def finish(vecs):
+    def finish(vecs, moved):
         det = frac_det([[vecs[j][i] for j in range(g)] for i in range(g)])
         if det == 0 or vp_frac(det, p) != 0:
             return None
-        cert = is_strongly_admissible(setup, vecs)
+        cert = _strong_certificate(setup, vecs, moved)
         if not cert.strongly_admissible:
             return None
         return CandidateBasis(
@@ -709,16 +717,17 @@ def construct_strongly_admissible(setup: LatticeSetup,
 
     rng = random.Random(seed)
     for _ in range(64):
-        vecs = []
+        vecs, moved = [], []
         while len(vecs) < g:
             tries = ([Fraction(rng.randrange(p * p)) for _ in range(g)]
                      for _try in range(64))
-            cand = next((c for c in tries if partial_ok(vecs + [c])), None)
-            if cand is None:
+            grown = next(filter(None, (extend(vecs, moved, c)
+                                       for c in tries)), None)
+            if grown is None:
                 break
-            vecs.append(cand)
+            vecs, moved = grown
         if len(vecs) == g:
-            found = finish(vecs)
+            found = finish(vecs, moved)
             if found is not None:
                 return found
 
@@ -726,17 +735,18 @@ def construct_strongly_admissible(setup: LatticeSetup,
     pool = list(itertools.product(range(p), repeat=g))
     pool = [list(map(Fraction, t)) for t in pool if any(t)]
 
-    def grow(vecs):
+    def grow(vecs, moved):
         if len(vecs) == g:
-            return finish(vecs)
+            return finish(vecs, moved)
         for cand in pool:
-            if partial_ok(vecs + [cand]):
-                got = grow(vecs + [cand])
+            grown = extend(vecs, moved, cand)
+            if grown is not None:
+                got = grow(*grown)
                 if got is not None:
                     return got
         return None
 
-    found = grow([])
+    found = grow([], [])
     if found is None:
         raise SearchExhausted(
             "no strongly admissible basis found by sampling or sweep")

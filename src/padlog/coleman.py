@@ -242,13 +242,16 @@ def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """forward(factor_level(forward(col))) vs forward(col), exactly, both
     images read from one chain; "image" is forward(col).  The
     factorization runs at the same cutoff, so it raises PrecisionLoss
-    when the image is known to fewer than cutoff digits."""
+    when the image is known to fewer than cutoff digits.  The two images
+    are compared on their lifts, at the smaller of their precisions."""
     P = _chain_top(fd, n)
     L = _image(fd, n, P, col)
     recovered = factor_level(fd, n, L, cutoff)
-    L2 = _image(fd, n, P, recovered)
-    for i, (a, b) in enumerate(zip(L.components, L2.components)):
-        st, idx = (a - b).zero_status(cutoff)
+    (a, Na), (b, Nb) = (_as_classes(fd, n, v)
+                        for v in (L, _image(fd, n, P, recovered)))
+    diff = [fpoly_add(x, fpoly_scale(y, -1)) for x, y in zip(a, b)]
+    for i, d in enumerate(_embed(fd.ctx, n, diff, min(Na, Nb))):
+        st, idx = d.zero_status(cutoff)
         if st != "zero":
             return {"ok": False, "witness": (i, idx, st), "image": L}
     return {"ok": True, "witness": None, "recovered": recovered, "image": L}

@@ -1,8 +1,8 @@
 """Matrix and polynomial utilities.
 
-The generic layer (products and powers) works on any element type with
-ring operator overloads (certified scalars, series, finite-level
-classes, Fractions).
+The generic layer (products and powers) needs only ring operator
+overloads; the library runs it on constant matrices of Fractions.
+Polynomial matrices go through the exact layer's pmat_* instead.
 
 The exact layer works on Fractions and is the decision engine.  One
 fraction-free elimination (Bareiss) puts each row over one denominator

@@ -422,13 +422,14 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
 
     This is the approximant of the conjugated instance only when B is
     block diagonal; for a general adapted B the two differ by the defect
-    described in conjugate_basis_check.
+    described in conjugate_basis_check.  The product is formed on the
+    exact M_n of approx.fd and approx.n and rounded once.
     """
-    ctx = approx.fd.ctx
     Bq = frac_mat(B)
-    left = _embed_matrix(ctx, pmat_from_frac(Bq))
-    right = _embed_matrix(ctx, pmat_from_frac(frac_inv(Bq)))
-    return mat_mul(left, mat_mul(approx.raw, right))
+    M = _exact_levels(approx.fd, (approx.n,))[approx.n]
+    conj = pmat_mul(pmat_mul(pmat_from_frac(Bq), M),
+                    pmat_from_frac(frac_inv(Bq)))
+    return _embed_matrix(approx.fd.ctx, conj)
 
 
 def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):

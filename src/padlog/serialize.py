@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from .basis import LatticeSetup
 from .errors import InputError
-from .logmatrix import FrobeniusData
+from .logmatrix import FrobeniusData, _mod_omega
 from .padic import PadicContext
-from .series import LambdaNElement, XSeries, reduce_mod_omega
+from .series import LambdaNElement, XSeries
 
 
 def read_json(path: str):
@@ -113,7 +113,8 @@ def vector_from_record(record: dict, fd: FrobeniusData,
     """Level and components from {n, components: [[coeff, ...], ...]}.
 
     Each component is a coefficient array of an exact polynomial,
-    reduced into the level-n quotient.  Returns (n, [classes])."""
+    reduced exactly into the level-n quotient and then rounded once.
+    Returns (n, [classes])."""
     if not isinstance(record, dict):
         raise InputError(f"{where}: expected an object")
     n = as_int(_field(record, "n", where), f"{where}.n")
@@ -129,8 +130,8 @@ def vector_from_record(record: dict, fd: FrobeniusData,
             raise InputError(f"{where}.components[{i}]: expected an array")
         fracs = [as_fraction(c, f"{where}.components[{i}][{j}]")
                  for j, c in enumerate(arr)]
-        poly = XSeries.from_fractions(fd.ctx, fracs)
-        out.append(reduce_mod_omega(poly, n))
+        out.append(LambdaNElement(fd.ctx, n, XSeries.from_fractions(
+            fd.ctx, _mod_omega(fracs, fd.ctx.p, n))))
     return n, out
 
 

@@ -10,8 +10,9 @@ in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
 degree-reduced representative.
 
 The library computes on exact Fraction polynomials (linalg's fpoly_*)
-and rounds once into these views.  The arithmetic left here serves
-log_matrix_in_basis, roundtrip_check and serialize.
+and rounds once into these views.  No library path does arithmetic on
+them: XSeries.__mul__, poly_divmod, divide_exact and reduce_mod_omega
+stay only because the benchmark's layer tracer names them.
 """
 
 from __future__ import annotations
@@ -113,23 +114,6 @@ class XSeries:
         if other.ctx != self.ctx:
             raise InputError("mixed-context series arithmetic")
 
-    def __add__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        self._check(other)
-        t = self._join_trunc(other)
-        n = max(len(self.coeffs), len(other.coeffs)) if t is None else t
-        out = [self.coeff(j) + other.coeff(j) for j in range(n)]
-        return XSeries(self.ctx, out, t)
-
-    def __neg__(self):
-        return XSeries(self.ctx, [-c for c in self.coeffs], self.trunc)
-
-    def __sub__(self, other):
-        if not isinstance(other, XSeries):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, XSeries):
             return NotImplemented
@@ -149,13 +133,6 @@ class XSeries:
                 acc = acc + self.coeffs[i] * other.coeffs[j - i]
             out.append(acc)
         return XSeries(self.ctx, out, t)
-
-    def truncate(self, T: int) -> "XSeries":
-        if self.trunc is not None and self.trunc < T:
-            raise PrecisionLoss(
-                f"series known only mod X^{self.trunc}, cannot report mod X^{T}"
-            )
-        return XSeries(self.ctx, self.coeffs[:T], T)
 
     # -- predicates / io -------------------------------------------------
 
@@ -270,11 +247,6 @@ def omega_ints(p: int, n: int):
     return tuple(out)
 
 
-def phi_cyclo(ctx: PadicContext, k: int) -> XSeries:
-    """Phi_{p^k}(1+X) as an exact polynomial of the context."""
-    return XSeries.from_ints(ctx, phi_cyclo_ints(ctx.p, k))
-
-
 def omega(ctx: PadicContext, n: int) -> XSeries:
     """(1+X)^(p^n) - 1, the level-n kernel polynomial."""
     return XSeries.from_ints(ctx, omega_ints(ctx.p, n))
@@ -298,26 +270,6 @@ class LambdaNElement:
 
     def __setattr__(self, name, value):
         raise AttributeError("LambdaNElement is immutable")
-
-    def _check(self, other):
-        if not isinstance(other, LambdaNElement):
-            raise InputError("expected a LambdaNElement")
-        if other.ctx != self.ctx or other.level != self.level:
-            raise InputError("mixed levels or contexts")
-
-    def __add__(self, other):
-        if not isinstance(other, LambdaNElement):
-            return NotImplemented
-        self._check(other)
-        return LambdaNElement(self.ctx, self.level, self.rep + other.rep)
-
-    def __neg__(self):
-        return LambdaNElement(self.ctx, self.level, -self.rep)
-
-    def __sub__(self, other):
-        if not isinstance(other, LambdaNElement):
-            return NotImplemented
-        return self + (-other)
 
     def zero_status(self, cutoff: int = 1):
         return self.rep.zero_status(cutoff)

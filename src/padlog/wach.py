@@ -267,10 +267,12 @@ class WachMatrixTower:
         Integer exponents run exactly over rationals; the result must be
         p-integral with constant term I, and IntegralityViolation carries
         a witness otherwise.  A scalar c known mod p^N runs on its lift
-        c0 and rounds degree j to p^(N - v_p(j!) - d_M - d_inv), as
-        binom(c, i) = binom(c0, i) mod p^(N - v_p(i!)); d_M and d_inv are
-        the denominator depths of M'_k and its inverse mod pi^T; with no
-        digit left at degree T - 1 it raises PrecisionExhausted.
+        c0, reports integrality, constant term and witness of the exact
+        result, and rounds degree j to p^(N - floor(log_p j) - d_M - d_inv)
+        (with 0 for floor(log_p 0)), as binom(c, i) = binom(c0, i) mod
+        p^(N - floor(log_p i)); d_M and d_inv are the denominator depths
+        of M'_k and its inverse mod pi^T; with no digit left at degree
+        T - 1 it raises PrecisionExhausted.
         """
         T = trunc
         if T < 1:
@@ -284,22 +286,36 @@ class WachMatrixTower:
         c = gamma.c if gamma.is_integer else gamma.c.lift()
         shift = _binom_shift(c, T)
         G = pmat_mul(Minv, mat_map(M, lambda e: _pcompose(e, shift, T)), T)
-        if gamma.is_integer:
-            _certify_exact_twist(self.fd, G)
-            return {"G": G, "exact": True, "trunc": T, "n": k}
         ctx, p = self.fd.ctx, self.fd.ctx.p
+        bad = _pmat_integral(G, p)
+        const = pmat_const(G)
+        if gamma.is_integer:
+            if bad is not None:
+                raise IntegralityViolation(
+                    "twist has a non p-integral coefficient", witness=bad)
+            if const != frac_identity(self.fd.size):
+                raise IntegralityViolation(
+                    "twist is not congruent to I mod pi",
+                    witness={"constant_term": mat_map(const, str)})
+            return {"G": G, "exact": True, "trunc": T, "n": k}
         N = gamma.c.abs_prec() + sum(  # less the depths d_M and d_inv
             min([0] + [vp_frac(x, p) for row in A for e in row for x in e
                        if x.denominator % p == 0]) for A in (M, Minv))
-        Ns = [N - vp_frac(math.factorial(j), p) for j in range(T)]
+        # less floor(log_p j), read as 0 at j = 0
+        Ns = [N - next(e for e in range(T) if p ** (e + 1) > j)
+              for j in range(T)]
         if Ns[-1] < 1:
             raise PrecisionExhausted(
                 f"c has too few digits to certify G at degree {T - 1}")
         G = [[XSeries(ctx, [ctx.from_rational(x, Nj) for x, Nj in
                             zip(e + [0] * (T - len(e)), Ns)], T)
               for e in row] for row in G]
-        report = _certify_series_twist(self.fd, G)
-        return {"G": G, "exact": False, "trunc": T, "n": k, **report}
+        # every N_j >= 1, so the rounded G is integral with constant
+        # term I exactly when the exact one is
+        return {"G": G, "exact": False, "trunc": T, "n": k,
+                "integral": bad is None,
+                "constant_is_identity": const == frac_identity(self.fd.size),
+                "witness": bad and (*bad["entry"], bad["degree"])}
 
 
 def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
@@ -333,43 +349,6 @@ def build_G_gamma(fd: FrobeniusData, n: int, gamma: GammaElement,
     """G^(n) = (M'_n)^{-1} gamma(M'_n) mod pi^trunc, on a fresh tower;
     see WachMatrixTower.twist."""
     return build_M_prime(fd, n).twist(n, gamma, trunc)
-
-
-def _certify_exact_twist(fd, G):
-    """Integrality and constant term I of an exact twist, or
-    IntegralityViolation with a witness."""
-    witness = _pmat_integral(G, fd.ctx.p)
-    if witness is not None:
-        raise IntegralityViolation(
-            "twist has a non p-integral coefficient", witness=witness)
-    const = pmat_const(G)
-    if const != frac_identity(fd.size):
-        raise IntegralityViolation(
-            "twist is not congruent to I mod pi",
-            witness={"constant_term": mat_map(const, str)})
-
-
-def _certify_series_twist(fd, G):
-    """Constant term I and integrality, at working precision."""
-    const_ok = True
-    integral = True
-    witness = None
-    for i, row in enumerate(G):
-        for j, e in enumerate(row):
-            c0 = e.coeff(0) - fd.ctx.integer(int(i == j))
-            if c0.zero_status() == "nonzero":
-                const_ok = False
-            for k in range(e.trunc if e.trunc is not None else len(e.coeffs)):
-                c = e.coeff(k)
-                if c.is_zero_rep:
-                    if c.prec <= 0:
-                        integral = False
-                        witness = witness or (i, j, k)
-                elif c.valuation() < 0:
-                    integral = False
-                    witness = witness or (i, j, k)
-    return {"constant_is_identity": const_ok, "integral": integral,
-            "witness": witness}
 
 
 # ---------------------------------------------------------------------------

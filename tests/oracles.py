@@ -251,6 +251,47 @@ def vp_rational(q, p: int):
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
+def known_value(x, p: int):
+    """(value, absolute precision) of a coefficient: an exact rational
+    (precision infinite), a (value, precision) pair, or a packaged
+    scalar p^v * u + O(p^(v + prec)), read off its fields."""
+    if isinstance(x, tuple):
+        return Fraction(x[0]), x[1]
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), math.inf
+    if x.u is None:
+        return Fraction(0), x.prec
+    return Fraction(p) ** x.v * x.u, x.v + x.prec
+
+
+def known_sum(a, b, p: int):
+    """Coefficientwise a + b as (value, precision) pairs, each known to
+    the smaller of the two precisions; missing entries are exact 0."""
+    out = []
+    for j in range(max(len(a), len(b))):
+        (x, nx), (y, ny) = (known_value(s[j] if j < len(s) else 0, p)
+                            for s in (a, b))
+        out.append((x + y, min(nx, ny)))
+    return out
+
+
+def agree_mod_precision(a, b, p: int, cutoff: int = 1) -> bool:
+    """Whether two coefficient sequences (entries as for known_value,
+    missing ones exact 0) agree where both are known: at every index the
+    values differ by a multiple of p^N, N the smaller precision, and N
+    is at least cutoff unless the values are exactly equal and exact."""
+    for j in range(max(len(a), len(b))):
+        (x, nx), (y, ny) = (known_value(s[j] if j < len(s) else 0, p)
+                            for s in (a, b))
+        N = min(nx, ny)
+        if N == math.inf:
+            if x != y:
+                return False
+        elif N < cutoff or (x != y and vp_rational(x - y, p) < N):
+            return False
+    return True
+
+
 def matches_rational(scalar, value, depth: int = 12) -> bool:
     """Whether a packaged scalar agrees with an exact rational to
     p^depth beyond its valuation, judged by direct modular arithmetic

@@ -363,3 +363,17 @@ def test_strongly_admissible_certificate_consistency():
     cand = construct_strongly_admissible(setup, seed=9)
     again = is_strongly_admissible(setup, [list(v) for v in cand.vectors])
     assert again.strongly_admissible
+
+
+def test_strong_construction_transports_once(monkeypatch):
+    # the transport operator is formed once per construction, and the
+    # finished family is certified with it
+    calls = []
+    operator = LatticeSetup.transport_operator
+    monkeypatch.setattr(LatticeSetup, "transport_operator",
+                        lambda self: calls.append(1) or operator(self))
+    for seed in (0, 5, 9):
+        calls.clear()
+        cand = construct_strongly_admissible(setup_rank3(phi=PHI_OK), seed)
+        assert cand.strongly_admissible
+        assert calls == [1]

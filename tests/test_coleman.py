@@ -2,7 +2,9 @@
 roundtrips, kernel structure, tower compatibility, negative controls."""
 
 import functools
+import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,22 @@ from padlog import (
     roundtrip_check,
     tower_projection_check,
 )
+from padlog.cli import main
 from padlog.linalg import fp_rank
+from padlog.logmatrix import log_matrix_in_basis
+from padlog.serialize import vector_from_record
+from padlog.wach import GammaElement, build_M_prime
 
-from instances import pollack_fd, random_instance, random_polynomial_vector
+from instances import (
+    pollack_fd,
+    random_adapted_B,
+    random_instance,
+    random_polynomial_vector,
+)
 from oracles import (
+    agree_mod_precision,
     inv_oracle,
+    known_sum,
     matches_rational,
     mn_poly_oracle,
     omega_oracle,
@@ -50,10 +63,13 @@ def test_forward_linear_in_input():
     fd = pollack_fd()
     a = classes(fd, 1, [[1, 2], [0, 1]])
     b = classes(fd, 1, [[3], [1, 1, 1]])
-    both = [x + y for x, y in zip(a, b)]
+    both = classes(fd, 1, [padd(x, y) for x, y in
+                           zip([[1, 2], [0, 1]], [[3], [1, 1, 1]])])
     fa, fb, fab = (forward(fd, 1, v) for v in (a, b, both))
     for x, y, z in zip(fa.components, fb.components, fab.components):
-        assert (x + y - z).zero_status()[0] == "zero"
+        assert agree_mod_precision(
+            known_sum(x.rep.coeffs, y.rep.coeffs, fd.ctx.p), z.rep.coeffs,
+            fd.ctx.p)
 
 
 def test_roundtrip_simple_vectors():
@@ -106,7 +122,7 @@ def test_factored_image_lands_in_target():
     assert rec.kernel_tag == f"mod ker h_{n}"
     again = forward(fd, n, rec)
     for a, b in zip(again.components, L.components):
-        assert (a - b).zero_status()[0] == "zero"
+        assert agree_mod_precision(a.rep.coeffs, b.rep.coeffs, fd.ctx.p)
 
 
 def test_kernel_size_matches_rank_count():
@@ -447,13 +463,11 @@ def test_integral_shift_matches_oracle(fd):
             assert _certifies(got, want, p ** n)
 
 
-def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
-    # the five entry points compute on the exact layer: no XSeries
-    # product and no XSeries long division on their path
+def count_series_calls(monkeypatch):
+    """Record every XSeries product, XSeries long division and XSeries
+    reduction mod omega_n, wherever a padlog module binds them."""
     import padlog.series as series
 
-    fd = random_instance(3, 3, 1, 1)
-    col = random_polynomial_vector(fd, random.Random(26), max_deg=8)
     calls = []
 
     def counted(name, fn):
@@ -464,12 +478,51 @@ def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
 
     monkeypatch.setattr(series.XSeries, "__mul__",
                         counted("XSeries.__mul__", series.XSeries.__mul__))
-    monkeypatch.setattr(series, "poly_divmod",
-                        counted("poly_divmod", series.poly_divmod))
+    for name in ("poly_divmod", "reduce_mod_omega"):
+        fn = getattr(series, name)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("padlog")
+                    and getattr(mod, name, None) is fn):
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    return calls
+
+
+def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
+    # the five entry points compute on the exact layer: no XSeries
+    # product and no XSeries long division on their path
+    fd = random_instance(3, 3, 1, 1)
+    col = random_polynomial_vector(fd, random.Random(26), max_deg=8)
+    calls = count_series_calls(monkeypatch)
     for n in (1, 2):
         L = forward(fd, n, col)
         factor_level(fd, n, L)
         assert roundtrip_check(fd, n, col)["ok"]
         assert tower_projection_check(fd, n, col)["ok"]
         integral_shift(fd, n, col)
+    assert calls == []
+
+
+def test_exact_paths_run_no_series_arithmetic(monkeypatch, tmp_path):
+    # the basis change of an approximant, the roundtrip, vector records
+    # of degree beyond p^n, the scalar twist and the coleman subcommand
+    # compute on the exact layer and only round into series views
+    fd = random_instance(3, 2, 1, 0)
+    approx = build_Mn(fd, 2)
+    B = random_adapted_B(fd, random.Random(5))
+    col = random_polynomial_vector(fd, random.Random(27), max_deg=12)
+    record = {"n": 1, "components": [["1", "1/3", "0", "2", "5"],
+                                     ["0", "1", "0", "0", "-1/9"]]}
+    wfd = random_instance(3, 2, 1, 0, rel_prec=40, denom_budget=64)
+    c = wfd.ctx.from_rational(Fraction(1, -2))
+    inst_path, vec_path = tmp_path / "inst.json", tmp_path / "vec.json"
+    inst_path.write_text(json.dumps(pollack_fd().to_record()))
+    vec_path.write_text(json.dumps([record]))
+    calls = count_series_calls(monkeypatch)
+    log_matrix_in_basis(approx, B)
+    for n in (1, 2):
+        assert roundtrip_check(fd, n, col)["ok"]
+    vector_from_record(record, fd)
+    assert build_M_prime(wfd, 2).twist(2, GammaElement(3, c), 12)["integral"]
+    assert main(["coleman", "--input", str(inst_path),
+                 "--vectors", str(vec_path)]) == 0
     assert calls == []

@@ -1,6 +1,7 @@
 """JSON record loading and dumping: string integers, rationals,
 error paths that name the offending field."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from padlog.serialize import (
     write_json,
 )
 
-from instances import pollack_fd
+from instances import pollack_fd, random_instance
+from oracles import agree_mod_precision, omega_oracle, pdivmod
 
 
 def test_as_int_forms():
@@ -90,6 +92,27 @@ def test_vector_from_record():
         vector_from_record({"n": 0, "components": [[], []]}, fd, "v")
     with pytest.raises(InputError):
         vector_from_record({"n": 1, "components": [["1"]]}, fd, "v")
+
+
+@pytest.mark.parametrize("fd", [pollack_fd(), random_instance(5, 2, 1, 0)],
+                         ids=("p3", "p5"))
+def test_vector_from_record_reduces_mod_omega(fd):
+    # components of degree p^n and beyond, some with p in a denominator,
+    # land in the class of their remainder by omega_n
+    p = fd.ctx.p
+    rng = random.Random(p)
+    for n in (1, 2):
+        comps = [[Fraction(rng.randrange(-40, 40),
+                           rng.choice((1, 2, p, p * p, 7 * p)))
+                  for _ in range(p ** n + rng.randrange(1, p ** n + 3))]
+                 for _ in range(fd.size)]
+        record = {"n": n, "components": [[str(c) for c in f] for f in comps]}
+        got_n, classes = vector_from_record(record, fd)
+        assert got_n == n
+        for f, c in zip(comps, classes):
+            assert c.level == n and len(c.rep.coeffs) <= p ** n
+            want = pdivmod(f, omega_oracle(p, n))[1]
+            assert agree_mod_precision(c.rep.coeffs, want, p)
 
 
 def test_series_and_matrix_records():

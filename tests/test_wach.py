@@ -36,6 +36,7 @@ from padlog.wach import (
 
 from instances import random_instance
 from oracles import (
+    agree_mod_precision,
     binomial_power,
     inv_oracle,
     mn_poly_oracle,
@@ -266,9 +267,8 @@ def test_scalar_path_matches_exact_path():
     assert series["constant_is_identity"] and series["integral"]
     for i in range(2):
         for j in range(2):
-            ref = XSeries.from_fractions(ctx, exact["G"][i][j]).truncate(12)
-            diff = series["G"][i][j] - ref
-            assert diff.zero_status()[0] == "zero"
+            assert agree_mod_precision(series["G"][i][j].coeffs,
+                                       exact["G"][i][j][:12], ctx.p)
 
 
 @pytest.mark.parametrize("p,n", [(3, 2), (5, 1), (5, 2)])
@@ -288,9 +288,8 @@ def test_scalar_path_matches_exact_path_across_levels(p, n, kind):
     assert series["constant_is_identity"] and series["integral"]
     for i in range(2):
         for j in range(2):
-            ref = XSeries.from_fractions(ctx, exact["G"][i][j]).truncate(12)
-            diff = series["G"][i][j] - ref
-            assert diff.zero_status()[0] == "zero"
+            assert agree_mod_precision(series["G"][i][j].coeffs,
+                                       exact["G"][i][j][:12], ctx.p)
 
 
 @pytest.mark.parametrize("p,c", [(3, 82), (5, 26)])
@@ -381,6 +380,40 @@ def test_lifted_twist_agrees_with_both_lifts(p, n, T):
                         assert err is None or err >= a.abs_prec()
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_scalar_twist_claims_the_floor_log_bound(p):
+    # degree j is certified to N_j = N - floor(log_p j) - d_M - d_inv
+    # digits (floor(log_p 0) read as 0), with d_M and d_inv the depths of
+    # M'_n and of its inverse mod pi^T; the exact twists at the lifts c0
+    # and c0 + p^N agree to N_j
+    n, T, N = 1, 20, 30
+    fd = random_instance(p, 2, 1, 0, rel_prec=40, denom_budget=64)
+    c = fd.ctx.from_rational(Fraction(1, 1 - p), abs_prec=N)
+    tower = build_M_prime(fd, n)
+    out = tower.twist(n, GammaElement(p, c), T)
+    M = [[ptrim(e[:T]) for e in row] for row in tower.matrix(n)]
+    ident = [[[Fraction(int(i == j))] for j in range(2)] for i in range(2)]
+
+    def depth(A):
+        return min([0] + [vp_rational(x, p) for row in A for e in row
+                          for x in e if x])
+
+    d = depth(M) + depth(solve_unipotent(M, ident, T))
+    floor_log = [0] + [max(k for k in range(T) if p ** k <= j)
+                       for j in range(1, T)]
+    want = [N - floor_log[j] + d for j in range(T)]
+    assert want[-1] >= 1
+    for row in out["G"]:
+        for xs in row:
+            assert [a.abs_prec() for a in xs.coeffs] == want
+    G0, G1 = (solve_unipotent(M, [[truncated_substitution(f, e, T)
+                                   for f in row] for row in M], T)
+              for e in (c.lift(), c.lift() + p ** N))
+    for i, j, k in itertools.product(range(2), range(2), range(T)):
+        diff = G0[i][j][k] - G1[i][j][k]
+        assert diff == 0 or vp_rational(diff, p) >= want[k]
+
+
 def test_scalar_twist_makes_no_series_arithmetic(monkeypatch):
     calls = []
     def counted(self, *args, _fn=XSeries.__mul__):
@@ -396,8 +429,8 @@ def test_scalar_twist_makes_no_series_arithmetic(monkeypatch):
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_scalar_twist_precision_exhaustion(p):
-    # 5 digits of c do not cover v_p(19!) and the two denominator
-    # depths at degree 19
+    # 5 digits of c do not cover floor(log_p 19) and the two
+    # denominator depths at degree 19
     fd = random_instance(p, 2, 1, 0, rel_prec=5, denom_budget=64)
     c = fd.ctx.from_rational(Fraction(1, 1 - p))
     tower = build_M_prime(fd, 1)
