@@ -20,12 +20,12 @@ gate's toolkit.
 Fraction polynomials are coefficient lists (index = degree, [] = 0).
 Matrices of them carry the one exact tower that logmatrix builds and
 coleman and wach read, and the Coleman maps apply them to lifted
-vectors; their products and their cofactor determinant can be cut mod
-X^T as they are formed.  Both put each row (and each column of the
-right factor) over one denominator, multiply and sum the integer
-numerators, and form one Fraction per output coefficient.  Division with
-remainder (by omega_n, Phi_{p^k} or any nonzero divisor) is an integer
-pseudo-division on the numerators, formed into Fractions the same way.
+vectors; products of them and of their matrices, and the cofactor
+determinant, can be cut mod X^T as they are formed.  Each puts every
+factor, row or column over one denominator, multiplies and sums the
+integer numerators, and forms one Fraction per output coefficient.
+Division with remainder (by omega_n, Phi_{p^k} or any nonzero divisor)
+is an integer pseudo-division on the numerators, formed the same way.
 """
 
 from __future__ import annotations
@@ -342,19 +342,11 @@ def fpoly_scale(f, a):
 
 
 def fpoly_mul(f, g, T=None):
-    """f * g, mod X^T when T is given; only the kept terms are formed."""
-    if not f or not g:
-        return []
-    n = len(f) + len(g) - 1
-    if T is not None:
-        n = min(n, T)
-    out = [Fraction(0)] * n
-    for i, a in enumerate(f[:n]):
-        if a == 0:
-            continue
-        for j, b in enumerate(g[:n - i]):
-            out[i + j] += a * b
-    return fpoly_trim(out)
+    """f * g, mod X^T when T is given, formed on the integer numerators
+    of the two factors; one Fraction per output coefficient."""
+    (F,), df = _over_one_denominator([f], T)
+    (G,), dg = _over_one_denominator([g], T)
+    return _fraction_poly(_int_dot([(F, G)], T), df * dg)
 
 
 def fpoly_divmod(f, g):

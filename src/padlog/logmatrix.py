@@ -39,10 +39,10 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import (
+    _int_dot,
     cofactor_det,
     fpoly_add,
     fpoly_divmod,
-    fpoly_mul,
     fpoly_scale,
     fpoly_trim,
     frac_det,
@@ -334,12 +334,12 @@ def _stabilizes(p: int, n: int, low, high) -> bool:
 
 def _closed_det(fd: FrobeniusData, n: int):
     s = fd.scaled_dim
-    out = [frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)]
+    acc = [1]
     for k in range(1, n + 1):
         phi = phi_cyclo_ints(fd.ctx.p, k)
         for _ in range(s):
-            out = fpoly_mul(out, phi)
-    return out
+            acc = _int_dot([(phi, acc)], None)
+    return fpoly_scale(acc, frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s))
 
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:

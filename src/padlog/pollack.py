@@ -38,7 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .linalg import fpoly_add, fpoly_mul, fpoly_scale, pmat_const
+from .linalg import (_fraction_poly, _int_dot, fpoly_add, fpoly_scale,
+                     pmat_const)
 from .logmatrix import (
     FrobeniusData,
     _embed_matrix,
@@ -83,11 +84,10 @@ def _log_partial(ctx, n_factors, first, trunc):
 
 def _log_product(p: int, levels):
     """(1/p) * prod over k in levels of Phi_{p^k}(1 + X) / p, exact."""
-    out = [Fraction(1, p)]
+    acc = [1]
     for k in levels:
-        out = fpoly_scale(fpoly_mul(out, phi_cyclo_ints(p, k)),
-                          Fraction(1, p))
-    return out
+        acc = _int_dot([(phi_cyclo_ints(p, k), acc)], None)
+    return _fraction_poly(acc, p ** (1 + len(levels)))
 
 
 def _closed_form(p: int, n: int):

@@ -24,14 +24,14 @@ run it.  The twist of gamma by the tower,
 is computed modulo a chosen power pi^T.  A substitution f(g) with
 g(0) = 0 depends only on f mod pi^T, so every substitution that feeds a
 truncated result is truncated from the start: f is cut to T terms,
-(1 + pi)^c - 1 mod pi^T comes straight from the binomial coefficients,
-and Horner's rule cuts to T terms after every multiply.  The cost of a
-twist therefore does not depend on the size of c.  M'_n is cut to pi^T
-first and its inverse mod pi^T comes from the adjugate divided by the
-determinant (linalg's cofactor_det, cut mod pi^T), whose constant term
-is exactly 1, so that the expansion is a denominator-free recurrence.
-The twist runs in exact rational arithmetic for both kinds of exponent:
-a PadicScalar c known mod p^N runs on its lift, and each coefficient is
+g = (1 + pi)^c - 1 mod pi^T comes straight from the binomial
+coefficients, and f(g) is the integer numerators of f times one integer
+matrix whose row k is g^k mod pi^T, formed once per twist.  The cost of
+a twist therefore does not depend on the size of c.  M'_n is cut to
+pi^T first and its inverse mod pi^T is the adjugate times the series
+inverse, an integer recurrence, of the determinant (cofactor_det).  The
+twist runs in exact rational arithmetic for both kinds of exponent: a
+PadicScalar c known mod p^N runs on its lift, and each coefficient is
 then rounded once to the digits that every lift of c shares.  The twist
 must come out p-integral and congruent to I mod pi, and these claims
 are verified rather than assumed.
@@ -57,8 +57,10 @@ from .errors import (
     PrecisionExhausted,
 )
 from .linalg import (
+    _fraction_poly,
+    _int_dot,
+    _over_one_denominator,
     cofactor_det,
-    fpoly_add,
     fpoly_mul,
     fpoly_scale,
     fpoly_trim,
@@ -100,8 +102,8 @@ class GammaElement:
         if isinstance(c, PadicScalar):
             if c.p != p:
                 raise InputError("gamma scalar lives over a different prime")
-            diff = c - c.ctx.one()
-            if diff.abs_prec() < 1 or diff.valuation() < 1:
+            if (c.valuation() < 0 or c.abs_prec() < 1
+                    or (c.lift() - 1) % p):
                 raise InputError("gamma exponent must be certified 1 mod p")
         else:
             c = int(c)
@@ -129,25 +131,38 @@ class GammaElement:
 
 
 def _binom_shift(e: int, T=None):
-    """(1 + pi)^e - 1 as an exact polynomial in pi, mod pi^T when T is
+    """(1 + pi)^e - 1 as an integer polynomial in pi, mod pi^T when T is
     given."""
     top = e if T is None else min(e, T - 1)
-    return fpoly_trim([Fraction(0)] + [Fraction(math.comb(e, k))
-                                       for k in range(1, top + 1)])
+    return fpoly_trim([0] + [math.comb(e, k) for k in range(1, top + 1)])
+
+
+def _power_matrix(g, rows: int, T: int):
+    """The rows g^k mod pi^T for k < rows: the substitution pi -> g as an
+    integer matrix, for g with integer coefficients and g(0) = 0."""
+    if g and g[0] != 0:
+        raise InputError("substitution requires zero constant term")
+    S = [[1]]
+    for _ in range(1, rows):
+        S.append(_int_dot([(S[-1], g)], T))
+    return S
+
+
+def _substitute(f, S, T):
+    """f(g) mod pi^T: the numerators of f over one denominator times the
+    power matrix S of g."""
+    (F,), d = _over_one_denominator([f], T)
+    pairs = (([a], row) for a, row in zip(F, S) if a)
+    return _fraction_poly(_int_dot(pairs, T), d)
 
 
 def _pcompose(f, g, T=None):
-    """f(g(pi)) for polynomials with g(0) = 0, mod pi^T when T is given.
-
-    As g^k is divisible by pi^k, only f mod pi^T matters, and Horner's
-    rule cuts every partial result to T terms.
-    """
-    if g and g[0] != 0:
-        raise InputError("substitution requires zero constant term")
-    acc = []
-    for c in reversed(list(f)[:T]):
-        acc = fpoly_add(fpoly_mul(acc, g, T), [Fraction(c)])
-    return acc
+    """f(g(pi)) for g with integer coefficients and g(0) = 0, mod pi^T
+    when T is given, else to full degree.  As g^k is divisible by pi^k,
+    only f mod pi^T and the powers g^k with k < T matter."""
+    if T is None:
+        T = (len(f) - 1) * max(len(g) - 1, 0) + 1
+    return _substitute(f, _power_matrix(g, min(len(f), T), T), T)
 
 
 def phi_act_poly(p: int, f, trunc=None):
@@ -184,17 +199,19 @@ def _padj(A, T: int):
 
 
 def _pseries_inv(f, T: int):
-    """Inverse of a polynomial with nonzero constant term, mod pi^T."""
+    """Inverse mod pi^T of f = F / d with c = F[0] != 0: coefficient k
+    is d h_k / c^(k+1) for the integers h_0 = 1 and
+    h_k = -sum_(j<k) h_j c^(k-1-j) F[k-j]."""
     if not f or f[0] == 0:
         raise InputError("series inverse needs a nonzero constant term")
-    c0 = Fraction(f[0])
-    g = [Fraction(1) / c0]
+    (F,), d = _over_one_denominator([f], None)
+    c = F[0]
+    h, cpow = [1], [1]
     for k in range(1, T):
-        acc = Fraction(0)
-        for j in range(max(0, k - len(f) + 1), k):
-            acc += g[j] * f[k - j]
-        g.append(-acc / c0)
-    return fpoly_trim(g)
+        cpow.append(cpow[-1] * c)
+        h.append(-sum(h[j] * cpow[k - 1 - j] * F[k - j]
+                      for j in range(max(0, k - len(F) + 1), k)))
+    return fpoly_trim([Fraction(d * x, c * y) for x, y in zip(h, cpow)])
 
 
 def _pmat_integral(A, p: int):
@@ -284,8 +301,8 @@ class WachMatrixTower:
         inv_det = _pseries_inv(det, T)
         Minv = mat_map(_padj(M, T), lambda e: fpoly_mul(e, inv_det, T))
         c = gamma.c if gamma.is_integer else gamma.c.lift()
-        shift = _binom_shift(c, T)
-        G = pmat_mul(Minv, mat_map(M, lambda e: _pcompose(e, shift, T)), T)
+        S = _power_matrix(_binom_shift(c, T), T, T)
+        G = pmat_mul(Minv, mat_map(M, lambda e: _substitute(e, S, T)), T)
         ctx, p = self.fd.ctx, self.fd.ctx.p
         bad = _pmat_integral(G, p)
         const = pmat_const(G)
@@ -361,17 +378,13 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     """P_1 gamma(P_1^{-1}) must be congruent to I mod pi.
 
     Computed exactly for integer exponents: the product equals
-    (1/q) * qP_1 * gamma(P_1^{-1}), and 1/q is expanded as
-    (1/p) * inverse of (q/p), whose constant term is 1.
+    (1/q) * qP_1 * gamma(P_1^{-1}), with 1/q expanded mod pi^trunc.
     """
     _require_wach(fd)
     if not gamma.is_integer:
         raise InputError("exact check needs an integer gamma exponent")
-    p = fd.ctx.p
     data = build_Pn(fd, 1)
-    q = q_poly(p)
-    q_over_p = fpoly_scale(q, Fraction(1, p))
-    inv_q = fpoly_scale(_pseries_inv(q_over_p, trunc), Fraction(1, p))
+    inv_q = _pseries_inv(q_poly(fd.ctx.p), trunc)
     moved = mat_map(data["P_inv"], lambda e: gamma_act_poly(gamma, e, trunc))
     prod = pmat_mul(data["qP"], moved, trunc)
     prod = mat_map(prod, lambda e: fpoly_mul(e, inv_q, trunc))

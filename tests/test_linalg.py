@@ -266,14 +266,25 @@ def test_zp_nullspace_is_a_saturated_kernel_basis():
 
 
 small_polys = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
+small_rational_polys = st.lists(
+    st.builds(Fraction, st.integers(-9, 9),
+              st.sampled_from((1, 2, 3, 4, 9, 25))),
+    min_size=0, max_size=5)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys)
-def test_fpoly_mul_matches_oracle(a, b):
+@given(small_polys, small_polys, small_rational_polys, small_rational_polys,
+       st.sampled_from((None, 0, 1, 3)))
+def test_fpoly_mul_matches_oracle(a, b, ra, rb, T):
+    # integer tuples (as phi_cyclo_ints gives), rationals with mixed
+    # denominators and the two mixed, against the truncated oracle product
+    for f, g in ((tuple(a), tuple(b)), (ra, rb), (ra, tuple(b)),
+                 (list(a), rb)):
+        out = fpoly_mul(f, g, T)
+        assert out == ptrim(pmul(f, g)[:T])
+        assert all(type(c) is Fraction for c in out)
     fa = [Fraction(c) for c in a]
     fb = [Fraction(c) for c in b]
-    assert fpoly_mul(fa, fb) == pmul(fa, fb)
     assert fpoly_add(fa, fb) == padd(fa, fb)
 
 

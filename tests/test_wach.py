@@ -9,10 +9,12 @@ from fractions import Fraction
 import pytest
 
 from padlog import (
+    INF,
     GammaElement,
     InputError,
     IntegralityViolation,
     PadicContext,
+    PadicScalar,
     PrecisionExhausted,
     XSeries,
     build_G_gamma,
@@ -29,6 +31,8 @@ from padlog.wach import (
     WachMatrixTower,
     _binom_shift,
     _pcompose,
+    _power_matrix,
+    _pseries_inv,
     gamma_act_poly,
     phi_act_poly,
     q_poly,
@@ -132,6 +136,56 @@ def test_substitution_rejects_nonzero_constant_term():
         _pcompose(f, g, 4)
 
 
+# the Frobenius exponent p and the benchmark's gamma exponents
+SHIFT_EXPONENTS = ([(3, e) for e in (3, 4, 10, 28, 82)]
+                   + [(5, e) for e in (5, 6, 11, 26)])
+
+
+@pytest.mark.parametrize("T", TRUNCS)
+@pytest.mark.parametrize("p,e", SHIFT_EXPONENTS)
+def test_power_matrix_rows_match_closed_form(p, e, T):
+    # the coefficient of pi^j in ((1 + pi)^e - 1)^k is
+    # sum_(i<=k) (-1)^(k-i) binom(k, i) binom(e i, j)
+    S = _power_matrix(_binom_shift(e, T), T, T)
+    assert len(S) == T
+    for k, row in enumerate(S):
+        want = [sum((-1) ** (k - i) * math.comb(k, i) * math.comb(e * i, j)
+                    for i in range(k + 1)) for j in range(T)]
+        assert all(type(x) is int for x in row)
+        assert row + [0] * (T - len(row)) == want
+
+
+@pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 4, 2, 1)],
+                         ids=["size2", "size4"])
+def test_twist_builds_the_power_matrix_once(fd, monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=_power_matrix):
+        calls.append(args[2])
+        return _fn(*args)
+
+    monkeypatch.setattr("padlog.wach._power_matrix", counted)
+    tower = build_M_prime(fd, 2)
+    for k, c, T in ((1, 4, 6), (2, 10, 12), (2, fd.ctx.integer(4), 8)):
+        calls.clear()
+        tower.twist(k, GammaElement(3, c), T)
+        assert calls == [T]
+
+
+@pytest.mark.parametrize("T", TRUNCS)
+@pytest.mark.parametrize("p", (3, 5))
+def test_series_inverse_mod_pi_T(p, T):
+    # p-power denominators and constant terms other than 1
+    tail = sample_poly(p, 6)[1:]
+    for c0 in (Fraction(-2, p ** 2), Fraction(p - 1), Fraction(7, p)):
+        f = [c0] + tail
+        inv = _pseries_inv(f, T)
+        assert len(inv) <= T
+        assert ptrim(pmul(f, inv)[:T]) == [1]
+    with pytest.raises(InputError):
+        _pseries_inv([Fraction(0), Fraction(1)], T)
+
+
 def test_gamma_act_requires_integer():
     ctx = PadicContext(3, rel_prec=10, denom_budget=12)
     g = GammaElement(3, ctx.integer(4))
@@ -151,6 +205,28 @@ def test_gamma_element_validation():
     with pytest.raises(InputError):
         GammaElement(3, ctx.integer(2))  # not 1 mod 3
     assert GammaElement.default(3).c == 4
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_gamma_element_accepts_exactly_scalars_known_one_mod_p(p):
+    # read off the triple: p^v u + O(p^(v + prec)) is known mod p when
+    # v >= 0 and v + prec >= 1, and then it is u mod p at v = 0 and 0 mod
+    # p at v > 0; the zero O(p^prec) is known mod p when prec >= 1
+    ctx = PadicContext(p, rel_prec=3, denom_budget=3)
+    triples = [(v, u, prec) for v in range(-3, 3) for prec in range(1, 4)
+               for u in range(1, p ** prec) if u % p]
+    triples += [(INF, None, prec) for prec in (0, 1, 2, INF)]
+    for v, u, prec in triples:
+        if u is None:
+            known, residue = prec >= 1, 0
+        else:
+            known, residue = v >= 0 and v + prec >= 1, u % p if v == 0 else 0
+        try:
+            GammaElement(p, PadicScalar(ctx, v, u, prec))
+            accepted = True
+        except InputError:
+            accepted = False
+        assert accepted == (known and residue == 1), (v, u, prec)
 
 
 @pytest.mark.parametrize("c", (1, 2))
