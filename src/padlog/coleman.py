@@ -23,18 +23,20 @@ from fractions import Fraction
 
 from .errors import InputError, NotInImage, NotIntegral, PrecisionLoss
 from .linalg import (
+    _fraction_poly,
+    _int_pmat_mul,
+    _over_one_denominator,
+    _pseudo_divmod,
     fpoly_add,
     fpoly_divmod,
     fpoly_scale,
-    mat_pow,
+    mat_mul,
     frac_identity,
-    pmat_from_frac,
-    pmat_mul,
     vp_frac,
     zp_nullspace,
-    _over_one_denominator,
 )
-from .logmatrix import FrobeniusData, build_Cn, build_chain, _mod_omega
+from .logmatrix import (FrobeniusData, build_Cn, build_chain, _constant,
+                        _integer_form, _mod_omega)
 from .padic import INF, PadicScalar
 from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
@@ -119,9 +121,13 @@ def _first_below(f, p: int, N):
 
 
 def _apply(M, polys, p: int, n: int):
-    """M times a vector of Fraction polynomials, reduced mod omega_n."""
-    return [_mod_omega(e, p, n)
-            for (e,) in pmat_mul(M, [[f] for f in polys])]
+    """The integer form M = N / d times a vector of Fraction polynomials,
+    reduced mod omega_n on the integer numerators; one Fraction per
+    output coefficient."""
+    (N, d), (X, dx) = M, _over_one_denominator(polys, None)
+    omega = omega_ints(p, n)
+    return [_fraction_poly(_pseudo_divmod(e, omega)[1], d * dx)
+            for (e,) in _int_pmat_mul(N, [X])]
 
 
 def _embed(ctx, n: int, polys, N):
@@ -137,7 +143,7 @@ def _embed(ctx, n: int, polys, N):
 
 
 def _chain_top(fd: FrobeniusData, n: int):
-    """P_n = C_n ... C_1, exact; its degree is below p^n."""
+    """P_n = C_n ... C_1 as an integer form; its degree is below p^n."""
     if n < 1:
         raise InputError("forward needs n >= 1")
     return build_chain(fd, n)[n]
@@ -177,7 +183,7 @@ def factor_level(fd: FrobeniusData, n: int, L,
         raise InputError("factor_level needs n >= 1")
     x, N = _as_classes(fd, n, L)
     p = fd.ctx.p
-    C, lost = pmat_from_frac(fd.C), _depth(fd.C, p)
+    C, lost = _constant(fd.C), _depth(fd.C, p)
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
         for i in range(fd.fil_dim, fd.size):
@@ -218,8 +224,10 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
             raise InputError("raw components must be exact polynomials")
     x, N = _as_classes(fd, n, raw)
     p = fd.ctx.p
-    shift = mat_pow(_cphi_inv(fd), n + 1, frac_identity(fd.size))
-    comps = _embed(fd.ctx, n, _apply(pmat_from_frac(shift), x, p, n),
+    shift, cphi_inv = frac_identity(fd.size), _cphi_inv(fd)
+    for _ in range(n + 1):
+        shift = mat_mul(cphi_inv, shift)
+    comps = _embed(fd.ctx, n, _apply(_constant(shift), x, p, n),
                    N + _depth(shift, p))
     for i, c in enumerate(comps):
         for j, coeff in enumerate(c.rep.coeffs):
@@ -268,10 +276,11 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     x, N = _as_classes(fd, n + 1, col)
     p = fd.ctx.p
     low = _apply(_chain_top(fd, n), x, p, n)
-    top = [[_mod_omega(e, p, n) for e in row] for row in build_Cn(fd, n + 1)]
+    top = _integer_form([[_mod_omega(e, p, n) for e in row]
+                         for row in build_Cn(fd, n + 1)])
     cphi_inv = _cphi_inv(fd)
     hi = _apply(top, low, p, n)
-    twisted = _apply(pmat_from_frac(cphi_inv), low, p, n)
+    twisted = _apply(_constant(cphi_inv), low, p, n)
     lost = _depth(fd.C_inv, p)
     N += min((n + 1) * lost, n * lost + _depth(cphi_inv, p))
     diff = [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(hi, twisted)]
@@ -302,12 +311,11 @@ def kernel_basis(fd: FrobeniusData, n: int):
     N = p ** n
     omega = omega_ints(p, n)
     # the matrix of the map on coefficient vectors: column (i, j) is the
-    # image of X^j in component i.  Each row of C_n ... C_1 (of degree
-    # below p^n) is put over one denominator, which scales the N rows of
-    # its block and leaves the kernel as it is.
+    # image of X^j in component i.  The chain's numerators are C_n ... C_1
+    # (of degree below p^n) times its one denominator, which scales H
+    # and leaves the kernel as it is.
     H = []
-    for prow in _chain_top(fd, n):
-        nums, _ = _over_one_denominator(prow, None)
+    for nums in _chain_top(fd, n)[0]:
         block = [[0] * (fd.size * N) for _ in range(N)]
         for i, f in enumerate(nums):
             f = f + [0] * (N - len(f))

@@ -1,7 +1,7 @@
 """Matrix and polynomial utilities.
 
-The generic layer (products and powers) needs only ring operator
-overloads; the library runs it on constant matrices of Fractions.
+The generic layer (products) needs only ring operator overloads; the
+library runs it on constant matrices of Fractions and of integers.
 Polynomial matrices go through the exact layer's pmat_* instead.
 
 The exact layer works on Fractions and is the decision engine.  One
@@ -72,20 +72,6 @@ def mat_sub(A, B):
 
 def mat_map(A, fn):
     return [[fn(a) for a in row] for row in A]
-
-
-def mat_pow(A, e, identity):
-    if e < 0:
-        raise InputError("mat_pow needs e >= 0")
-    out = identity
-    base = A
-    while e:
-        if e & 1:
-            out = mat_mul(out, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    return out
 
 
 # -- exact Fraction layer --------------------------------------------------
@@ -352,7 +338,7 @@ def fpoly_mul(f, g, T=None):
 def fpoly_divmod(f, g):
     """(q, r) with f = q g + r and deg r < deg g, for any nonzero g.
     With f = F/df and g = G/dg, lead^m F = Q G + R is a pseudo-division
-    on integers, m = deg F - deg G + 1; then q = Q dg / (lead^m df) and
+    on integers (_pseudo_divmod); then q = Q dg / (lead^m df) and
     r = R / (lead^m df), one Fraction per output coefficient."""
     f, g = fpoly_trim(f), fpoly_trim(g)
     if not g:
@@ -361,8 +347,17 @@ def fpoly_divmod(f, g):
         return [], [c if isinstance(c, Fraction) else Fraction(c) for c in f]
     (F,), df = _over_one_denominator([f], None)
     (G,), dg = _over_one_denominator([g], None)
+    q, r, scale = _pseudo_divmod(F, G)
+    den = scale * df
+    return _fraction_poly([c * dg for c in q], den), _fraction_poly(r, den)
+
+
+def _pseudo_divmod(F, G):
+    """(Q, R, lead^m) with lead^m F = Q G + R, R trimmed and of degree
+    below deg G, for integer polynomials F and G, G trimmed and nonzero,
+    m = max(len F - deg G, 0).  For a monic G it divides with remainder."""
     deg, lead = len(G) - 1, G[-1]
-    m = len(F) - deg
+    m = max(len(F) - deg, 0)
     scale = lead ** m
     rem = [c * scale for c in F]
     low = G[:deg]
@@ -372,17 +367,10 @@ def fpoly_divmod(f, g):
             t = q[j - deg] = rem[j] // lead
             for i, c in enumerate(low, j - deg):
                 rem[i] -= t * c
-    den = scale * df
-    return (_fraction_poly([c * dg for c in q], den),
-            _fraction_poly(rem[:deg], den))
+    return q, _int_trim(rem[:deg]), scale
 
 
 # -- matrices of Fraction polynomials --------------------------------------
-
-
-def pmat_from_frac(M):
-    """Fraction matrix -> matrix of constant polynomials."""
-    return [[[Fraction(x)] if x else [] for x in row] for row in M]
 
 
 def _over_one_denominator(entries, T):
@@ -415,17 +403,30 @@ def _int_dot(pairs, T):
     return acc
 
 
+def _int_trim(f):
+    """f without its trailing zero coefficients, trimmed in place."""
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 def _fraction_poly(acc, d):
     """The integer polynomial acc divided by d, as trimmed Fractions."""
-    while acc and not acc[-1]:
-        acc.pop()
-    return [Fraction(c, d) for c in acc]
+    return [Fraction(c, d) for c in _int_trim(acc)]
+
+
+def _int_pmat_mul(rows, cols, T=None):
+    """The integer polynomial matrix with entries row * col, for the rows
+    of A and the columns of B given as integer polynomials: A * B, mod
+    X^T when T is given.  The entries are not trimmed."""
+    return [[_int_dot(zip(row, col), T) for col in cols] for row in rows]
 
 
 def pmat_mul(A, B, T=None):
     """A * B, mod X^T when T is given.  Each row of A and each column of
     B is put over one denominator once; the products are summed on
-    integer numerators, and each output coefficient is one Fraction."""
+    integer numerators (_int_pmat_mul), and each output coefficient is
+    one Fraction."""
     ra, ca = mat_shape(A)
     rb, cb = mat_shape(B)
     if ca != rb:
@@ -433,15 +434,10 @@ def pmat_mul(A, B, T=None):
     rows = [_over_one_denominator(row, T) for row in A]
     cols = [_over_one_denominator([brow[j] for brow in B], T)
             for j in range(cb)]
-    return [[_fraction_poly(_int_dot(zip(row, col), T), da * db)
-             for col, db in cols] for row, da in rows]
-
-
-def pmat_sub(A, B):
-    return [
-        [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(ra, rb)]
-        for ra, rb in zip(A, B)
-    ]
+    prod = _int_pmat_mul([num for num, _ in rows], [num for num, _ in cols],
+                         T)
+    return [[_fraction_poly(e, da * db) for e, (_, db) in zip(row, cols)]
+            for row, (_, da) in zip(prod, rows)]
 
 
 def pmat_const(A):

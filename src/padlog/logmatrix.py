@@ -12,12 +12,15 @@ with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
 (-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.
 
-The chain P_k is one exact product of Fraction polynomials.  M_n, the
-Wach approximant M'_n = C_phi^n P_n and the Coleman kernel all read it.
-P_n has degree p^n - 1, so M_n is already reduced modulo omega_n.
+The chain P_k is one exact product on integer forms: an integer form
+(N, d) is a matrix N of integer polynomials over one denominator d,
+content-reduced.
+M_n, M'_n = C_phi^n P_n and the Coleman kernel all read it; Fractions
+are formed only where a result is returned or embedded.  P_n has degree
+p^n - 1, so M_n is already reduced modulo omega_n.
 
-The tower satisfies, and this module verifies exactly on the Fraction
-polynomials: M_m = M_n mod omega_n, the closed-form determinant, and
+The tower satisfies, and this module verifies exactly on the integer
+numerators: M_m = M_n mod omega_n, the closed-form determinant, and
 the transport law under a basis change.  The XSeries view of M_n, whose
 coefficients keep rel_prec digits, carries the certified checks
 M_n(0) = C_phi and the coefficient valuation bound (n+1) * minval(C_phi).
@@ -28,6 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import (
     DenominatorBudgetExceeded,
@@ -39,25 +44,24 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import (
+    _fraction_poly,
     _int_dot,
+    _int_pmat_mul,
+    _int_trim,
+    _over_one_denominator,
+    _pseudo_divmod,
     cofactor_det,
-    fpoly_add,
     fpoly_divmod,
     fpoly_scale,
     fpoly_trim,
     frac_det,
-    frac_identity,
     frac_inv,
     frac_mat,
     frac_charpoly,
     frac_rank,
     hull_root_valuations,
     mat_mul,
-    mat_pow,
     newton_lower_hull,
-    pmat_from_frac,
-    pmat_mul,
-    pmat_sub,
     vp_frac,
     zp_solve_integral,
 )
@@ -223,23 +227,71 @@ def build_Cn(fd: FrobeniusData, n: int):
     ]
 
 
+def _integer_matrix(A):
+    """(numerators, d): the matrix of rationals A as integers over the
+    least common denominator d."""
+    d = lcm(*{x.denominator for row in A for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
+def _constant(A, d=1):
+    """The matrix of rationals A / d as an integer form of constant
+    polynomials."""
+    A, m = _integer_matrix(A)
+    return [[[x] if x else [] for x in row] for row in A], m * d
+
+
+def _times(left, right):
+    """The product of two integer forms, trimmed and divided by the gcd of
+    its denominator and its content."""
+    (A, a), (B, b) = left, right
+    N = [[_int_trim(e) for e in row] for row in _int_pmat_mul(A, [*zip(*B)])]
+    g = gcd(a * b, *[gcd(*e) for row in N for e in row])
+    if g > 1:
+        N = [[[c // g for c in e] for e in row] for row in N]
+    return N, a * b // g
+
+
+def _fractions(form):
+    """The integer form N / d as a matrix of Fraction polynomials."""
+    N, d = form
+    return [[_fraction_poly(e, d) for e in row] for row in N]
+
+
+def _integer_form(M):
+    """A matrix of Fraction polynomials as an integer form."""
+    nums, d = _over_one_denominator([e for row in M for e in row], None)
+    entries = iter(nums)
+    return [[next(entries) for _ in row] for row in M], d
+
+
 def build_chain(fd: FrobeniusData, n: int):
-    """[P_0, ..., P_n] with P_0 = I and P_k = C_k P_{k-1} = C_k ... C_1,
-    exact.  P_k has degree p^k - 1, below the degree of omega_k."""
-    chain = [pmat_from_frac(frac_identity(fd.size))]
+    """[P_0, ..., P_n] as integer forms, P_0 = I and P_k = C_k P_{k-1}.
+    The scaled rows of C^{-1} P_{k-1} are multiplied by the monic
+    Phi_{p^k}(1+X), which keeps the content.  P_k has degree p^k - 1,
+    below the degree of omega_k."""
+    g, f = fd.size, fd.fil_dim
+    C_inv = _constant(fd.C_inv)
+    chain = [_constant([[int(i == j) for j in range(g)] for i in range(g)])]
     for k in range(1, n + 1):
-        chain.append(pmat_mul(build_Cn(fd, k), chain[-1]))
+        N, d = _times(C_inv, chain[-1])
+        phi = phi_cyclo_ints(fd.ctx.p, k)
+        N[f:] = [[_int_dot([(phi, e)], None) for e in row] for row in N[f:]]
+        chain.append((N, d))
     return chain
 
 
 def cphi_power_times(fd: FrobeniusData, e: int, P):
-    """C_phi^e P for a matrix P of Fraction polynomials."""
-    power = mat_pow(fd.C_phi, e, frac_identity(fd.size))
-    return pmat_mul(pmat_from_frac(power), P)
+    """C_phi^e P for an integer form P, the power formed on integers."""
+    A, c = _integer_matrix(fd.C_phi)
+    power = [[int(i == j) for j in range(fd.size)] for i in range(fd.size)]
+    for _ in range(e):
+        power = mat_mul(A, power)
+    return _times(_constant(power, c ** e), P)
 
 
 def _exact_levels(fd: FrobeniusData, levels):
-    """{n: M_n} for the requested levels, exact, from one chain."""
+    """{n: M_n} for the requested levels, as integer forms from one chain."""
     if any(n < 0 for n in levels):
         raise InputError("levels must be >= 0")
     top = max(levels, default=0)
@@ -251,6 +303,21 @@ def _exact_levels(fd: FrobeniusData, levels):
         )
     chain = build_chain(fd, top)
     return {n: cphi_power_times(fd, n + 1, chain[n]) for n in levels}
+
+
+def _difference(high, low):
+    """The numerators of high - low over the least common denominator of
+    the two integer forms, trimmed."""
+    (A, a), (B, b) = high, low
+    m = lcm(a, b)
+    return [[_combine(x, m // a, y, m // b) for x, y in zip(ra, rb)]
+            for ra, rb in zip(A, B)]
+
+
+def _combine(f, a, g, b):
+    """The integer polynomial a f - b g, trimmed."""
+    return _int_trim([a * x - b * y
+                      for x, y in zip_longest(f, g, fillvalue=0)])
 
 
 def _mod_omega(f, p: int, n: int):
@@ -288,8 +355,8 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
 
 
 def _approx(fd: FrobeniusData, n: int, M) -> LogMatrixApprox:
-    """The XSeries views of the exact M_n."""
-    raw = _embed_matrix(fd.ctx, M)
+    """The XSeries views of the exact M_n, given as an integer form."""
+    raw = _embed_matrix(fd.ctx, _fractions(M))
     reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
     return LogMatrixApprox(fd, n, raw, reduced)
 
@@ -327,24 +394,26 @@ def verify_stabilization(fd, n: int, m: int) -> bool:
 
 
 def _stabilizes(p: int, n: int, low, high) -> bool:
-    """True iff the exact M_m (high) = M_n (low) mod omega_n."""
-    return not any(_mod_omega(e, p, n)
-                   for row in pmat_sub(high, low) for e in row)
+    """True iff the integer forms M_m (high) = M_n (low) mod omega_n."""
+    omega = omega_ints(p, n)
+    return not any(_pseudo_divmod(e, omega)[1]
+                   for row in _difference(high, low) for e in row)
 
 
 def _closed_det(fd: FrobeniusData, n: int):
+    """(acc, c): the closed form is acc c, c = det(C) p^-(n+1)s."""
     s = fd.scaled_dim
     acc = [1]
     for k in range(1, n + 1):
         phi = phi_cyclo_ints(fd.ctx.p, k)
         for _ in range(s):
             acc = _int_dot([(phi, acc)], None)
-    return fpoly_scale(acc, frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s))
+    return acc, frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)
 
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
     """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block size."""
-    return XSeries.from_fractions(fd.ctx, _closed_det(fd, n))
+    return XSeries.from_fractions(fd.ctx, fpoly_scale(*_closed_det(fd, n)))
 
 
 def det_Mn(fd: FrobeniusData, n: int):
@@ -355,16 +424,20 @@ def det_Mn(fd: FrobeniusData, n: int):
 
 
 def _det_check(fd: FrobeniusData, n: int, M):
-    """det_Mn on the exact M_n."""
-    det = cofactor_det(M)
-    closed = _closed_det(fd, n)
-    diff = fpoly_add(det, fpoly_scale(closed, -1))
+    """det_Mn on the integer form M_n = N / d: det N / d^size against
+    acc c."""
+    N, d = M
+    det = [x.numerator for x in cofactor_det(N)]
+    den = d ** fd.size
+    acc, c = _closed_det(fd, n)
+    diff = _combine(det, c.denominator, acc, c.numerator * den)
+    rem = _pseudo_divmod(diff, omega_ints(fd.ctx.p, n))[1]
     return {
         "n": n,
-        "det": XSeries.from_fractions(fd.ctx, det),
-        "closed_form": XSeries.from_fractions(fd.ctx, closed),
+        "det": XSeries.from_fractions(fd.ctx, _fraction_poly(det, den)),
+        "closed_form": XSeries.from_fractions(fd.ctx, fpoly_scale(acc, c)),
         "raw_match": not diff,
-        "reduced_match": not _mod_omega(diff, fd.ctx.p, n),
+        "reduced_match": not rem,
         "witness": _first_nonzero(diff),
     }
 
@@ -407,14 +480,20 @@ def _validate_adapted(fd: FrobeniusData, B):
 def conjugated_instance(fd: FrobeniusData, B) -> FrobeniusData:
     """The instance whose Frobenius matrix is B C_phi B^{-1} (read off
     through C_w = B C_phi B^{-1} diag(I, p))."""
+    return _conjugation(fd, B)[2]
+
+
+def _conjugation(fd: FrobeniusData, B):
+    """(B, B^{-1}, conjugated_instance(fd, B)), B inverted once."""
     B = _validate_adapted(fd, B)
-    middle = mat_mul(mat_mul(B, fd.C_phi), frac_inv(B))
+    B_inv = frac_inv(B)
+    middle = mat_mul(mat_mul(B, fd.C_phi), B_inv)
     C_w = [
         [middle[i][j] * (1 if j < fd.fil_dim else fd.ctx.p)
          for j in range(fd.size)]
         for i in range(fd.size)
     ]
-    return FrobeniusData.create(fd.ctx, C_w, fd.d0, fd.r)
+    return B, B_inv, FrobeniusData.create(fd.ctx, C_w, fd.d0, fd.r)
 
 
 def log_matrix_in_basis(approx: LogMatrixApprox, B):
@@ -427,9 +506,8 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
     """
     Bq = frac_mat(B)
     M = _exact_levels(approx.fd, (approx.n,))[approx.n]
-    conj = pmat_mul(pmat_mul(pmat_from_frac(Bq), M),
-                    pmat_from_frac(frac_inv(Bq)))
-    return _embed_matrix(approx.fd.ctx, conj)
+    conj = _times(_times(_constant(Bq), M), _constant(frac_inv(Bq)))
+    return _embed_matrix(approx.fd.ctx, _fractions(conj))
 
 
 def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
@@ -451,19 +529,17 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
         transported.
 
     Both approximants come from one chain per instance, and every
-    verdict is exact.  Returns a report; raises NotFiltrationAdapted
-    when B lacks the adapted block form.
+    verdict is exact, decided on integer numerators.  Returns a report;
+    raises NotFiltrationAdapted when B lacks the adapted block form.
     """
-    fd_w = conjugated_instance(fd, B)
-    p = fd.ctx.p
-    Bq = frac_mat(B)
-    left = pmat_from_frac(Bq)
-    right = pmat_from_frac(frac_inv(Bq))
+    B, B_inv, fd_w = _conjugation(fd, B)
+    left, right = _constant(B), _constant(B_inv)
     mv = _exact_levels(fd, levels)
     mw = _exact_levels(fd_w, levels)
     per_level = {}
     for n in levels:
-        diff = pmat_sub(pmat_mul(pmat_mul(left, mv[n]), right), mw[n])
+        diff = _difference(_times(_times(left, mv[n]), right), mw[n])
+        omega = omega_ints(fd.ctx.p, n)
         exact_ok = mod_ok = True
         witness = None
         for i, row in enumerate(diff):
@@ -471,7 +547,7 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
                 if not e:
                     continue
                 exact_ok = False
-                rem = _mod_omega(e, p, n)
+                rem = _pseudo_divmod(e, omega)[1]
                 if rem:
                     mod_ok = False
                     if witness is None:

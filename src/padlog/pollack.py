@@ -45,6 +45,7 @@ from .logmatrix import (
     _embed_matrix,
     _exact_levels,
     _first_nonzero,
+    _fractions,
 )
 from .padic import PadicContext
 from .series import XSeries, phi_cyclo_ints
@@ -128,7 +129,7 @@ def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
     """
     _require_pollack(fd)
     predicted = _closed_form(fd.ctx.p, n)
-    M = _exact_levels(fd, (n,))[n]
+    M = _fractions(_exact_levels(fd, (n,))[n])
     report = {"n": n, "note": SIGN_NOTE}
     report["diagonal_zero"] = not M[0][0] and not M[1][1]
 

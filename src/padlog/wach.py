@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     InputError,
@@ -68,11 +69,11 @@ from .linalg import (
     mat_map,
     pmat_const,
     pmat_mul,
-    pmat_sub,
     vp_frac,
 )
 from .logmatrix import (
     FrobeniusData,
+    _fractions,
     _mod_omega,
     build_chain,
     build_Cn,
@@ -342,7 +343,8 @@ def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
     if n < 1:
         raise InputError("n must be at least 1")
     chain = build_chain(fd, n)
-    levels = [cphi_power_times(fd, k, chain[k]) for k in range(1, n + 1)]
+    levels = [_fractions(cphi_power_times(fd, k, chain[k]))
+              for k in range(1, n + 1)]
     return WachMatrixTower(fd, n, levels)
 
 
@@ -351,9 +353,9 @@ def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
     if not 1 <= n <= m <= tower.n:
         raise InputError("need 1 <= n <= m <= built level")
     p = tower.fd.ctx.p
-    return not any(_mod_omega(e, p, n)
-                   for row in pmat_sub(tower.matrix(m), tower.matrix(n))
-                   for e in row)
+    return all(_mod_omega(a, p, n) == _mod_omega(b, p, n)
+               for ra, rb in zip(tower.matrix(m), tower.matrix(n))
+               for a, b in zip(ra, rb))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +419,14 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
     lhs = mat_map(lhs, lambda e: fpoly_mul(e, gq, trunc))
     rhs = pmat_mul(Gn1, gqP, trunc)
     rhs = mat_map(rhs, lambda e: fpoly_mul(e, q, trunc))
-    diff = pmat_sub(lhs, rhs)
     mismatch = None
-    for i, row in enumerate(diff):
-        for j, e in enumerate(row):
-            if e:
+    for i, (ra, rb) in enumerate(zip(lhs, rhs)):
+        for j, (a, b) in enumerate(zip(ra, rb)):
+            if a != b:
                 mismatch = mismatch or {
                     "entry": (i, j),
-                    "degree": next(k for k, c in enumerate(e) if c != 0),
+                    "degree": next(k for k, (x, y) in enumerate(
+                        zip_longest(a, b, fillvalue=0)) if x != y),
                 }
     return {"n": n, "trunc": trunc, "ok": mismatch is None,
             "mismatch": mismatch}
@@ -442,6 +444,4 @@ def verify_cocycle(fd: FrobeniusData, n: int, c1: int, c2: int,
     lhs, G1, G2 = (tower.twist(n, g, trunc)["G"] for g in (g12, g1, g2))
     moved = mat_map(G2, lambda e: gamma_act_poly(g1, e, trunc))
     rhs = pmat_mul(G1, moved, trunc)
-    diff = pmat_sub(lhs, rhs)
-    ok = all(not e for row in diff for e in row)
-    return {"n": n, "trunc": trunc, "ok": ok}
+    return {"n": n, "trunc": trunc, "ok": lhs == rhs}

@@ -368,15 +368,14 @@ def poly_mat_mul(A, B):
     ]
 
 
-def mn_poly_oracle(fd, n: int):
-    """Rebuild the level-n approximant as a matrix of exact Fraction
-    polynomials, using only fd's matrix data and the division-oracle
-    cyclotomics; completely independent of the series engine."""
+def chain_oracle(fd, n: int):
+    """Rebuild [P_0, ..., P_n], P_k = C_k ... C_1, as matrices of exact
+    Fraction polynomials, using only fd's matrix data and the
+    division-oracle cyclotomics; completely independent of the package."""
     p = fd.ctx.p
     g, fil = fd.size, fd.fil_dim
-    C = [[Fraction(x) for x in row] for row in fd.C]
-    Cinv = inv_oracle(C)
-    acc = [[[Fraction(int(i == j))] for j in range(g)] for i in range(g)]
+    Cinv = inv_oracle([[Fraction(x) for x in row] for row in fd.C])
+    chain = [[[[Fraction(int(i == j))] for j in range(g)] for i in range(g)]]
     for k in range(1, n + 1):
         phik = [Fraction(c) for c in phi_oracle(p, k)]
         Ck = [
@@ -384,7 +383,17 @@ def mn_poly_oracle(fd, n: int):
              for j in range(g)]
             for i in range(g)
         ]
-        acc = poly_mat_mul(Ck, acc)
+        chain.append(poly_mat_mul(Ck, chain[-1]))
+    return chain
+
+
+def mn_poly_oracle(fd, n: int):
+    """Rebuild the level-n approximant C_phi^(n+1) P_n as a matrix of
+    exact Fraction polynomials from chain_oracle."""
+    p = fd.ctx.p
+    g, fil = fd.size, fd.fil_dim
+    C = [[Fraction(x) for x in row] for row in fd.C]
+    acc = chain_oracle(fd, n)[n]
     Cphi = [[[C[i][j] if j < fil else C[i][j] / p] for j in range(g)]
             for i in range(g)]
     for _ in range(n + 1):

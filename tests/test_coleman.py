@@ -416,23 +416,26 @@ def test_tower_projection_reads_the_chain_only_to_level_n(monkeypatch):
     # P_(n+1) has degree p^(n+1) - 1; the level-n projection needs only
     # P_n and C_(n+1) mod omega_n, so no chain grows past level n
     import padlog.coleman as coleman
-    import padlog.logmatrix as logmatrix
 
     fd = random_instance(3, 3, 1, 1)
     rng = random.Random(28)
-    chains, stages = [], []
-    build_chain, build_Cn = coleman.build_chain, logmatrix.build_Cn
-    monkeypatch.setattr(coleman, "build_chain",
-                        lambda fd, n: chains.append(n) or build_chain(fd, n))
-    monkeypatch.setattr(logmatrix, "build_Cn",
-                        lambda fd, n: stages.append(n) or build_Cn(fd, n))
+    chains, lengths = [], []
+    build_chain = coleman.build_chain
+
+    def counted(fd, n):
+        chain = build_chain(fd, n)
+        chains.append(n)
+        lengths.append(len(chain))
+        return chain
+
+    monkeypatch.setattr(coleman, "build_chain", counted)
     for n in (1, 2, 3):
         chains.clear()
-        stages.clear()
+        lengths.clear()
         col = random_polynomial_vector(fd, rng)
         assert tower_projection_check(fd, n, col)["ok"]
         assert chains == [n]
-        assert max(stages) == n
+        assert lengths == [n + 1]
 
 
 @pytest.mark.parametrize("fd", [

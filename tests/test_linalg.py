@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from padlog import InputError, NotInImage, SingularOperator
 from padlog.linalg import (
+    _pseudo_divmod,
     cofactor_det,
     fp_rank,
     fpoly_add,
@@ -39,6 +40,7 @@ from oracles import (
     in_span,
     inv_oracle,
     lower_hull_oracle,
+    omega_oracle,
     padd,
     pdivmod,
     perm_det,
@@ -551,3 +553,17 @@ def test_fpoly_divmod_matches_oracle_on_rational_divisors():
     for zero in ([], [0, 0]):
         with pytest.raises(InputError):
             fpoly_divmod([1], zero)
+
+
+def test_integer_remainder_mod_omega_matches_the_oracle():
+    # the tower's verdicts reduce integer numerators mod the monic omega_n
+    # with the pseudo-division that fpoly_divmod runs
+    from padlog.series import omega_ints
+
+    rng = random.Random(43)
+    for p, n in ((3, 1), (3, 2), (5, 1), (5, 2)):
+        N = p ** n
+        for length in (0, 1, N - 1, N, N + 1, 2 * N, 7 * N + 3):
+            F = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(length)]
+            assert (_pseudo_divmod(F, omega_ints(p, n))[1]
+                    == pdivmod(F, omega_oracle(p, n))[1])

@@ -1,7 +1,9 @@
 """Logarithmic matrix approximants: admission gate, tower build,
 stabilization, determinant identity, basis change, image condition."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,16 +25,21 @@ from padlog import (
     image_condition_at_zero,
     verify_stabilization,
 )
-from padlog.logmatrix import min_coeff_valuation
+from padlog.coleman import forward
+from padlog.logmatrix import build_chain, min_coeff_valuation
+from padlog.pollack import verify_antidiagonal
+from padlog.wach import build_M_prime
 
 from instances import (
     interleaved_gl4,
     pollack_fd,
     random_adapted_B,
     random_instance,
+    random_polynomial_vector,
 )
 from oracles import (
     agree_mod_precision,
+    chain_oracle,
     inv_oracle,
     matches_rational,
     mn_poly_oracle,
@@ -44,6 +51,7 @@ from oracles import (
     phi_oracle,
     pmul,
     pscale,
+    ptrim,
 )
 
 
@@ -325,3 +333,54 @@ def test_non_integral_C_matches_the_oracles():
                 pdivmod(padd(a, pscale(b, -1)), omega)[1] == []
                 for ra, rb in zip(want[m], want[n]) for a, b in zip(ra, rb))
             assert verify_stabilization(fd, n, m)
+
+
+def test_integer_chain_matches_the_oracle_chain():
+    # each level N_k / d_k of build_chain is P_k = C_k ... C_1, with d_k
+    # prime to the content of N_k
+    for p in (3, 5):
+        for size in (2, 3, 4):
+            fd = random_instance(p, size, size // 2, 2)
+            want = chain_oracle(fd, 3)
+            for k, (N, d) in enumerate(build_chain(fd, 3)):
+                assert [[pscale(e, Fraction(1, d)) for e in row]
+                        for row in N] == [[ptrim(e) for e in row]
+                                          for row in want[k]]
+                assert math.gcd(d, *(c for row in N for e in row
+                                     for c in e)) == 1
+
+
+def count_calls(monkeypatch, names):
+    """Record every call of the named functions, wherever a padlog module
+    binds them."""
+    calls = []
+    for mod in list(sys.modules.values()):
+        if not getattr(mod, "__name__", "").startswith("padlog"):
+            continue
+        for name in names:
+            fn = getattr(mod, name, None)
+            if callable(fn):
+                monkeypatch.setattr(mod, name, lambda *a, name=name, fn=fn,
+                                    **k: calls.append(name) or fn(*a, **k))
+    return calls
+
+
+def test_tower_readers_run_on_integer_forms(monkeypatch):
+    # the chain multiplies no C_k matrices of Fractions, and no reader of
+    # the tower subtracts matrices of Fraction polynomials or raises
+    # C_phi to a power of Fractions
+    fd = random_instance(3, 3, 1, 1)
+    B = random_adapted_B(fd, random.Random(9))
+    col = random_polynomial_vector(fd, random.Random(10))
+    calls = count_calls(monkeypatch, ("build_Cn", "pmat_mul"))
+    build_chain(fd, 3)
+    assert calls == []
+    calls = count_calls(monkeypatch, ("pmat_sub", "mat_pow"))
+    build_Mn(fd, 2)
+    det_Mn(fd, 2)
+    assert verify_stabilization(fd, 1, 2)
+    conjugate_basis_check(fd, B)
+    assert verify_antidiagonal(pollack_fd(), 2)["ok"]
+    forward(fd, 2, col)
+    build_M_prime(random_instance(3, 2, 1, 0), 2)
+    assert calls == []
