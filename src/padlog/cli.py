@@ -104,11 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, exact)
 
     sp = sub.add_parser("wach", help="tower and twist checks")
-    sp.add_argument("--p", type=int, required=True)
+    sp.add_argument("--p", type=int, required=True, help="the prime p")
     sp.add_argument("--c", type=int, required=True,
                     help="gamma exponent, 1 mod p")
-    sp.add_argument("--levels", type=int, default=2)
-    sp.add_argument("--trunc", type=int, default=30)
+    sp.add_argument("--levels", type=int, default=2,
+                    help="check the tower at n = 1..levels (default 2)")
+    sp.add_argument("--trunc", type=int, default=30,
+                    help="compute the twists mod pi^trunc (default 30)")
     common(sp, exact)
 
     return parser

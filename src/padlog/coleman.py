@@ -7,10 +7,12 @@ Division happens on the degree-reduced representative, which is sound
 because Phi_{p^k} divides omega_n: a class is divisible iff its reduced
 representative is divisible as a polynomial.
 
-The maps run exactly on the input lifted once to Fraction polynomials,
-with one absolute precision N for the whole vector.  Each output
-coefficient is rounded once at N, less the digits a non-p-integral
-matrix could lose (none when admitted); a zero one is O(p^N).
+The maps run exactly on the input lifted once to an integer form (a
+column of integer polynomials over one denominator, see linalg), with
+one absolute precision N for the whole vector.  Fractions are formed
+only to round the result: each output coefficient is rounded once at
+N, less the digits a non-p-integral matrix could lose (none when
+admitted); a zero one is O(p^N).
 
 The factorization result is unique only modulo the kernel of the
 forward map; the kernel_tag records that, and kernel_basis computes an
@@ -19,25 +21,21 @@ explicit saturated basis for small sizes.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import InputError, NotInImage, NotIntegral, PrecisionLoss
 from .linalg import (
-    _fraction_poly,
-    _int_pmat_mul,
-    _over_one_denominator,
-    _pseudo_divmod,
-    fpoly_add,
-    fpoly_divmod,
-    fpoly_scale,
-    mat_mul,
+    form_const,
+    form_mod,
+    form_mul,
+    form_sub,
+    form_to_fractions,
     frac_identity,
+    mat_mul,
+    pseudo_divmod,
     vp_frac,
     zp_nullspace,
 )
-from .logmatrix import (FrobeniusData, build_Cn, build_chain, _constant,
-                        _integer_form, _mod_omega)
-from .padic import INF, PadicScalar
+from .logmatrix import FrobeniusData, build_Cn, build_chain
+from .padic import INF
 from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
 
@@ -70,25 +68,20 @@ class ColemanVector:
         self.kernel_tag = kernel_tag
 
 
-def _lift(c: PadicScalar, p: int):
-    """The rational p^v u of a scalar; 0 for a zero representation."""
-    if c.u is None:
-        return 0
-    return c.u * p ** c.v if c.v >= 0 else Fraction(c.u, p ** -c.v)
-
-
 def _as_classes(fd: FrobeniusData, n: int, comps):
-    """Lift the components once: (polys, N), the components as Fraction
-    polynomials reduced mod omega_n and one absolute precision N for the
-    whole vector, the least abs_prec() of its coefficients (INF only when
-    every coefficient is an exact zero)."""
+    """Lift the components once: (x, N), the components as a column
+    integer form reduced mod omega_n, and one absolute precision N for
+    the whole vector, the least abs_prec() of its coefficients (INF only
+    when every coefficient is an exact zero).  A coefficient p^v u is
+    lifted to the numerator u p^(v + k) over p^k, for the least k >= 0
+    that clears every v."""
     if isinstance(comps, (RegulatorVector, ColemanVector)):
         comps = comps.components
     comps = list(comps)
     if len(comps) != fd.size:
         raise InputError(f"expected {fd.size} components")
     p = fd.ctx.p
-    polys, N = [], INF
+    reps, N = [], INF
     for c in comps:
         if isinstance(c, LambdaNElement):
             if c.level != n:
@@ -100,8 +93,11 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
             raise PrecisionLoss("cannot reduce a truncated series modulo "
                                 "omega_n")
         N = min(N, min((x.abs_prec() for x in c.coeffs), default=INF))
-        polys.append(_mod_omega([_lift(x, p) for x in c.coeffs], p, n))
-    return polys, N
+        reps.append(c.coeffs)
+    k = max([0] + [-x.v for cs in reps for x in cs if x.u is not None])
+    X = [[[0 if x.u is None else x.u * p ** (x.v + k) for x in cs]]
+         for cs in reps]
+    return form_mod((X, p ** k), omega_ints(p, n)), N
 
 
 def _depth(M, p: int):
@@ -111,35 +107,34 @@ def _depth(M, p: int):
                 if x.denominator % p == 0), default=0)
 
 
-def _first_below(f, p: int, N):
-    """Index of the first coefficient of f of valuation below N, or None."""
-    if N == INF or N <= 0:
-        return next((j for j, c in enumerate(f) if vp_frac(c, p) < N), None)
-    pN = p ** N
-    return next((j for j, c in enumerate(f)
-                 if c.numerator % pN or c.denominator % p == 0), None)
+def _first_below(f, d: int, p: int, N):
+    """Index of the first coefficient of the integer polynomial f over d
+    of valuation below N, or None."""
+    if N == INF:
+        return next((j for j, c in enumerate(f) if c), None)
+    k = N + vp_frac(d, p)
+    if k <= 0:
+        return None
+    pk = p ** k
+    return next((j for j, c in enumerate(f) if c % pk), None)
 
 
-def _apply(M, polys, p: int, n: int):
-    """The integer form M = N / d times a vector of Fraction polynomials,
-    reduced mod omega_n on the integer numerators; one Fraction per
-    output coefficient."""
-    (N, d), (X, dx) = M, _over_one_denominator(polys, None)
-    omega = omega_ints(p, n)
-    return [_fraction_poly(_pseudo_divmod(e, omega)[1], d * dx)
-            for (e,) in _int_pmat_mul(N, [X])]
+def _apply(M, x, p: int, n: int):
+    """The integer form M times the column form x, reduced mod omega_n."""
+    return form_mod(form_mul(M, x), omega_ints(p, n))
 
 
-def _embed(ctx, n: int, polys, N):
-    """Level-n classes of exact polynomials known modulo p^N.  Each
-    coefficient is rounded once; a zero one is O(p^N), not an exact
+def _embed(ctx, n: int, x, N):
+    """Level-n classes of the column form x, exact and known modulo p^N.
+    Each coefficient is rounded once; a zero one is O(p^N), not an exact
     zero, so each representative is padded to p^n terms unless N is
     INF."""
     length = 0 if N == INF else ctx.p ** n
     zero = ctx.zero(N)
     return [LambdaNElement(ctx, n, XSeries(
         ctx, [ctx.from_rational(c, N) if c else zero
-              for c in f + [0] * (length - len(f))])) for f in polys]
+              for c in f + [0] * (length - len(f))]))
+            for (f,) in form_to_fractions(x)]
 
 
 def _chain_top(fd: FrobeniusData, n: int):
@@ -183,12 +178,14 @@ def factor_level(fd: FrobeniusData, n: int, L,
         raise InputError("factor_level needs n >= 1")
     x, N = _as_classes(fd, n, L)
     p = fd.ctx.p
-    C, lost = _constant(fd.C), _depth(fd.C, p)
+    C, lost = form_const(fd.C), _depth(fd.C, p)
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
+        X, d = x
         for i in range(fd.fil_dim, fd.size):
-            x[i], rem = fpoly_divmod(x[i], phi)
-            j = _first_below(rem, p, N)
+            quo, rem, _ = pseudo_divmod(X[i][0], phi)
+            X[i] = [quo]
+            j = _first_below(rem, d, p, N)
             if j is not None:
                 raise NotInImage("division leaves certified-nonzero "
                                  f"remainder at X^{j}")
@@ -227,7 +224,7 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     shift, cphi_inv = frac_identity(fd.size), _cphi_inv(fd)
     for _ in range(n + 1):
         shift = mat_mul(cphi_inv, shift)
-    comps = _embed(fd.ctx, n, _apply(_constant(shift), x, p, n),
+    comps = _embed(fd.ctx, n, _apply(form_const(shift), x, p, n),
                    N + _depth(shift, p))
     for i, c in enumerate(comps):
         for j, coeff in enumerate(c.rep.coeffs):
@@ -257,7 +254,7 @@ def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     recovered = factor_level(fd, n, L, cutoff)
     (a, Na), (b, Nb) = (_as_classes(fd, n, v)
                         for v in (L, _image(fd, n, P, recovered)))
-    diff = [fpoly_add(x, fpoly_scale(y, -1)) for x, y in zip(a, b)]
+    diff = form_sub(a, b)
     for i, d in enumerate(_embed(fd.ctx, n, diff, min(Na, Nb))):
         st, idx = d.zero_status(cutoff)
         if st != "zero":
@@ -271,20 +268,19 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
 
     Both images read P_n once, applied once to the lifted vector x.
     omega_n divides omega_(n+1), so projecting P_(n+1) x = C_(n+1) P_n x
-    to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n.
+    to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n, with
+    C_(n+1) mod omega_n an integer form.
     """
     x, N = _as_classes(fd, n + 1, col)
     p = fd.ctx.p
     low = _apply(_chain_top(fd, n), x, p, n)
-    top = _integer_form([[_mod_omega(e, p, n) for e in row]
-                         for row in build_Cn(fd, n + 1)])
+    top = form_mod(build_Cn(fd, n + 1), omega_ints(p, n))
     cphi_inv = _cphi_inv(fd)
     hi = _apply(top, low, p, n)
-    twisted = _apply(_constant(cphi_inv), low, p, n)
+    twisted = _apply(form_const(cphi_inv), low, p, n)
     lost = _depth(fd.C_inv, p)
     N += min((n + 1) * lost, n * lost + _depth(cphi_inv, p))
-    diff = [fpoly_add(a, fpoly_scale(b, -1)) for a, b in zip(hi, twisted)]
-    for i, d in enumerate(_embed(fd.ctx, n, diff, N)):
+    for i, d in enumerate(_embed(fd.ctx, n, form_sub(hi, twisted), N)):
         st, idx = d.zero_status(cutoff)
         if st != "zero":
             return {"ok": False, "witness": (i, idx, st)}

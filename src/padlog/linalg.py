@@ -2,7 +2,7 @@
 
 The generic layer (products) needs only ring operator overloads; the
 library runs it on constant matrices of Fractions and of integers.
-Polynomial matrices go through the exact layer's pmat_* instead.
+Polynomial matrices are integer forms (below).
 
 The exact layer works on Fractions and is the decision engine.  One
 fraction-free elimination (Bareiss) puts each row over one denominator
@@ -14,24 +14,27 @@ The rank over F_p, the Smith form over Z_(p) and the saturated
 nullspace over Z_(p) keep their own eliminations, as their arithmetic
 differs; the Smith form feeds the integral solve, and the nullspace, a
 fraction-free integer elimination, gives the Coleman kernel.
-Characteristic polynomials and Newton polygons complete the admission
-gate's toolkit.
+Characteristic polynomials (a trace recurrence on integers) and Newton
+polygons complete the admission gate's toolkit.
 
-Fraction polynomials are coefficient lists (index = degree, [] = 0).
-Matrices of them carry the one exact tower that logmatrix builds and
-coleman and wach read, and the Coleman maps apply them to lifted
-vectors; products of them and of their matrices, and the cofactor
-determinant, can be cut mod X^T as they are formed.  Each puts every
-factor, row or column over one denominator, multiplies and sums the
-integer numerators, and forms one Fraction per output coefficient.
-Division with remainder (by omega_n, Phi_{p^k} or any nonzero divisor)
-is an integer pseudo-division on the numerators, formed the same way.
+The exact polynomial type is the integer form (N, d): a matrix N of
+integer polynomials (coefficient lists, index = degree, [] = 0) standing
+for N / d.  The tower that logmatrix builds, the Coleman maps, the
+antidiagonal checks and the Wach twist all compute on forms, with the
+few operations defined here: a constant matrix or a matrix of Fraction
+polynomials as a form, a product mod X^T (canonical: d is prime to the
+content of N), a difference over the common denominator, the remainder
+mod a monic integer polynomial, the value at zero, and a form out as
+Fractions.  They run on an integer polynomial core: a sum of products
+cut mod X^T, the cofactor determinant and a pseudo-division.  Fractions
+are formed only where a result leaves the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import zip_longest
+from math import gcd, lcm
 
 from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
@@ -70,10 +73,6 @@ def mat_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
-def mat_map(A, fn):
-    return [[fn(a) for a in row] for row in A]
-
-
 # -- exact Fraction layer --------------------------------------------------
 
 
@@ -86,8 +85,8 @@ def frac_identity(n):
 
 
 def vp_frac(q, p: int):
-    """p-adic valuation of a rational; INF for zero."""
-    q = Fraction(q)
+    """p-adic valuation of a rational (a Fraction or an int); INF for
+    zero."""
     if q == 0:
         return INF
     v = 0
@@ -251,24 +250,22 @@ def frac_nullspace(A):
 
 
 def frac_charpoly(A):
-    """det(x I - A) by the trace recurrence; returns [a_0, ..., a_d]
-    with a_d = 1."""
+    """det(x I - A) as [a_0, ..., a_n] with a_n = 1, by the trace
+    recurrence on the integer matrix N = d A over the least common
+    denominator d: there every division by k is exact, and a_k is the
+    coefficient of N's characteristic polynomial divided by d^(n-k)."""
     n = len(A)
-    M = frac_mat(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    N = [[Fraction(0)] * n for _ in range(n)]
+    N, d = _integer_matrix(A)
+    coeffs = [0] * n + [1]
+    M = N
     for k in range(1, n + 1):
-        # N <- A (N + a_{k-1} I); on the first pass N = A
-        if k == 1:
-            N = [row[:] for row in M]
-        else:
-            for i in range(n):
-                N[i][i] += coeffs[n - k + 1]
-            N = mat_mul(M, N)
-        tr = sum(N[i][i] for i in range(n))
-        coeffs[n - k] = -tr / k
-    return coeffs
+        # M <- N (M + b_{n-k+1} I); on the first pass M = N
+        if k > 1:
+            M = mat_mul(N, [[x + coeffs[n - k + 1] * (i == j)
+                             for j, x in enumerate(row)]
+                            for i, row in enumerate(M)])
+        coeffs[n - k] = -sum(M[i][i] for i in range(n)) // k
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(coeffs)]
 
 
 # -- Newton polygon --------------------------------------------------------
@@ -304,90 +301,21 @@ def hull_root_valuations(hull):
     return out
 
 
-# -- Fraction polynomials --------------------------------------------------
+# -- integer polynomials ---------------------------------------------------
 
 
-def fpoly_trim(f):
-    f = list(f)
-    while f and f[-1] == 0:
+def int_trim(f):
+    """f without its trailing zero coefficients, trimmed in place."""
+    while f and not f[-1]:
         f.pop()
     return f
 
 
-def fpoly_add(f, g):
-    n = max(len(f), len(g))
-    return fpoly_trim([
-        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0)
-        for i in range(n)
-    ])
-
-
-def fpoly_scale(f, a):
-    a = Fraction(a)
-    return fpoly_trim([a * c for c in f])
-
-
-def fpoly_mul(f, g, T=None):
-    """f * g, mod X^T when T is given, formed on the integer numerators
-    of the two factors; one Fraction per output coefficient."""
-    (F,), df = _over_one_denominator([f], T)
-    (G,), dg = _over_one_denominator([g], T)
-    return _fraction_poly(_int_dot([(F, G)], T), df * dg)
-
-
-def fpoly_divmod(f, g):
-    """(q, r) with f = q g + r and deg r < deg g, for any nonzero g.
-    With f = F/df and g = G/dg, lead^m F = Q G + R is a pseudo-division
-    on integers (_pseudo_divmod); then q = Q dg / (lead^m df) and
-    r = R / (lead^m df), one Fraction per output coefficient."""
-    f, g = fpoly_trim(f), fpoly_trim(g)
-    if not g:
-        raise InputError("division by zero polynomial")
-    if len(f) < len(g):
-        return [], [c if isinstance(c, Fraction) else Fraction(c) for c in f]
-    (F,), df = _over_one_denominator([f], None)
-    (G,), dg = _over_one_denominator([g], None)
-    q, r, scale = _pseudo_divmod(F, G)
-    den = scale * df
-    return _fraction_poly([c * dg for c in q], den), _fraction_poly(r, den)
-
-
-def _pseudo_divmod(F, G):
-    """(Q, R, lead^m) with lead^m F = Q G + R, R trimmed and of degree
-    below deg G, for integer polynomials F and G, G trimmed and nonzero,
-    m = max(len F - deg G, 0).  For a monic G it divides with remainder."""
-    deg, lead = len(G) - 1, G[-1]
-    m = max(len(F) - deg, 0)
-    scale = lead ** m
-    rem = [c * scale for c in F]
-    low = G[:deg]
-    q = [0] * m
-    for j in range(len(rem) - 1, deg - 1, -1):
-        if rem[j]:
-            t = q[j - deg] = rem[j] // lead
-            for i, c in enumerate(low, j - deg):
-                rem[i] -= t * c
-    return q, _int_trim(rem[:deg]), scale
-
-
-# -- matrices of Fraction polynomials --------------------------------------
-
-
-def _over_one_denominator(entries, T):
-    """(numerators, d): the Fraction polynomials cut mod X^T, as integer
-    polynomials over their least common denominator d."""
-    entries = [e[:T] for e in entries]
-    # a set, not a generator: a tuple built from a generator is resized
-    # as it grows and then parks on CPython's tuple free list, which
-    # grew the resident size by a megabyte over a few dozen twist rounds
-    d = lcm(*{c.denominator for e in entries for c in e})
-    return [[c.numerator * (d // c.denominator) for c in e]
-            for e in entries], d
-
-
-def _int_dot(pairs, T):
+def int_dot(pairs, T=None):
     """The sum of f * g over pairs of integer polynomials, mod X^T when T
-    is given."""
+    is given (nothing when T <= 0); not trimmed."""
+    if T is not None and T <= 0:
+        return []
     acc = []
     for f, g in pairs:
         if not (f and g):
@@ -403,70 +331,138 @@ def _int_dot(pairs, T):
     return acc
 
 
-def _int_trim(f):
-    """f without its trailing zero coefficients, trimmed in place."""
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _fraction_poly(acc, d):
-    """The integer polynomial acc divided by d, as trimmed Fractions."""
-    return [Fraction(c, d) for c in _int_trim(acc)]
-
-
-def _int_pmat_mul(rows, cols, T=None):
-    """The integer polynomial matrix with entries row * col, for the rows
-    of A and the columns of B given as integer polynomials: A * B, mod
-    X^T when T is given.  The entries are not trimmed."""
-    return [[_int_dot(zip(row, col), T) for col in cols] for row in rows]
-
-
-def pmat_mul(A, B, T=None):
-    """A * B, mod X^T when T is given.  Each row of A and each column of
-    B is put over one denominator once; the products are summed on
-    integer numerators (_int_pmat_mul), and each output coefficient is
-    one Fraction."""
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca != rb:
-        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    rows = [_over_one_denominator(row, T) for row in A]
-    cols = [_over_one_denominator([brow[j] for brow in B], T)
-            for j in range(cb)]
-    prod = _int_pmat_mul([num for num, _ in rows], [num for num, _ in cols],
-                         T)
-    return [[_fraction_poly(e, da * db) for e, (_, db) in zip(row, cols)]
-            for row, (_, da) in zip(prod, rows)]
-
-
-def pmat_const(A):
-    """The value at X = 0."""
-    return mat_map(A, lambda e: e[0] if e else Fraction(0))
+def pseudo_divmod(F, G):
+    """(Q, R, lead^m) with lead^m F = Q G + R, R trimmed and of degree
+    below deg G, for integer polynomials F and G, G trimmed and nonzero,
+    m = max(len F - deg G, 0).  For a monic G it divides with remainder.
+    A zero G raises InputError."""
+    if not G:
+        raise InputError("division by zero polynomial")
+    deg, lead = len(G) - 1, G[-1]
+    m = max(len(F) - deg, 0)
+    scale = lead ** m
+    rem = [c * scale for c in F]
+    low = G[:deg]
+    q = [0] * m
+    for j in range(len(rem) - 1, deg - 1, -1):
+        if rem[j]:
+            t = q[j - deg] = rem[j] // lead
+            for i, c in enumerate(low, j - deg):
+                rem[i] -= t * c
+    return q, int_trim(rem[:deg]), scale
 
 
 def cofactor_det(A, T=None):
-    """Determinant of a square Fraction-polynomial matrix by cofactor
-    expansion along the first row, mod X^T when T is given; fine for the
-    small sizes used here.  Each row is put over one denominator, and
-    the expansion runs on integer numerators."""
+    """Determinant of a square matrix of integer polynomials by cofactor
+    expansion along the first row, mod X^T when T is given, trimmed; fine
+    for the small sizes used here."""
     n, m = mat_shape(A)
     if n != m or n == 0:
         raise InputError("determinant needs a nonempty square matrix")
-    rows = [_over_one_denominator(row, T) for row in A]
-    den = prod(d for _, d in rows)
-    return _fraction_poly(_int_det([num for num, _ in rows], T), den)
-
-
-def _int_det(A, T):
-    """Cofactor expansion of a square matrix of integer polynomials along
-    its first row, mod X^T when T is given."""
-    if len(A) == 1:
-        return A[0][0]
-    return _int_dot(
+    if n == 1:
+        return int_trim(A[0][0][:T])
+    return int_trim(int_dot(
         ((a if j % 2 == 0 else [-c for c in a],
-          _int_det([row[:j] + row[j + 1:] for row in A[1:]], T))
-         for j, a in enumerate(A[0]) if a), T)
+          cofactor_det([row[:j] + row[j + 1:] for row in A[1:]], T))
+         for j, a in enumerate(A[0]) if a), T))
+
+
+# -- integer forms ---------------------------------------------------------
+
+
+def _integer_matrix(A):
+    """(numerators, d): the matrix of rationals A as integers over the
+    least common denominator d."""
+    # a set, not a generator: a tuple built from a generator is resized
+    # as it grows and then parks on CPython's tuple free list, which
+    # grew the resident size by a megabyte over a few dozen twist rounds
+    d = lcm(*{x.denominator for row in A for x in row})
+    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
+
+
+def _reduced(N, d):
+    """The form N / d divided by the gcd of d and the content of N."""
+    g = gcd(d, *[gcd(*e) for row in N for e in row])
+    if g > 1:
+        N = [[[c // g for c in e] for e in row] for row in N]
+    return N, d // g
+
+
+def form_const(A, e=1):
+    """The constant matrix A^e as an integer form, for a matrix A of
+    rationals (square when e > 1) and e >= 1; the power is formed on the
+    integer numerators."""
+    N, d = _integer_matrix(A)
+    power = N
+    for _ in range(e - 1):
+        power = mat_mul(N, power)
+    return _reduced([[[x] if x else [] for x in row] for row in power],
+                    d ** e)
+
+
+def form_from_fractions(M):
+    """A matrix of polynomials with rational (or integer) coefficients as
+    an integer form over the least common denominator."""
+    d = lcm(*{c.denominator for row in M for e in row for c in e})
+    return [[[c.numerator * (d // c.denominator) for c in e] for e in row]
+            for row in M], d
+
+
+def form_to_fractions(A):
+    """The integer form A as a matrix of trimmed Fraction polynomials."""
+    N, d = A
+    return [[[Fraction(c, d) for c in int_trim(e)] for e in row]
+            for row in N]
+
+
+def form_mul(A, B, T=None):
+    """The product of two integer forms, mod X^T when T is given, in
+    canonical form: trimmed entries over a denominator prime to their
+    content, so that two products are equal exactly when their forms
+    are."""
+    (M, a), (N, b) = A, B
+    ra, ca = mat_shape(M)
+    rb, cb = mat_shape(N)
+    if ca != rb:
+        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
+    cols = [*zip(*N)]
+    return _reduced([[int_trim(int_dot(zip(row, col), T)) for col in cols]
+                     for row in M], a * b)
+
+
+def form_sub(A, B):
+    """A - B for two integer forms of one shape, over the least common
+    multiple of their denominators, with trimmed entries."""
+    (M, a), (N, b) = A, B
+    m = lcm(a, b)
+    a, b = m // a, m // b
+    return [[int_trim([a * x - b * y
+                       for x, y in zip_longest(f, g, fillvalue=0)])
+             for f, g in zip(ra, rb)] for ra, rb in zip(M, N)], m
+
+
+def form_mod(A, f):
+    """The entries of the integer form A reduced mod the monic integer
+    polynomial f, over the same denominator."""
+    N, d = A
+    return [[pseudo_divmod(e, f)[1] for e in row] for row in N], d
+
+
+def form_at_zero(A):
+    """The value at X = 0 of the integer form A, as a canonical form of
+    constants (comparable with form_const)."""
+    N, d = A
+    return _reduced([[e[:1] if e and e[0] else [] for e in row]
+                     for row in N], d)
+
+
+def fpoly_mul(f, g, T=None):
+    """f * g, mod X^T when T is given, for polynomials with rational
+    coefficients, formed on their integer forms.  No library path calls
+    it: it stays only because the benchmark's layer tracer names it."""
+    product = form_mul(form_from_fractions([[f]]), form_from_fractions([[g]]),
+                       T)
+    return form_to_fractions(product)[0][0]
 
 
 # -- Z_(p) reductions ------------------------------------------------------

@@ -12,12 +12,12 @@ with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
 (-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.
 
-The chain P_k is one exact product on integer forms: an integer form
-(N, d) is a matrix N of integer polynomials over one denominator d,
-content-reduced.
-M_n, M'_n = C_phi^n P_n and the Coleman kernel all read it; Fractions
-are formed only where a result is returned or embedded.  P_n has degree
-p^n - 1, so M_n is already reduced modulo omega_n.
+The chain P_k is one exact product on integer forms (linalg's exact
+polynomial type: a matrix N of integer polynomials over one
+denominator d, content-reduced).  M_n, M'_n = C_phi^n P_n and the
+Coleman kernel all read it; Fractions are formed only where a result
+is returned or embedded.  P_n has degree p^n - 1, so M_n is already
+reduced modulo omega_n.
 
 The tower satisfies, and this module verifies exactly on the integer
 numerators: M_m = M_n mod omega_n, the closed-form determinant, and
@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import zip_longest
-from math import gcd, lcm
 
 from .errors import (
     DenominatorBudgetExceeded,
@@ -44,24 +42,22 @@ from .errors import (
     SingularOperator,
 )
 from .linalg import (
-    _fraction_poly,
-    _int_dot,
-    _int_pmat_mul,
-    _int_trim,
-    _over_one_denominator,
-    _pseudo_divmod,
     cofactor_det,
-    fpoly_divmod,
-    fpoly_scale,
-    fpoly_trim,
+    form_const,
+    form_mod,
+    form_mul,
+    form_sub,
+    form_to_fractions,
     frac_det,
     frac_inv,
     frac_mat,
     frac_charpoly,
     frac_rank,
     hull_root_valuations,
+    int_dot,
     mat_mul,
     newton_lower_hull,
+    pseudo_divmod,
     vp_frac,
     zp_solve_integral,
 )
@@ -215,54 +211,14 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
 
 
 def build_Cn(fd: FrobeniusData, n: int):
-    """C_n = diag(I, Phi_{p^n}(1+X) I) * C^{-1} as a matrix of exact
-    Fraction polynomials (lists, [] = 0)."""
+    """C_n = diag(I, Phi_{p^n}(1+X) I) * C^{-1} as an integer form."""
     if n < 1:
         raise InputError("build_Cn needs n >= 1")
     phi = phi_cyclo_ints(fd.ctx.p, n)
-    return [
-        [fpoly_scale(phi, x) if i >= fd.fil_dim else fpoly_trim([x])
-         for x in row]
-        for i, row in enumerate(fd.C_inv)
-    ]
-
-
-def _integer_matrix(A):
-    """(numerators, d): the matrix of rationals A as integers over the
-    least common denominator d."""
-    d = lcm(*{x.denominator for row in A for x in row})
-    return [[x.numerator * (d // x.denominator) for x in row] for row in A], d
-
-
-def _constant(A, d=1):
-    """The matrix of rationals A / d as an integer form of constant
-    polynomials."""
-    A, m = _integer_matrix(A)
-    return [[[x] if x else [] for x in row] for row in A], m * d
-
-
-def _times(left, right):
-    """The product of two integer forms, trimmed and divided by the gcd of
-    its denominator and its content."""
-    (A, a), (B, b) = left, right
-    N = [[_int_trim(e) for e in row] for row in _int_pmat_mul(A, [*zip(*B)])]
-    g = gcd(a * b, *[gcd(*e) for row in N for e in row])
-    if g > 1:
-        N = [[[c // g for c in e] for e in row] for row in N]
-    return N, a * b // g
-
-
-def _fractions(form):
-    """The integer form N / d as a matrix of Fraction polynomials."""
-    N, d = form
-    return [[_fraction_poly(e, d) for e in row] for row in N]
-
-
-def _integer_form(M):
-    """A matrix of Fraction polynomials as an integer form."""
-    nums, d = _over_one_denominator([e for row in M for e in row], None)
-    entries = iter(nums)
-    return [[next(entries) for _ in row] for row in M], d
+    N, d = form_const(fd.C_inv)
+    N[fd.fil_dim:] = [[int_dot([(phi, e)]) for e in row]
+                      for row in N[fd.fil_dim:]]
+    return N, d
 
 
 def build_chain(fd: FrobeniusData, n: int):
@@ -271,23 +227,20 @@ def build_chain(fd: FrobeniusData, n: int):
     Phi_{p^k}(1+X), which keeps the content.  P_k has degree p^k - 1,
     below the degree of omega_k."""
     g, f = fd.size, fd.fil_dim
-    C_inv = _constant(fd.C_inv)
-    chain = [_constant([[int(i == j) for j in range(g)] for i in range(g)])]
+    C_inv = form_const(fd.C_inv)
+    chain = [form_const([[int(i == j) for j in range(g)] for i in range(g)])]
     for k in range(1, n + 1):
-        N, d = _times(C_inv, chain[-1])
+        N, d = form_mul(C_inv, chain[-1])
         phi = phi_cyclo_ints(fd.ctx.p, k)
-        N[f:] = [[_int_dot([(phi, e)], None) for e in row] for row in N[f:]]
+        N[f:] = [[int_dot([(phi, e)]) for e in row] for row in N[f:]]
         chain.append((N, d))
     return chain
 
 
 def cphi_power_times(fd: FrobeniusData, e: int, P):
-    """C_phi^e P for an integer form P, the power formed on integers."""
-    A, c = _integer_matrix(fd.C_phi)
-    power = [[int(i == j) for j in range(fd.size)] for i in range(fd.size)]
-    for _ in range(e):
-        power = mat_mul(A, power)
-    return _times(_constant(power, c ** e), P)
+    """C_phi^e P for an integer form P and e >= 1, the power formed on
+    integers."""
+    return form_mul(form_const(fd.C_phi, e), P)
 
 
 def _exact_levels(fd: FrobeniusData, levels):
@@ -303,25 +256,6 @@ def _exact_levels(fd: FrobeniusData, levels):
         )
     chain = build_chain(fd, top)
     return {n: cphi_power_times(fd, n + 1, chain[n]) for n in levels}
-
-
-def _difference(high, low):
-    """The numerators of high - low over the least common denominator of
-    the two integer forms, trimmed."""
-    (A, a), (B, b) = high, low
-    m = lcm(a, b)
-    return [[_combine(x, m // a, y, m // b) for x, y in zip(ra, rb)]
-            for ra, rb in zip(A, B)]
-
-
-def _combine(f, a, g, b):
-    """The integer polynomial a f - b g, trimmed."""
-    return _int_trim([a * x - b * y
-                      for x, y in zip_longest(f, g, fillvalue=0)])
-
-
-def _mod_omega(f, p: int, n: int):
-    return fpoly_divmod(f, omega_ints(p, n))[1]
 
 
 def _first_nonzero(f):
@@ -356,7 +290,7 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
 
 def _approx(fd: FrobeniusData, n: int, M) -> LogMatrixApprox:
     """The XSeries views of the exact M_n, given as an integer form."""
-    raw = _embed_matrix(fd.ctx, _fractions(M))
+    raw = _embed_matrix(fd.ctx, form_to_fractions(M))
     reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
     return LogMatrixApprox(fd, n, raw, reduced)
 
@@ -395,25 +329,26 @@ def verify_stabilization(fd, n: int, m: int) -> bool:
 
 def _stabilizes(p: int, n: int, low, high) -> bool:
     """True iff the integer forms M_m (high) = M_n (low) mod omega_n."""
-    omega = omega_ints(p, n)
-    return not any(_pseudo_divmod(e, omega)[1]
-                   for row in _difference(high, low) for e in row)
+    rem, _ = form_mod(form_sub(high, low), omega_ints(p, n))
+    return not any(e for row in rem for e in row)
 
 
 def _closed_det(fd: FrobeniusData, n: int):
-    """(acc, c): the closed form is acc c, c = det(C) p^-(n+1)s."""
+    """The closed form as a 1 x 1 integer form."""
     s = fd.scaled_dim
     acc = [1]
     for k in range(1, n + 1):
         phi = phi_cyclo_ints(fd.ctx.p, k)
         for _ in range(s):
-            acc = _int_dot([(phi, acc)], None)
-    return acc, frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)
+            acc = int_dot([(phi, acc)])
+    c = frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)
+    return [[[c.numerator * x for x in acc]]], c.denominator
 
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
     """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block size."""
-    return XSeries.from_fractions(fd.ctx, fpoly_scale(*_closed_det(fd, n)))
+    return XSeries.from_fractions(
+        fd.ctx, form_to_fractions(_closed_det(fd, n))[0][0])
 
 
 def det_Mn(fd: FrobeniusData, n: int):
@@ -425,17 +360,17 @@ def det_Mn(fd: FrobeniusData, n: int):
 
 def _det_check(fd: FrobeniusData, n: int, M):
     """det_Mn on the integer form M_n = N / d: det N / d^size against
-    acc c."""
+    the closed form, as 1 x 1 integer forms."""
     N, d = M
-    det = [x.numerator for x in cofactor_det(N)]
-    den = d ** fd.size
-    acc, c = _closed_det(fd, n)
-    diff = _combine(det, c.denominator, acc, c.numerator * den)
-    rem = _pseudo_divmod(diff, omega_ints(fd.ctx.p, n))[1]
+    det = [[cofactor_det(N)]], d ** fd.size
+    closed = _closed_det(fd, n)
+    diff = form_sub(det, closed)[0][0][0]
+    rem = pseudo_divmod(diff, omega_ints(fd.ctx.p, n))[1]
     return {
         "n": n,
-        "det": XSeries.from_fractions(fd.ctx, _fraction_poly(det, den)),
-        "closed_form": XSeries.from_fractions(fd.ctx, fpoly_scale(acc, c)),
+        "det": XSeries.from_fractions(fd.ctx, form_to_fractions(det)[0][0]),
+        "closed_form": XSeries.from_fractions(
+            fd.ctx, form_to_fractions(closed)[0][0]),
         "raw_match": not diff,
         "reduced_match": not rem,
         "witness": _first_nonzero(diff),
@@ -506,8 +441,8 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
     """
     Bq = frac_mat(B)
     M = _exact_levels(approx.fd, (approx.n,))[approx.n]
-    conj = _times(_times(_constant(Bq), M), _constant(frac_inv(Bq)))
-    return _embed_matrix(approx.fd.ctx, _fractions(conj))
+    conj = form_mul(form_mul(form_const(Bq), M), form_const(frac_inv(Bq)))
+    return _embed_matrix(approx.fd.ctx, form_to_fractions(conj))
 
 
 def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
@@ -533,12 +468,12 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     raises NotFiltrationAdapted when B lacks the adapted block form.
     """
     B, B_inv, fd_w = _conjugation(fd, B)
-    left, right = _constant(B), _constant(B_inv)
+    left, right = form_const(B), form_const(B_inv)
     mv = _exact_levels(fd, levels)
     mw = _exact_levels(fd_w, levels)
     per_level = {}
     for n in levels:
-        diff = _difference(_times(_times(left, mv[n]), right), mw[n])
+        diff, _ = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])
         omega = omega_ints(fd.ctx.p, n)
         exact_ok = mod_ok = True
         witness = None
@@ -547,7 +482,7 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
                 if not e:
                     continue
                 exact_ok = False
-                rem = _pseudo_divmod(e, omega)[1]
+                rem = pseudo_divmod(e, omega)[1]
                 if rem:
                     mod_ok = False
                     if witness is None:

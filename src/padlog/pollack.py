@@ -25,27 +25,27 @@ coordinate of a factored preimage pairs with the minus-signed map and
 the second with the negative of the plus-signed one.
 
 All of it is exact input, so every check is decided exactly: the
-approximant is read off logmatrix's Fraction-polynomial chain, the
-closed forms are built from the integer cyclotomic coefficients, and
-the two are compared as rational polynomials.  The XSeries returned by
-log_plus_partial, log_minus_partial and closed_form_matrix are views of
-those exact polynomials, each coefficient rounded once to rel_prec
-digits.
+approximant is read off logmatrix's chain as an integer form, the
+closed forms are built as one from the integer cyclotomic
+coefficients, and the two are compared over a common denominator.  The
+XSeries returned by log_plus_partial, log_minus_partial and
+closed_form_matrix are views of those exact polynomials, each
+coefficient rounded once to rel_prec digits.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InputError
-from .linalg import (_fraction_poly, _int_dot, fpoly_add, fpoly_scale,
-                     pmat_const)
+from .linalg import (form_at_zero, form_const, form_sub, form_to_fractions,
+                     int_dot)
 from .logmatrix import (
     FrobeniusData,
     _embed_matrix,
     _exact_levels,
     _first_nonzero,
-    _fractions,
 )
 from .padic import PadicContext
 from .series import XSeries, phi_cyclo_ints
@@ -80,33 +80,39 @@ def _log_partial(ctx, n_factors, first, trunc):
     if n_factors < 0:
         raise InputError("n_factors must be nonnegative")
     levels = range(first, first + 2 * n_factors, 2)
-    return XSeries.from_fractions(ctx, _log_product(ctx.p, levels), trunc)
+    acc, den = _log_product(ctx.p, levels)
+    return XSeries.from_fractions(
+        ctx, form_to_fractions(([[acc]], den))[0][0], trunc)
 
 
 def _log_product(p: int, levels):
-    """(1/p) * prod over k in levels of Phi_{p^k}(1 + X) / p, exact."""
+    """(1/p) * prod over k in levels of Phi_{p^k}(1 + X) / p, as the
+    integer polynomial prod Phi_{p^k}(1 + X) and its denominator."""
     acc = [1]
     for k in levels:
-        acc = _int_dot([(phi_cyclo_ints(p, k), acc)], None)
-    return _fraction_poly(acc, p ** (1 + len(levels)))
+        acc = int_dot([(phi_cyclo_ints(p, k), acc)])
+    return acc, p ** (1 + len(levels))
 
 
 def _closed_form(p: int, n: int):
     """[[0, -E_n / p^(q+1)], [O_n / p^t, 0]], written as minus the plus
     partial product (even levels up to n) and p times the minus one
-    (odd levels up to n)."""
+    (odd levels up to n), as an integer form."""
     if n < 1:
         raise InputError("n must be at least 1")
-    plus = _log_product(p, range(2, n + 1, 2))
-    minus = _log_product(p, range(1, n + 1, 2))
-    return [[[], fpoly_scale(plus, -1)], [fpoly_scale(minus, p), []]]
+    even, a = _log_product(p, range(2, n + 1, 2))
+    odd, b = _log_product(p, range(1, n + 1, 2))
+    b //= p  # p times the minus product
+    m = lcm(a, b)
+    return [[[], [-c * (m // a) for c in even]],
+            [[c * (m // b) for c in odd], []]], m
 
 
 def closed_form_matrix(fd: FrobeniusData, n: int):
     """The predicted value of M_n for the antidiagonal instance, as a
     2 x 2 matrix of series, computed without the recursion."""
     _require_pollack(fd)
-    return _embed_matrix(fd.ctx, _closed_form(fd.ctx.p, n))
+    return _embed_matrix(fd.ctx, form_to_fractions(_closed_form(fd.ctx.p, n)))
 
 
 def _require_pollack(fd: FrobeniusData) -> None:
@@ -128,17 +134,17 @@ def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
     dict with an overall ``ok`` flag.
     """
     _require_pollack(fd)
-    predicted = _closed_form(fd.ctx.p, n)
-    M = _fractions(_exact_levels(fd, (n,))[n])
+    M = _exact_levels(fd, (n,))[n]
     report = {"n": n, "note": SIGN_NOTE}
-    report["diagonal_zero"] = not M[0][0] and not M[1][1]
+    report["diagonal_zero"] = not M[0][0][0] and not M[0][1][1]
 
     witnesses = {}
+    diff, _ = form_sub(M, _closed_form(fd.ctx.p, n))
     for i in (0, 1):
         for j in (0, 1):
-            diff = fpoly_add(M[i][j], fpoly_scale(predicted[i][j], -1))
-            if diff:
-                witnesses[f"{i},{j}"] = ("nonzero", _first_nonzero(diff))
+            if diff[i][j]:
+                witnesses[f"{i},{j}"] = ("nonzero",
+                                         _first_nonzero(diff[i][j]))
     report["entries_match_closed_form"] = not witnesses
     if witnesses:
         report["mismatches"] = witnesses
@@ -146,7 +152,7 @@ def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
     # the predicted entries are the signed partial logarithms themselves
     report["upper_is_minus_log_plus_partial"] = "0,1" not in witnesses
     report["lower_is_p_log_minus_partial"] = "1,0" not in witnesses
-    report["value_at_zero_ok"] = pmat_const(M) == fd.C_phi_frac()
+    report["value_at_zero_ok"] = form_at_zero(M) == form_const(fd.C_phi)
 
     report["ok"] = (
         report["diagonal_zero"]

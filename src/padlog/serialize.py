@@ -13,9 +13,10 @@ from fractions import Fraction
 
 from .basis import LatticeSetup
 from .errors import InputError
-from .logmatrix import FrobeniusData, _mod_omega
+from .linalg import form_from_fractions, form_mod, form_to_fractions
+from .logmatrix import FrobeniusData
 from .padic import PadicContext
-from .series import LambdaNElement, XSeries
+from .series import LambdaNElement, XSeries, omega_ints
 
 
 def read_json(path: str):
@@ -130,8 +131,10 @@ def vector_from_record(record: dict, fd: FrobeniusData,
             raise InputError(f"{where}.components[{i}]: expected an array")
         fracs = [as_fraction(c, f"{where}.components[{i}][{j}]")
                  for j, c in enumerate(arr)]
+        rem = form_mod(form_from_fractions([[fracs]]),
+                       omega_ints(fd.ctx.p, n))
         out.append(LambdaNElement(fd.ctx, n, XSeries.from_fractions(
-            fd.ctx, _mod_omega(fracs, fd.ctx.p, n))))
+            fd.ctx, form_to_fractions(rem)[0][0])))
     return n, out
 
 

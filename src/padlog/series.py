@@ -9,8 +9,9 @@ trunc tracks only the X-adic uncertainty.  A LambdaNElement is a class
 in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
 degree-reduced representative.
 
-The library computes on exact Fraction polynomials (linalg's fpoly_*)
-and rounds once into these views.  No library path does arithmetic on
+The library computes on linalg's integer forms, exact matrices of
+integer polynomials over one denominator, and rounds once into these
+views.  No library path does arithmetic on
 them: XSeries.__mul__, poly_divmod, divide_exact and reduce_mod_omega
 stay only because the benchmark's layer tracer names them.
 """

@@ -13,7 +13,8 @@ polynomial matrix, the C_k of logmatrix.  The tower approximants
     M'_n = C_phi^n * P_n^{-1} * ... * P_1^{-1} = C_phi^n * C_n * ... * C_1
 
 are read off logmatrix's exact chain C_n ... C_1, the same product
-that gives M_n = C_phi * M'_n.  They are exact polynomial matrices with
+that gives M_n = C_phi * M'_n, and kept as integer forms (N, d), the
+exact polynomial type of linalg.  They are exact polynomial matrices with
 M'_n(0) = I, congruent to each other modulo (1 + pi)^{p^n} - 1, and
 they satisfy M'_n = C_phi * phi(M'_{n-1}) * P_1^{-1}, since phi carries
 C_k to C_{k+1}; the tests check that identity, the library does not
@@ -27,14 +28,16 @@ truncated result is truncated from the start: f is cut to T terms,
 g = (1 + pi)^c - 1 mod pi^T comes straight from the binomial
 coefficients, and f(g) is the integer numerators of f times one integer
 matrix whose row k is g^k mod pi^T, formed once per twist.  The cost of
-a twist therefore does not depend on the size of c.  M'_n is cut to
-pi^T first and its inverse mod pi^T is the adjugate times the series
-inverse, an integer recurrence, of the determinant (cofactor_det).  The
-twist runs in exact rational arithmetic for both kinds of exponent: a
-PadicScalar c known mod p^N runs on its lift, and each coefficient is
-then rounded once to the digits that every lift of c shares.  The twist
-must come out p-integral and congruent to I mod pi, and these claims
-are verified rather than assumed.
+a twist therefore does not depend on the size of c.  M'_n = N / d is
+cut to pi^T first and its inverse mod pi^T is d adj(N) times the series
+inverse, an integer recurrence, of det N (cofactor_det).  Every stage,
+the product with gamma(M'_n) and the checks run on integer forms, and
+G is formed as Fractions once, when it is returned.  The twist is exact
+for both kinds of exponent: a PadicScalar c known mod p^N runs on its
+lift, and each coefficient is then rounded once to the digits that
+every lift of c shares.  The twist must come out p-integral and
+congruent to I mod pi, and these claims are verified rather than
+assumed.
 
 The commutation relation linking consecutive levels,
 
@@ -42,15 +45,13 @@ The commutation relation linking consecutive levels,
 
 is checked with denominators cleared: both sides are multiplied by
 q * gamma(q), turning the identity into one between polynomial-by-
-truncated-series products that can be compared coefficient by
-coefficient.
+truncated-series products that are compared as integer forms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import (
     InputError,
@@ -58,23 +59,19 @@ from .errors import (
     PrecisionExhausted,
 )
 from .linalg import (
-    _fraction_poly,
-    _int_dot,
-    _over_one_denominator,
     cofactor_det,
-    fpoly_mul,
-    fpoly_scale,
-    fpoly_trim,
-    frac_identity,
-    mat_map,
-    pmat_const,
-    pmat_mul,
+    form_at_zero,
+    form_const,
+    form_mul,
+    form_sub,
+    form_to_fractions,
+    int_dot,
+    int_trim,
     vp_frac,
 )
 from .logmatrix import (
     FrobeniusData,
-    _fractions,
-    _mod_omega,
+    _stabilizes,
     build_chain,
     build_Cn,
     cphi_power_times,
@@ -127,7 +124,7 @@ class GammaElement:
 
 
 # ---------------------------------------------------------------------------
-# exact polynomial layer (Fraction coefficients, [] = zero)
+# exact polynomial layer (integer numerators of integer forms, [] = zero)
 # ---------------------------------------------------------------------------
 
 
@@ -135,7 +132,7 @@ def _binom_shift(e: int, T=None):
     """(1 + pi)^e - 1 as an integer polynomial in pi, mod pi^T when T is
     given."""
     top = e if T is None else min(e, T - 1)
-    return fpoly_trim([0] + [math.comb(e, k) for k in range(1, top + 1)])
+    return int_trim([0] + [math.comb(e, k) for k in range(1, top + 1)])
 
 
 def _power_matrix(g, rows: int, T: int):
@@ -145,16 +142,15 @@ def _power_matrix(g, rows: int, T: int):
         raise InputError("substitution requires zero constant term")
     S = [[1]]
     for _ in range(1, rows):
-        S.append(_int_dot([(S[-1], g)], T))
+        S.append(int_dot([(S[-1], g)], T))
     return S
 
 
 def _substitute(f, S, T):
-    """f(g) mod pi^T: the numerators of f over one denominator times the
-    power matrix S of g."""
-    (F,), d = _over_one_denominator([f], T)
-    pairs = (([a], row) for a, row in zip(F, S) if a)
-    return _fraction_poly(_int_dot(pairs, T), d)
+    """f(g) mod pi^T: the coefficients of f times the power matrix S of
+    g.  The library passes integer numerators; rational coefficients
+    give a rational result."""
+    return int_trim(int_dot((([a], row) for a, row in zip(f, S) if a), T))
 
 
 def _pcompose(f, g, T=None):
@@ -180,11 +176,17 @@ def gamma_act_poly(gamma: GammaElement, f, trunc=None):
     return _pcompose(f, _binom_shift(gamma.c, trunc), trunc)
 
 
+def _act(act, A):
+    """The integer form A with act applied to each entry's numerator."""
+    N, d = A
+    return [[act(e) for e in row] for row in N], d
+
+
 def _padj(A, T: int):
-    """Adjugate mod pi^T."""
+    """Adjugate mod pi^T of a square matrix of integer polynomials."""
     d = len(A)
     if d == 1:
-        return [[[Fraction(1)]]]
+        return [[[1]]]
     out = [[None] * d for _ in range(d)]
     for i in range(d):
         for j in range(d):
@@ -193,36 +195,65 @@ def _padj(A, T: int):
                 for r in range(d) if r != i
             ]
             cof = cofactor_det(minor, T)
-            if (i + j) % 2:
-                cof = fpoly_scale(cof, -1)
-            out[j][i] = cof
+            out[j][i] = [-c for c in cof] if (i + j) % 2 else cof
     return out
 
 
-def _pseries_inv(f, T: int):
-    """Inverse mod pi^T of f = F / d with c = F[0] != 0: coefficient k
-    is d h_k / c^(k+1) for the integers h_0 = 1 and
-    h_k = -sum_(j<k) h_j c^(k-1-j) F[k-j]."""
-    if not f or f[0] == 0:
+def _pseries_inv(F, T: int):
+    """(H, c^T): the inverse mod pi^T (T >= 1) of the integer polynomial
+    F with c = F[0] != 0 is H / c^T.  Coefficient k of 1/F is
+    h_k / c^(k+1) for the integers h_0 = 1 and
+    h_k = -sum_(j<k) h_j c^(k-1-j) F[k-j], so H_k = h_k c^(T-1-k)."""
+    if not F or F[0] == 0:
         raise InputError("series inverse needs a nonzero constant term")
-    (F,), d = _over_one_denominator([f], None)
     c = F[0]
     h, cpow = [1], [1]
     for k in range(1, T):
         cpow.append(cpow[-1] * c)
         h.append(-sum(h[j] * cpow[k - 1 - j] * F[k - j]
                       for j in range(max(0, k - len(F) + 1), k)))
-    return fpoly_trim([Fraction(d * x, c * y) for x, y in zip(h, cpow)])
+    return (int_trim([x * y for x, y in zip(h, reversed(cpow))]),
+            c ** len(cpow))
+
+
+def _diagonal(f, den, size: int):
+    """The integer form f / den times the identity of the given size."""
+    return [[f if i == j else [] for j in range(size)]
+            for i in range(size)], den
+
+
+def _identity(size: int):
+    return form_const([[int(i == j) for j in range(size)]
+                       for i in range(size)])
 
 
 def _pmat_integral(A, p: int):
-    """First non p-integral coefficient, or None when all are."""
-    for i, row in enumerate(A):
-        for j, e in enumerate(row):
-            for k, c in enumerate(e):
-                if Fraction(c).denominator % p == 0:
-                    return {"entry": (i, j), "degree": k, "value": str(c)}
+    """First non p-integral coefficient of the integer form A, or None
+    when all are."""
+    N, d = A
+    v = vp_frac(d, p)
+    if v:
+        pv = p ** v
+        for i, row in enumerate(N):
+            for j, e in enumerate(row):
+                for k, c in enumerate(e):
+                    if c % pv:
+                        return {"entry": (i, j), "degree": k,
+                                "value": str(Fraction(c, d))}
     return None
+
+
+def _depth(A, p: int):
+    """min(0, least valuation of a coefficient of the integer form A)."""
+    N, d = A
+    content = math.gcd(*[c for row in N for e in row for c in e])
+    return min(0, vp_frac(content, p) - vp_frac(d, p))
+
+
+def _constant_term(A):
+    """The value at zero of the integer form A, as strings."""
+    return [[str(e[0]) if e else "0" for e in row]
+            for row in form_to_fractions(form_at_zero(A))]
 
 
 # ---------------------------------------------------------------------------
@@ -240,29 +271,33 @@ def q_poly(p: int):
     return [Fraction(c) for c in phi_cyclo_ints(p, 1)]
 
 
+def _qP(fd: FrobeniusData, q):
+    """C diag(q I, I) as an integer form, for an integer polynomial q."""
+    N, d = form_const(fd.C)
+    return [[int_dot([(q, e)]) if j < fd.fil_dim else e
+             for j, e in enumerate(row)] for row in N], d
+
+
 def build_Pn(fd: FrobeniusData, n: int) -> dict:
     """The level-n connection data.
 
     Returns the exact polynomial inverse ``P_inv`` =
     diag(I, phi^{n-1}(q) I) C^{-1}, the cleared form ``qP`` =
-    C diag(phi^{n-1}(q) I, I) with q_n P_n = qP, and the scalar
-    polynomial ``q_n`` = phi^{n-1}(q) = Phi_{p^n}(1 + pi) itself, with
-    integer coefficients.
+    C diag(phi^{n-1}(q) I, I) with q_n P_n = qP, both as matrices of
+    Fraction polynomials, and the scalar polynomial ``q_n`` =
+    phi^{n-1}(q) = Phi_{p^n}(1 + pi) itself, with integer coefficients.
     """
     _require_wach(fd)
     if n < 1:
         raise InputError("n must be at least 1")
     qn = list(phi_cyclo_ints(fd.ctx.p, n))
-    qP = [
-        [fpoly_scale(qn, x) if j < fd.fil_dim else fpoly_trim([x])
-         for j, x in enumerate(row)]
-        for row in fd.C_frac()
-    ]
-    return {"P_inv": build_Cn(fd, n), "qP": qP, "q_n": qn}
+    return {"P_inv": form_to_fractions(build_Cn(fd, n)),
+            "qP": form_to_fractions(_qP(fd, qn)), "q_n": qn}
 
 
 class WachMatrixTower:
-    """Exact polynomial approximants M'_1, ..., M'_n for one instance."""
+    """Exact polynomial approximants M'_1, ..., M'_n for one instance,
+    held as integer forms (levels[k - 1] is M'_k)."""
 
     __slots__ = ("fd", "n", "levels")
 
@@ -271,13 +306,17 @@ class WachMatrixTower:
         self.n = n
         self.levels = levels
 
-    def matrix(self, k: int):
+    def _level(self, k: int):
         if not 1 <= k <= self.n:
             raise InputError(f"level must be in 1..{self.n}")
         return self.levels[k - 1]
 
+    def matrix(self, k: int):
+        """M'_k as a matrix of Fraction polynomials."""
+        return form_to_fractions(self._level(k))
+
     def value_at_zero_is_identity(self, k: int) -> bool:
-        return pmat_const(self.matrix(k)) == frac_identity(self.fd.size)
+        return form_at_zero(self._level(k)) == _identity(self.fd.size)
 
     def twist(self, k: int, gamma: GammaElement, trunc: int) -> dict:
         """G^(k) = (M'_k)^{-1} gamma(M'_k) mod pi^trunc.
@@ -290,50 +329,68 @@ class WachMatrixTower:
         (with 0 for floor(log_p 0)), as binom(c, i) = binom(c0, i) mod
         p^(N - floor(log_p i)); d_M and d_inv are the denominator depths
         of M'_k and its inverse mod pi^T; with no digit left at degree
-        T - 1 it raises PrecisionExhausted.
+        T - 1 it raises PrecisionExhausted.  G is computed as an integer
+        form and its Fractions are formed once, here.
         """
         T = trunc
-        if T < 1:
-            raise InputError("trunc must be positive")
-        M = mat_map(self.matrix(k), lambda e: fpoly_trim(e[:T]))
-        det = cofactor_det(M, T)
-        if not det or det[0] != 1:
-            raise InputError("tower determinant must have constant term 1")
-        inv_det = _pseries_inv(det, T)
-        Minv = mat_map(_padj(M, T), lambda e: fpoly_mul(e, inv_det, T))
-        c = gamma.c if gamma.is_integer else gamma.c.lift()
-        S = _power_matrix(_binom_shift(c, T), T, T)
-        G = pmat_mul(Minv, mat_map(M, lambda e: _substitute(e, S, T)), T)
-        ctx, p = self.fd.ctx, self.fd.ctx.p
-        bad = _pmat_integral(G, p)
-        const = pmat_const(G)
+        G, bad, const_ok, depth = self._twist(k, gamma, T)
         if gamma.is_integer:
-            if bad is not None:
-                raise IntegralityViolation(
-                    "twist has a non p-integral coefficient", witness=bad)
-            if const != frac_identity(self.fd.size):
-                raise IntegralityViolation(
-                    "twist is not congruent to I mod pi",
-                    witness={"constant_term": mat_map(const, str)})
-            return {"G": G, "exact": True, "trunc": T, "n": k}
-        N = gamma.c.abs_prec() + sum(  # less the depths d_M and d_inv
-            min([0] + [vp_frac(x, p) for row in A for e in row for x in e
-                       if x.denominator % p == 0]) for A in (M, Minv))
+            return {"G": form_to_fractions(G), "exact": True, "trunc": T,
+                    "n": k}
+        N = gamma.c.abs_prec() + depth
+        p = self.fd.ctx.p
         # less floor(log_p j), read as 0 at j = 0
         Ns = [N - next(e for e in range(T) if p ** (e + 1) > j)
               for j in range(T)]
         if Ns[-1] < 1:
             raise PrecisionExhausted(
                 f"c has too few digits to certify G at degree {T - 1}")
+        ctx = self.fd.ctx
         G = [[XSeries(ctx, [ctx.from_rational(x, Nj) for x, Nj in
                             zip(e + [0] * (T - len(e)), Ns)], T)
-              for e in row] for row in G]
+              for e in row] for row in form_to_fractions(G)]
         # every N_j >= 1, so the rounded G is integral with constant
         # term I exactly when the exact one is
         return {"G": G, "exact": False, "trunc": T, "n": k,
                 "integral": bad is None,
-                "constant_is_identity": const == frac_identity(self.fd.size),
+                "constant_is_identity": const_ok,
                 "witness": bad and (*bad["entry"], bad["degree"])}
+
+    def _twist(self, k: int, gamma: GammaElement, T: int):
+        """(G, bad, const_ok, depth): G^(k) mod pi^T as an integer form,
+        its first non p-integral coefficient (None if there is none),
+        whether G(0) = I, and d_M + d_inv for a scalar exponent (0 for an
+        integer one, which raises IntegralityViolation on a bad G).
+
+        M = N / d is cut to pi^T, and M^-1 = d adj(N) / det N with
+        1 / det N = H / den mod pi^T (_pseries_inv)."""
+        if T < 1:
+            raise InputError("trunc must be positive")
+        N, d = self._level(k)
+        N = [[int_trim(e[:T]) for e in row] for row in N]
+        size = self.fd.size
+        det = cofactor_det(N, T)
+        if not det or det[0] != d ** size:
+            raise InputError("tower determinant must have constant term 1")
+        H, den = _pseries_inv(det, T)
+        Minv = form_mul((_padj(N, T), 1),
+                        _diagonal([d * h for h in H], den, size), T)
+        c = gamma.c if gamma.is_integer else gamma.c.lift()
+        S = _power_matrix(_binom_shift(c, T), T, T)
+        G = form_mul(Minv, _act(lambda e: _substitute(e, S, T), (N, d)), T)
+        p = self.fd.ctx.p
+        bad = _pmat_integral(G, p)
+        const_ok = form_at_zero(G) == _identity(size)
+        if not gamma.is_integer:
+            return G, bad, const_ok, _depth((N, d), p) + _depth(Minv, p)
+        if bad is not None:
+            raise IntegralityViolation(
+                "twist has a non p-integral coefficient", witness=bad)
+        if not const_ok:
+            raise IntegralityViolation(
+                "twist is not congruent to I mod pi",
+                witness={"constant_term": _constant_term(G)})
+        return G, None, True, 0
 
 
 def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
@@ -343,19 +400,17 @@ def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
     if n < 1:
         raise InputError("n must be at least 1")
     chain = build_chain(fd, n)
-    levels = [_fractions(cphi_power_times(fd, k, chain[k]))
-              for k in range(1, n + 1)]
+    levels = [cphi_power_times(fd, k, chain[k]) for k in range(1, n + 1)]
     return WachMatrixTower(fd, n, levels)
 
 
 def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
-    """Whether M'_m = M'_n modulo (1 + pi)^{p^n} - 1, exactly."""
+    """Whether M'_m = M'_n modulo (1 + pi)^{p^n} - 1, exactly, by the
+    remainder check of verify_stabilization."""
     if not 1 <= n <= m <= tower.n:
         raise InputError("need 1 <= n <= m <= built level")
-    p = tower.fd.ctx.p
-    return all(_mod_omega(a, p, n) == _mod_omega(b, p, n)
-               for ra, rb in zip(tower.matrix(m), tower.matrix(n))
-               for a, b in zip(ra, rb))
+    return _stabilizes(tower.fd.ctx.p, n, tower.levels[n - 1],
+                       tower.levels[m - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -385,14 +440,12 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     _require_wach(fd)
     if not gamma.is_integer:
         raise InputError("exact check needs an integer gamma exponent")
-    data = build_Pn(fd, 1)
-    inv_q = _pseries_inv(q_poly(fd.ctx.p), trunc)
-    moved = mat_map(data["P_inv"], lambda e: gamma_act_poly(gamma, e, trunc))
-    prod = pmat_mul(data["qP"], moved, trunc)
-    prod = mat_map(prod, lambda e: fpoly_mul(e, inv_q, trunc))
-    const = pmat_const(prod)
-    return {"identity_mod_pi": const == frac_identity(fd.size),
-            "constant_term": mat_map(const, str)}
+    q = phi_cyclo_ints(fd.ctx.p, 1)
+    moved = _act(lambda e: gamma_act_poly(gamma, e, trunc), build_Cn(fd, 1))
+    prod = form_mul(form_mul(_qP(fd, q), moved, trunc),
+                    _diagonal(*_pseries_inv(q, trunc), fd.size), trunc)
+    return {"identity_mod_pi": form_at_zero(prod) == _identity(fd.size),
+            "constant_term": _constant_term(prod)}
 
 
 def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
@@ -400,48 +453,45 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
     """Check P_1 phi(G^(n)) = G^(n+1) gamma(P_1) mod pi^trunc.
 
     Both sides are multiplied by q * gamma(q), clearing every
-    denominator: the comparison is between exact truncated rational
-    series.  Integer exponents only.
+    denominator: the comparison is between exact truncated series, as
+    integer forms.  Integer exponents only.
     """
     _require_wach(fd)
     if not gamma.is_integer:
         raise InputError("exact check needs an integer gamma exponent")
     p = fd.ctx.p
     tower = build_M_prime(fd, n + 1)
-    Gn = tower.twist(n, gamma, trunc)["G"]
-    Gn1 = tower.twist(n + 1, gamma, trunc)["G"]
-    qP = build_Pn(fd, 1)["qP"]
-    q = q_poly(p)
+    Gn = tower._twist(n, gamma, trunc)[0]
+    Gn1 = tower._twist(n + 1, gamma, trunc)[0]
+    q = phi_cyclo_ints(p, 1)
+    qP = _qP(fd, q)
     gq = gamma_act_poly(gamma, q, trunc)
-    gqP = mat_map(qP, lambda e: gamma_act_poly(gamma, e, trunc))
-    phi_G = mat_map(Gn, lambda e: phi_act_poly(p, e, trunc))
-    lhs = pmat_mul(qP, phi_G, trunc)
-    lhs = mat_map(lhs, lambda e: fpoly_mul(e, gq, trunc))
-    rhs = pmat_mul(Gn1, gqP, trunc)
-    rhs = mat_map(rhs, lambda e: fpoly_mul(e, q, trunc))
-    mismatch = None
-    for i, (ra, rb) in enumerate(zip(lhs, rhs)):
-        for j, (a, b) in enumerate(zip(ra, rb)):
-            if a != b:
-                mismatch = mismatch or {
-                    "entry": (i, j),
-                    "degree": next(k for k, (x, y) in enumerate(
-                        zip_longest(a, b, fillvalue=0)) if x != y),
-                }
+    gqP = _act(lambda e: gamma_act_poly(gamma, e, trunc), qP)
+    phi_G = _act(lambda e: phi_act_poly(p, e, trunc), Gn)
+    lhs = form_mul(form_mul(qP, phi_G, trunc), _diagonal(gq, 1, fd.size),
+                   trunc)
+    rhs = form_mul(form_mul(Gn1, gqP, trunc), _diagonal(q, 1, fd.size),
+                   trunc)
+    diff, _ = form_sub(lhs, rhs)
+    mismatch = next(({"entry": (i, j),
+                      "degree": next(k for k, c in enumerate(e) if c)}
+                     for i, row in enumerate(diff)
+                     for j, e in enumerate(row) if e), None)
     return {"n": n, "trunc": trunc, "ok": mismatch is None,
             "mismatch": mismatch}
 
 
 def verify_cocycle(fd: FrobeniusData, n: int, c1: int, c2: int,
                    trunc: int) -> dict:
-    """G^(n)(gamma_1 gamma_2) = G^(n)(gamma_1) * gamma_1(G^(n)(gamma_2))."""
+    """G^(n)(gamma_1 gamma_2) = G^(n)(gamma_1) * gamma_1(G^(n)(gamma_2)),
+    compared as canonical integer forms."""
     _require_wach(fd)
     p = fd.ctx.p
     g1 = GammaElement(p, c1)
     g2 = GammaElement(p, c2)
     g12 = GammaElement(p, c1 * c2)
     tower = build_M_prime(fd, n)
-    lhs, G1, G2 = (tower.twist(n, g, trunc)["G"] for g in (g12, g1, g2))
-    moved = mat_map(G2, lambda e: gamma_act_poly(g1, e, trunc))
-    rhs = pmat_mul(G1, moved, trunc)
-    return {"n": n, "trunc": trunc, "ok": lhs == rhs}
+    lhs, G1, G2 = (tower._twist(n, g, trunc)[0] for g in (g12, g1, g2))
+    moved = _act(lambda e: gamma_act_poly(g1, e, trunc), G2)
+    return {"n": n, "trunc": trunc,
+            "ok": lhs == form_mul(G1, moved, trunc)}

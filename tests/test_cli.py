@@ -252,6 +252,31 @@ def test_wach_subcommand(capsys):
     assert "overall: PASS" in printed
 
 
+def test_wach_help_states_the_defaults(capsys, monkeypatch):
+    # the defaults that --help states are the ones a run without the
+    # flags uses
+    with pytest.raises(SystemExit) as info:
+        main(["wach", "--help"])
+    assert info.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--p P the prime p" in out
+    stated = {}
+    for flag in ("levels", "trunc"):
+        help_line = out.split(f"--{flag} {flag.upper()} ")[1]
+        stated[flag] = help_line.split("(default ")[1].split(")")[0]
+    assert stated == {"levels": "2", "trunc": "30"}
+    import padlog.cli as cli
+
+    truncs = []
+    check = cli.verify_p1_twist
+    monkeypatch.setattr(cli, "verify_p1_twist", lambda fd, gamma, trunc:
+                        truncs.append(trunc) or check(fd, gamma, trunc))
+    assert main(["wach", "--p", "3", "--c", "4"]) == 0
+    printed = capsys.readouterr().out
+    assert truncs == [int(stated["trunc"])]
+    assert printed.count("(0) = I") == int(stated["levels"])
+
+
 def test_wach_rejects_bad_exponent(capsys):
     assert main(["wach", "--p", "3", "--c", "2"]) == 3
 

@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from padlog import InputError, NotInImage, SingularOperator
 from padlog.linalg import (
-    _pseudo_divmod,
     cofactor_det,
+    form_from_fractions,
+    form_mul,
+    form_sub,
+    form_to_fractions,
     fp_rank,
-    fpoly_add,
-    fpoly_divmod,
     fpoly_mul,
     frac_charpoly,
     frac_det,
@@ -28,7 +29,7 @@ from padlog.linalg import (
     hull_root_valuations,
     mat_mul,
     newton_lower_hull,
-    pmat_mul,
+    pseudo_divmod,
     smith_zp,
     vp_frac,
     zp_nullspace,
@@ -72,6 +73,15 @@ def test_charpoly_matches_oracle():
         for _ in range(5):
             A = rand_mat(rng, n, -5, 5)
             assert frac_charpoly(A) == charpoly_oracle(A)
+    # rational entries with p-power denominators, as in C_phi, mixed with
+    # unit denominators
+    for p in (2, 3, 5):
+        for n in (1, 2, 3, 4):
+            for _ in range(4):
+                A = [[Fraction(rng.randrange(-9, 10),
+                               rng.choice((1, 7, p, p ** 2, p ** 3)))
+                      for _ in range(n)] for _ in range(n)]
+                assert frac_charpoly(A) == charpoly_oracle(A)
 
 
 def test_charpoly_constant_term_is_signed_det():
@@ -287,7 +297,21 @@ def test_fpoly_mul_matches_oracle(a, b, ra, rb, T):
         assert all(type(c) is Fraction for c in out)
     fa = [Fraction(c) for c in a]
     fb = [Fraction(c) for c in b]
-    assert fpoly_add(fa, fb) == padd(fa, fb)
+    # a + b as the difference of the forms of a and -b
+    total = form_sub(form_from_fractions([[fa]]),
+                     form_from_fractions([[[-c for c in fb]]]))
+    assert form_to_fractions(total)[0][0] == padd(fa, fb)
+
+
+def divmod_on_forms(f, g):
+    """(q, r) with f = q g + r and deg r < deg g: with f = F/df and
+    g = G/dg over their integer forms, lead^m F = Q G + R is the integer
+    pseudo-division, so q = Q dg / (lead^m df) and r = R / (lead^m df)."""
+    ((F,),), df = form_from_fractions([[f]])
+    ((G,),), dg = form_from_fractions([[g]])
+    Q, R, scale = pseudo_divmod(F, ptrim(G))
+    q, r = form_to_fractions(([[[c * dg for c in Q], R]], scale * df))[0]
+    return q, r
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,7 +321,7 @@ def test_fpoly_divmod_and_eval(a, b):
     if not any(fb):
         return
     fa = [Fraction(c) for c in a]
-    q, r = fpoly_divmod(fa, fb)
+    q, r = divmod_on_forms(fa, fb)
     assert padd(pmul(q, fb), r) == ptrim(fa)
 
 
@@ -508,21 +532,29 @@ def _rand_fpoly(rng, max_len):
 
 
 def test_cofactor_det_matches_permutation_expansion_and_truncates():
+    # the determinant of the numerators N of the form N / d of A, over
+    # d^size
     rng = random.Random(340)
     for size in (1, 2, 3, 4):
         for _ in range(6):
             A = [[_rand_fpoly(rng, 4) for _ in range(size)]
                  for _ in range(size)]
             want = perm_det_poly(A)
-            assert cofactor_det(A) == want
+            N, d = form_from_fractions(A)
+            assert all(type(c) is int for c in cofactor_det(N))
+            assert form_to_fractions(([[cofactor_det(N)]], d ** size)) \
+                == [[want]]
             for T in (1, 2, 5):
-                assert cofactor_det(A, T) == ptrim(want[:T])
+                assert form_to_fractions(
+                    ([[cofactor_det(N, T)]], d ** size)) \
+                    == [[ptrim(want[:T])]]
     for bad in ([], [[[1], [2]]]):
         with pytest.raises(InputError):
             cofactor_det(bad)
 
 
 def test_pmat_mul_matches_oracle_on_rectangular_shapes():
+    # form_mul on the integer forms of Fraction-polynomial matrices
     rng = random.Random(341)
     for _ in range(40):
         r, m, c = (rng.randint(1, 4) for _ in range(3))
@@ -530,34 +562,35 @@ def test_pmat_mul_matches_oracle_on_rectangular_shapes():
         B = [[_rand_fpoly(rng, 5) for _ in range(c)] for _ in range(m)]
         want = poly_mat_mul(A, B)
         for T in (None, 1, 2, 5):
-            assert pmat_mul(A, B, T) == [[ptrim(e[:T]) for e in row]
-                                         for row in want]
+            got = form_mul(form_from_fractions(A), form_from_fractions(B), T)
+            assert form_to_fractions(got) == [[ptrim(e[:T]) for e in row]
+                                              for row in want]
     for bad in (([[[1], [2]]], [[[1], [2]]]), ([[[1], [2]], [[3]]], [[[1]]])):
         with pytest.raises(InputError):
-            pmat_mul(*bad)
+            form_mul(*(form_from_fractions(A) for A in bad))
 
 
 def test_fpoly_divmod_matches_oracle_on_rational_divisors():
     # non-monic divisors, negative and p-divisible leading coefficients,
     # Fraction coefficients on both sides, and dividends shorter than
-    # the divisor
+    # the divisor, through the pseudo-division of the integer forms
     rng = random.Random(342)
     for _ in range(60):
         f = _rand_fpoly(rng, 9)
         g = _rand_fpoly(rng, 5)
         if not g:
             continue
-        assert fpoly_divmod(f, g) == pdivmod(f, g)
-    assert fpoly_divmod([1, 0, 1], (1, 1)) == ([-1, 1], [2])
-    assert fpoly_divmod([], [Fraction(2, 3)]) == ([], [])
+        assert divmod_on_forms(f, g) == pdivmod(f, g)
+    assert divmod_on_forms([1, 0, 1], (1, 1)) == ([-1, 1], [2])
+    assert divmod_on_forms([], [Fraction(2, 3)]) == ([], [])
     for zero in ([], [0, 0]):
         with pytest.raises(InputError):
-            fpoly_divmod([1], zero)
+            divmod_on_forms([1], zero)
 
 
 def test_integer_remainder_mod_omega_matches_the_oracle():
     # the tower's verdicts reduce integer numerators mod the monic omega_n
-    # with the pseudo-division that fpoly_divmod runs
+    # with the pseudo-division
     from padlog.series import omega_ints
 
     rng = random.Random(43)
@@ -565,5 +598,5 @@ def test_integer_remainder_mod_omega_matches_the_oracle():
         N = p ** n
         for length in (0, 1, N - 1, N, N + 1, 2 * N, 7 * N + 3):
             F = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(length)]
-            assert (_pseudo_divmod(F, omega_ints(p, n))[1]
+            assert (pseudo_divmod(F, omega_ints(p, n))[1]
                     == pdivmod(F, omega_oracle(p, n))[1])

@@ -25,10 +25,23 @@ from padlog import (
     image_condition_at_zero,
     verify_stabilization,
 )
-from padlog.coleman import forward
+from padlog.coleman import (
+    factor_level,
+    forward,
+    kernel_basis,
+    roundtrip_check,
+    tower_projection_check,
+)
 from padlog.logmatrix import build_chain, min_coeff_valuation
 from padlog.pollack import verify_antidiagonal
-from padlog.wach import build_M_prime
+from padlog.wach import (
+    GammaElement,
+    build_M_prime,
+    verify_cocycle,
+    verify_commutation,
+    verify_p1_twist,
+    verify_tower_congruence,
+)
 
 from instances import (
     interleaved_gl4,
@@ -366,21 +379,33 @@ def count_calls(monkeypatch, names):
 
 
 def test_tower_readers_run_on_integer_forms(monkeypatch):
-    # the chain multiplies no C_k matrices of Fractions, and no reader of
-    # the tower subtracts matrices of Fraction polynomials or raises
-    # C_phi to a power of Fractions
+    # the chain multiplies no C_k matrices, and no reader of the tower,
+    # no Coleman map, no twist and none of the twist's checks puts a
+    # matrix of Fraction polynomials into an integer form: Fractions
+    # enter only at the edges and are formed only for results
     fd = random_instance(3, 3, 1, 1)
     B = random_adapted_B(fd, random.Random(9))
     col = random_polynomial_vector(fd, random.Random(10))
-    calls = count_calls(monkeypatch, ("build_Cn", "pmat_mul"))
+    calls = count_calls(monkeypatch, ("build_Cn", "form_from_fractions"))
     build_chain(fd, 3)
     assert calls == []
-    calls = count_calls(monkeypatch, ("pmat_sub", "mat_pow"))
+    calls = count_calls(monkeypatch, ("form_from_fractions", "fpoly_mul"))
     build_Mn(fd, 2)
     det_Mn(fd, 2)
     assert verify_stabilization(fd, 1, 2)
     conjugate_basis_check(fd, B)
     assert verify_antidiagonal(pollack_fd(), 2)["ok"]
-    forward(fd, 2, col)
-    build_M_prime(random_instance(3, 2, 1, 0), 2)
+    factor_level(fd, 2, forward(fd, 2, col))
+    assert roundtrip_check(fd, 2, col)["ok"]
+    assert tower_projection_check(fd, 1, col)["ok"]
+    kernel_basis(fd, 1)
+    wach_fd = random_instance(3, 2, 1, 0)
+    tower = build_M_prime(wach_fd, 2)
+    gamma = GammaElement(3, 4)
+    tower.twist(2, gamma, 12)
+    tower.twist(2, GammaElement(3, wach_fd.ctx.integer(4)), 12)
+    assert verify_tower_congruence(tower, 2, 1)
+    assert verify_p1_twist(wach_fd, gamma, 12)["identity_mod_pi"]
+    assert verify_commutation(wach_fd, 1, gamma, 12)["ok"]
+    assert verify_cocycle(wach_fd, 1, 4, 7, 12)["ok"]
     assert calls == []

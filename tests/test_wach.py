@@ -26,6 +26,7 @@ from padlog import (
     verify_tower_congruence,
     wach_context,
 )
+from padlog.linalg import form_from_fractions
 from padlog.pollack import pollack_instance
 from padlog.wach import (
     WachMatrixTower,
@@ -172,18 +173,46 @@ def test_twist_builds_the_power_matrix_once(fd, monkeypatch):
         assert calls == [T]
 
 
+@pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 4, 2, 1)],
+                         ids=["size2", "size4"])
+def test_twist_forms_fractions_only_for_G(fd, monkeypatch):
+    # every stage of the twist runs on integer forms: an exact or scalar
+    # twist makes one Fraction per coefficient of the exact G and no
+    # other (the scalar view rounds those same Fractions)
+    tower = build_M_prime(fd, 2)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    for k, T in ((1, 6), (2, 12)):
+        made.clear()
+        G = tower.twist(k, GammaElement(3, 4), T)["G"]
+        coefficients = sum(len(e) for row in G for e in row)
+        assert len(made) == coefficients
+        made.clear()
+        out = tower.twist(k, GammaElement(3, fd.ctx.integer(4)), T)
+        assert not out["exact"] and len(made) == coefficients
+
+
 @pytest.mark.parametrize("T", TRUNCS)
 @pytest.mark.parametrize("p", (3, 5))
 def test_series_inverse_mod_pi_T(p, T):
-    # p-power denominators and constant terms other than 1
+    # p-power denominators and constant terms other than 1, inverted on
+    # the integer numerators F = d f: 1 / f = d H / den
     tail = sample_poly(p, 6)[1:]
     for c0 in (Fraction(-2, p ** 2), Fraction(p - 1), Fraction(7, p)):
         f = [c0] + tail
-        inv = _pseries_inv(f, T)
+        d = math.lcm(*(c.denominator for c in f))
+        H, den = _pseries_inv([int(c * d) for c in f], T)
+        inv = [Fraction(d * h, den) for h in H]
         assert len(inv) <= T
         assert ptrim(pmul(f, inv)[:T]) == [1]
     with pytest.raises(InputError):
-        _pseries_inv([Fraction(0), Fraction(1)], T)
+        _pseries_inv([0, 1], T)
 
 
 def test_gamma_act_requires_integer():
@@ -541,7 +570,7 @@ def test_twist_rejects_nonpositive_trunc():
 
 def test_twist_rejects_determinant_with_constant_term_not_one():
     level = [[[Fraction(2)], []], [[], [Fraction(1)]]]
-    tower = WachMatrixTower(wach_fd(), 1, [level])
+    tower = WachMatrixTower(wach_fd(), 1, [form_from_fractions(level)])
     with pytest.raises(InputError):
         tower.twist(1, GammaElement.default(3), 8)
 
@@ -551,7 +580,7 @@ def test_twist_integrality_violation_carries_witness():
     # g = (1 + pi)^4 - 1, whose pi^3 coefficient is 4/3
     level = [[[Fraction(1)], [Fraction(0), Fraction(1, 3)]],
              [[], [Fraction(1)]]]
-    tower = WachMatrixTower(wach_fd(), 1, [level])
+    tower = WachMatrixTower(wach_fd(), 1, [form_from_fractions(level)])
     with pytest.raises(IntegralityViolation) as info:
         tower.twist(1, GammaElement(3, 4), 8)
     assert info.value.witness == {"entry": (0, 1), "degree": 3,
