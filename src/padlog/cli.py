@@ -31,12 +31,11 @@ from .errors import (
     PrecisionLoss,
 )
 from .logmatrix import (
-    _approx,
-    _det_check,
-    _exact_levels,
-    _stabilizes,
+    build_Mn,
     check_evaluation,
     check_hypotheses,
+    det_Mn,
+    verify_stabilization,
 )
 from .padic import PadicContext
 from .pollack import pollack_instance, verify_antidiagonal
@@ -145,21 +144,18 @@ def _cmd_logmatrix(args) -> int:
     if args.n < 1:
         raise InputError("--n must be at least 1")
     report = Report(f"M_{args.n} for {args.input}")
-    # M_(n-1) and M_n from one chain
-    M = _exact_levels(fd, (args.n - 1, args.n) if args.n >= 2 else (args.n,))
-    approx = _approx(fd, args.n, M[args.n])
+    approx = build_Mn(fd, args.n)
     try:
         ev = check_evaluation(approx, cutoff=args.cutoff)
         report.add("value at zero is C_phi", ev["ok"], witness=ev["witness"])
     except Indeterminate as exc:
         report.add("value at zero is C_phi", Status.INDETERMINATE, str(exc))
-    det = _det_check(fd, args.n, M[args.n])
+    det = det_Mn(fd, args.n)
     report.add("determinant closed form (raw)", det["raw_match"])
     report.add("determinant closed form (reduced)", det["reduced_match"])
     if args.n >= 2:
         report.add(f"stabilization mod omega_{args.n - 1}",
-                   _stabilizes(fd.ctx.p, args.n - 1, M[args.n - 1],
-                               M[args.n]))
+                   verify_stabilization(fd, args.n - 1, args.n))
     payload = {"matrix": matrix_to_record(approx.raw)}
     return _finish(report, args, payload)
 

@@ -24,17 +24,16 @@ from __future__ import annotations
 from .errors import InputError, NotInImage, NotIntegral, PrecisionLoss
 from .linalg import (
     form_const,
+    form_depth,
     form_mod,
     form_mul,
     form_sub,
     form_to_fractions,
-    frac_identity,
-    mat_mul,
     pseudo_divmod,
     vp_frac,
     zp_nullspace,
 )
-from .logmatrix import FrobeniusData, build_Cn, build_chain
+from .logmatrix import FrobeniusData
 from .padic import INF
 from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
 
@@ -100,13 +99,6 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
     return form_mod((X, p ** k), omega_ints(p, n)), N
 
 
-def _depth(M, p: int):
-    """min(0, least valuation of the constant matrix M): how many digits
-    of absolute precision a product with M can lose."""
-    return min((vp_frac(x, p) for row in M for x in row
-                if x.denominator % p == 0), default=0)
-
-
 def _first_below(f, d: int, p: int, N):
     """Index of the first coefficient of the integer polynomial f over d
     of valuation below N, or None."""
@@ -137,30 +129,26 @@ def _embed(ctx, n: int, x, N):
             for (f,) in form_to_fractions(x)]
 
 
-def _chain_top(fd: FrobeniusData, n: int):
-    """P_n = C_n ... C_1 as an integer form; its degree is below p^n."""
+def _image(fd: FrobeniusData, n: int, col) -> RegulatorVector:
+    """P_n col inside the level-n quotient, certified as forward is."""
     if n < 1:
         raise InputError("forward needs n >= 1")
-    return build_chain(fd, n)[n]
-
-
-def _image(fd: FrobeniusData, n: int, P, col) -> RegulatorVector:
-    """P col inside the level-n quotient, certified as forward is."""
     x, N = _as_classes(fd, n, col)
     p = fd.ctx.p
-    return RegulatorVector(n, _embed(fd.ctx, n, _apply(P, x, p, n),
-                                     N + n * _depth(fd.C_inv, p)))
+    return RegulatorVector(n, _embed(fd.ctx, n,
+                                     _apply(fd.tower.P(n), x, p, n),
+                                     N + n * form_depth(fd.tower.C_inv, p)))
 
 
 def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     """C_n ... C_1 applied to col inside the level-n quotient.
 
-    The lifted vector is multiplied by the exact chain P_n and reduced
+    The lifted vector is multiplied by the tower's exact P_n and reduced
     mod omega_n; the image is certified to the input's absolute
     precision, less what C^-1 can lose at each of the n stages (nothing
     for an admitted instance).
     """
-    return _image(fd, n, _chain_top(fd, n), col)
+    return _image(fd, n, col)
 
 
 def factor_level(fd: FrobeniusData, n: int, L,
@@ -178,7 +166,8 @@ def factor_level(fd: FrobeniusData, n: int, L,
         raise InputError("factor_level needs n >= 1")
     x, N = _as_classes(fd, n, L)
     p = fd.ctx.p
-    C, lost = form_const(fd.C), _depth(fd.C, p)
+    C = form_const(fd.C)
+    lost = form_depth(C, p)
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
         X, d = x
@@ -198,12 +187,6 @@ def factor_level(fd: FrobeniusData, n: int, L,
                          kernel_tag=f"mod ker h_{n}")
 
 
-def _cphi_inv(fd: FrobeniusData):
-    """C_phi^{-1} = diag(I, p I) C^{-1}."""
-    return [[x * fd.ctx.p if i >= fd.fil_dim else x for x in row]
-            for i, row in enumerate(fd.C_inv)]
-
-
 def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     """Multiply by C_phi^-(n+1), reduce, and certify integrality.
 
@@ -221,11 +204,9 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
             raise InputError("raw components must be exact polynomials")
     x, N = _as_classes(fd, n, raw)
     p = fd.ctx.p
-    shift, cphi_inv = frac_identity(fd.size), _cphi_inv(fd)
-    for _ in range(n + 1):
-        shift = mat_mul(cphi_inv, shift)
-    comps = _embed(fd.ctx, n, _apply(form_const(shift), x, p, n),
-                   N + _depth(shift, p))
+    shift = fd.tower.cphi_power(-(n + 1))
+    comps = _embed(fd.ctx, n, _apply(shift, x, p, n),
+                   N + form_depth(shift, p))
     for i, c in enumerate(comps):
         for j, coeff in enumerate(c.rep.coeffs):
             if coeff.is_zero_rep:
@@ -245,15 +226,14 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
 
 def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """forward(factor_level(forward(col))) vs forward(col), exactly, both
-    images read from one chain; "image" is forward(col).  The
+    images read off the tower's P_n; "image" is forward(col).  The
     factorization runs at the same cutoff, so it raises PrecisionLoss
     when the image is known to fewer than cutoff digits.  The two images
     are compared on their lifts, at the smaller of their precisions."""
-    P = _chain_top(fd, n)
-    L = _image(fd, n, P, col)
+    L = _image(fd, n, col)
     recovered = factor_level(fd, n, L, cutoff)
     (a, Na), (b, Nb) = (_as_classes(fd, n, v)
-                        for v in (L, _image(fd, n, P, recovered)))
+                        for v in (L, _image(fd, n, recovered)))
     diff = form_sub(a, b)
     for i, d in enumerate(_embed(fd.ctx, n, diff, min(Na, Nb))):
         st, idx = d.zero_status(cutoff)
@@ -272,14 +252,16 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     C_(n+1) mod omega_n an integer form.
     """
     x, N = _as_classes(fd, n + 1, col)
-    p = fd.ctx.p
-    low = _apply(_chain_top(fd, n), x, p, n)
-    top = form_mod(build_Cn(fd, n + 1), omega_ints(p, n))
-    cphi_inv = _cphi_inv(fd)
+    if n < 1:
+        raise InputError("forward needs n >= 1")
+    p, tower = fd.ctx.p, fd.tower
+    low = _apply(tower.P(n), x, p, n)
+    top = form_mod(tower.C(n + 1), omega_ints(p, n))
+    cphi_inv = tower.cphi_power(-1)
     hi = _apply(top, low, p, n)
-    twisted = _apply(form_const(cphi_inv), low, p, n)
-    lost = _depth(fd.C_inv, p)
-    N += min((n + 1) * lost, n * lost + _depth(cphi_inv, p))
+    twisted = _apply(cphi_inv, low, p, n)
+    lost = form_depth(tower.C_inv, p)
+    N += min((n + 1) * lost, n * lost + form_depth(cphi_inv, p))
     for i, d in enumerate(_embed(fd.ctx, n, form_sub(hi, twisted), N)):
         st, idx = d.zero_status(cutoff)
         if st != "zero":
@@ -307,11 +289,11 @@ def kernel_basis(fd: FrobeniusData, n: int):
     N = p ** n
     omega = omega_ints(p, n)
     # the matrix of the map on coefficient vectors: column (i, j) is the
-    # image of X^j in component i.  The chain's numerators are C_n ... C_1
-    # (of degree below p^n) times its one denominator, which scales H
-    # and leaves the kernel as it is.
+    # image of X^j in component i.  The numerators of the tower's P_n are
+    # C_n ... C_1 (of degree below p^n) times its one denominator, which
+    # scales H and leaves the kernel as it is.
     H = []
-    for nums in _chain_top(fd, n)[0]:
+    for nums in fd.tower.P(n)[0]:
         block = [[0] * (fd.size * N) for _ in range(N)]
         for i, f in enumerate(nums):
             f = f + [0] * (N - len(f))

@@ -456,6 +456,14 @@ def form_at_zero(A):
                      for row in N], d)
 
 
+def form_depth(A, p: int):
+    """min(0, least valuation of a coefficient of the integer form A):
+    the digits of absolute precision a product with A can lose."""
+    N, d = A
+    content = gcd(*[c for row in N for e in row for c in e])
+    return min(0, vp_frac(content, p) - vp_frac(d, p))
+
+
 def fpoly_mul(f, g, T=None):
     """f * g, mod X^T when T is given, for polynomials with rational
     coefficients, formed on their integer forms.  No library path calls

@@ -12,12 +12,12 @@ with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
 (-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.
 
-The chain P_k is one exact product on integer forms (linalg's exact
-polynomial type: a matrix N of integer polynomials over one
-denominator d, content-reduced).  M_n, M'_n = C_phi^n P_n and the
-Coleman kernel all read it; Fractions are formed only where a result
-is returned or embedded.  P_n has degree p^n - 1, so M_n is already
-reduced modulo omega_n.
+Each instance grows one ExactTower, on first use: the chain P_k on
+integer forms (linalg's exact polynomial type: a matrix N of integer
+polynomials over one denominator d, content-reduced) and the powers of
+C_phi.  M_n, M'_n = C_phi^n P_n, the Coleman maps and kernel all read
+it; Fractions are formed only where a result is returned or embedded.
+P_n has degree p^n - 1, so M_n is already reduced modulo omega_n.
 
 The tower satisfies, and this module verifies exactly on the integer
 numerators: M_m = M_n mod omega_n, the closed-form determinant, and
@@ -62,7 +62,13 @@ from .linalg import (
     zp_solve_integral,
 )
 from .padic import INF, PadicContext
-from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
+from .series import (
+    LambdaNElement,
+    XSeries,
+    cyclo_product_ints,
+    omega_ints,
+    phi_cyclo_ints,
+)
 
 
 # -- admission gate --------------------------------------------------------
@@ -124,6 +130,11 @@ class FrobeniusData:
         """C^{-1} as a tuple of rows, inverted once per instance (by
         create, for an admitted instance)."""
         return tuple(map(tuple, frac_inv(self.C)))
+
+    @cached_property
+    def tower(self):
+        """The instance's ExactTower, created on first use."""
+        return ExactTower(self)
 
     @cached_property
     def C_phi(self):
@@ -210,52 +221,81 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
 # -- the exact tower -------------------------------------------------------
 
 
+class ExactTower:
+    """One instance's exact tower on integer forms, held by
+    FrobeniusData.tower and freed with it: C^-1 (C_inv), C_k, the chain
+    P_k = C_k P_(k-1) grown a level at a time, the powers of C_phi and of
+    C_phi^-1 = diag(I, p I) C^-1, M_k and M'_k.  Each is formed once and
+    shared read-only.  Growing it runs no elimination."""
+
+    __slots__ = ("p", "fil_dim", "depth", "budget", "C_inv", "chain",
+                 "_cphi", "_powers", "_products")
+
+    def __init__(self, fd: FrobeniusData):
+        g, f, p = fd.size, fd.fil_dim, fd.ctx.p
+        self.p, self.fil_dim, self.budget = p, f, fd.ctx.denom_budget
+        self.depth = max(0, -fd.min_val_C_phi())
+        self.C_inv = form_const(fd.C_inv)
+        self.chain = [form_const([[int(i == j) for j in range(g)]
+                                  for i in range(g)])]
+        self._cphi = (fd.C_phi, [[x * p if i >= f else x for x in row]
+                                 for i, row in enumerate(fd.C_inv)])
+        self._powers, self._products = {}, {}
+
+    def _scaled(self, A, k: int):
+        """diag(I, Phi_{p^k}(1+X) I) A, as content-reduced as A."""
+        (N, d), f = A, self.fil_dim
+        phi = phi_cyclo_ints(self.p, k)
+        return N[:f] + [[int_dot([(phi, e)]) for e in row]
+                        for row in N[f:]], d
+
+    def _grow(self):
+        """Append P_k = C_k P_(k-1), of degree p^k - 1 < deg omega_k."""
+        P = form_mul(self.C_inv, self.chain[-1])
+        self.chain.append(self._scaled(P, len(self.chain)))
+
+    def P(self, k: int):
+        """P_k = C_k ... C_1 (P_0 = I)."""
+        while len(self.chain) <= k:
+            self._grow()
+        return self.chain[k]
+
+    def C(self, k: int):
+        """C_k = diag(I, Phi_{p^k}(1+X) I) C^-1, for k >= 1."""
+        return self._scaled(self.C_inv, k)
+
+    def cphi_power(self, e: int):
+        """C_phi^e, for e != 0."""
+        if e not in self._powers:
+            self._powers[e] = form_const(self._cphi[e < 0], abs(e))
+        return self._powers[e]
+
+    def _product(self, e: int, k: int):
+        if (e, k) not in self._products:
+            self._products[e, k] = form_mul(self.cphi_power(e), self.P(k))
+        return self._products[e, k]
+
+    def M(self, n: int):
+        """M_n = C_phi^(n+1) P_n; a level whose M_n needs deeper
+        denominators than the budget raises before anything is built."""
+        if n < 0:
+            raise InputError("levels must be >= 0")
+        if (n + 1) * self.depth > self.budget:
+            raise DenominatorBudgetExceeded(
+                f"level {n} needs denominator budget {(n + 1) * self.depth}"
+                f", context allows {self.budget}")
+        return self._product(n + 1, n)
+
+    def M_prime(self, k: int):
+        """M'_k = C_phi^k P_k, for k >= 1."""
+        return self._product(k, k)
+
+
 def build_Cn(fd: FrobeniusData, n: int):
     """C_n = diag(I, Phi_{p^n}(1+X) I) * C^{-1} as an integer form."""
     if n < 1:
         raise InputError("build_Cn needs n >= 1")
-    phi = phi_cyclo_ints(fd.ctx.p, n)
-    N, d = form_const(fd.C_inv)
-    N[fd.fil_dim:] = [[int_dot([(phi, e)]) for e in row]
-                      for row in N[fd.fil_dim:]]
-    return N, d
-
-
-def build_chain(fd: FrobeniusData, n: int):
-    """[P_0, ..., P_n] as integer forms, P_0 = I and P_k = C_k P_{k-1}.
-    The scaled rows of C^{-1} P_{k-1} are multiplied by the monic
-    Phi_{p^k}(1+X), which keeps the content.  P_k has degree p^k - 1,
-    below the degree of omega_k."""
-    g, f = fd.size, fd.fil_dim
-    C_inv = form_const(fd.C_inv)
-    chain = [form_const([[int(i == j) for j in range(g)] for i in range(g)])]
-    for k in range(1, n + 1):
-        N, d = form_mul(C_inv, chain[-1])
-        phi = phi_cyclo_ints(fd.ctx.p, k)
-        N[f:] = [[int_dot([(phi, e)]) for e in row] for row in N[f:]]
-        chain.append((N, d))
-    return chain
-
-
-def cphi_power_times(fd: FrobeniusData, e: int, P):
-    """C_phi^e P for an integer form P and e >= 1, the power formed on
-    integers."""
-    return form_mul(form_const(fd.C_phi, e), P)
-
-
-def _exact_levels(fd: FrobeniusData, levels):
-    """{n: M_n} for the requested levels, as integer forms from one chain."""
-    if any(n < 0 for n in levels):
-        raise InputError("levels must be >= 0")
-    top = max(levels, default=0)
-    need = (top + 1) * max(0, -fd.min_val_C_phi())
-    if need > fd.ctx.denom_budget:
-        raise DenominatorBudgetExceeded(
-            f"level {top} needs denominator budget {need}, "
-            f"context allows {fd.ctx.denom_budget}"
-        )
-    chain = build_chain(fd, top)
-    return {n: cphi_power_times(fd, n + 1, chain[n]) for n in levels}
+    return fd.tower.C(n)
 
 
 def _first_nonzero(f):
@@ -285,12 +325,7 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
     """M_n = C_phi^(n+1) * C_n ... C_1, built exactly and embedded once.
     Its degree is below p^n, so the omega_n classes share the raw
     representatives."""
-    return _approx(fd, n, _exact_levels(fd, (n,))[n])
-
-
-def _approx(fd: FrobeniusData, n: int, M) -> LogMatrixApprox:
-    """The XSeries views of the exact M_n, given as an integer form."""
-    raw = _embed_matrix(fd.ctx, form_to_fractions(M))
+    raw = _embed_matrix(fd.ctx, form_to_fractions(fd.tower.M(n)))
     reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
     return LogMatrixApprox(fd, n, raw, reduced)
 
@@ -323,8 +358,8 @@ def verify_stabilization(fd, n: int, m: int) -> bool:
     """True iff M_m = M_n mod omega_n, decided exactly."""
     if not (1 <= n <= m):
         raise InputError("need 1 <= n <= m")
-    M = _exact_levels(fd, (n, m))
-    return _stabilizes(fd.ctx.p, n, M[n], M[m])
+    high = fd.tower.M(m)  # first: the budget at m bounds the one at n
+    return _stabilizes(fd.ctx.p, n, fd.tower.M(n), high)
 
 
 def _stabilizes(p: int, n: int, low, high) -> bool:
@@ -336,11 +371,7 @@ def _stabilizes(p: int, n: int, low, high) -> bool:
 def _closed_det(fd: FrobeniusData, n: int):
     """The closed form as a 1 x 1 integer form."""
     s = fd.scaled_dim
-    acc = [1]
-    for k in range(1, n + 1):
-        phi = phi_cyclo_ints(fd.ctx.p, k)
-        for _ in range(s):
-            acc = int_dot([(phi, acc)])
+    acc = cyclo_product_ints(fd.ctx.p, range(1, n + 1), s)
     c = frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)
     return [[[c.numerator * x for x in acc]]], c.denominator
 
@@ -352,16 +383,10 @@ def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
 
 
 def det_Mn(fd: FrobeniusData, n: int):
-    """Determinant of M_n against the closed form, both as polynomials
-    and modulo omega_n.  The verdicts are exact; det and closed_form are
-    reported as XSeries views."""
-    return _det_check(fd, n, _exact_levels(fd, (n,))[n])
-
-
-def _det_check(fd: FrobeniusData, n: int, M):
-    """det_Mn on the integer form M_n = N / d: det N / d^size against
-    the closed form, as 1 x 1 integer forms."""
-    N, d = M
+    """Determinant of M_n = N / d, det N / d^size, against the closed
+    form, both as polynomials and modulo omega_n, on 1 x 1 integer forms.
+    The verdicts are exact; det and closed_form are XSeries views."""
+    N, d = fd.tower.M(n)
     det = [[cofactor_det(N)]], d ** fd.size
     closed = _closed_det(fd, n)
     diff = form_sub(det, closed)[0][0][0]
@@ -440,7 +465,7 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
     exact M_n of approx.fd and approx.n and rounded once.
     """
     Bq = frac_mat(B)
-    M = _exact_levels(approx.fd, (approx.n,))[approx.n]
+    M = approx.fd.tower.M(approx.n)
     conj = form_mul(form_mul(form_const(Bq), M), form_const(frac_inv(Bq)))
     return _embed_matrix(approx.fd.ctx, form_to_fractions(conj))
 
@@ -463,14 +488,15 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
         is divisible by X (E_k(0) = I), so the value at zero is
         transported.
 
-    Both approximants come from one chain per instance, and every
-    verdict is exact, decided on integer numerators.  Returns a report;
-    raises NotFiltrationAdapted when B lacks the adapted block form.
+    Both approximants are read off the instances' towers; every verdict
+    is exact, decided on integer numerators.  Returns a report; raises
+    NotFiltrationAdapted when B lacks the adapted block form.
     """
     B, B_inv, fd_w = _conjugation(fd, B)
     left, right = form_const(B), form_const(B_inv)
-    mv = _exact_levels(fd, levels)
-    mw = _exact_levels(fd_w, levels)
+    # a negative level fails first, then the budget at the top level
+    order = sorted(levels, key=lambda n: (n >= 0, -n))
+    mv, mw = ({n: inst.tower.M(n) for n in order} for inst in (fd, fd_w))
     per_level = {}
     for n in levels:
         diff, _ = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])

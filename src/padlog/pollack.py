@@ -25,7 +25,7 @@ coordinate of a factored preimage pairs with the minus-signed map and
 the second with the negative of the plus-signed one.
 
 All of it is exact input, so every check is decided exactly: the
-approximant is read off logmatrix's chain as an integer form, the
+approximant is read off the instance's tower as an integer form, the
 closed forms are built as one from the integer cyclotomic
 coefficients, and the two are compared over a common denominator.  The
 XSeries returned by log_plus_partial, log_minus_partial and
@@ -36,19 +36,12 @@ coefficient rounded once to rel_prec digits.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .errors import InputError
-from .linalg import (form_at_zero, form_const, form_sub, form_to_fractions,
-                     int_dot)
-from .logmatrix import (
-    FrobeniusData,
-    _embed_matrix,
-    _exact_levels,
-    _first_nonzero,
-)
+from .linalg import form_at_zero, form_const, form_sub, form_to_fractions
+from .logmatrix import FrobeniusData, _embed_matrix, _first_nonzero
 from .padic import PadicContext
-from .series import XSeries, phi_cyclo_ints
+from .series import XSeries, cyclo_product_ints
 
 SIGN_NOTE = (
     "first factored coordinate pairs with the minus map, second with "
@@ -79,19 +72,11 @@ def log_minus_partial(ctx: PadicContext, n_factors: int,
 def _log_partial(ctx, n_factors, first, trunc):
     if n_factors < 0:
         raise InputError("n_factors must be nonnegative")
-    levels = range(first, first + 2 * n_factors, 2)
-    acc, den = _log_product(ctx.p, levels)
-    return XSeries.from_fractions(
-        ctx, form_to_fractions(([[acc]], den))[0][0], trunc)
-
-
-def _log_product(p: int, levels):
-    """(1/p) * prod over k in levels of Phi_{p^k}(1 + X) / p, as the
-    integer polynomial prod Phi_{p^k}(1 + X) and its denominator."""
-    acc = [1]
-    for k in levels:
-        acc = int_dot([(phi_cyclo_ints(p, k), acc)])
-    return acc, p ** (1 + len(levels))
+    # (1/p) prod Phi_{p^k}(1 + X) / p over n_factors levels k
+    acc = cyclo_product_ints(
+        ctx.p, range(first, first + 2 * n_factors, 2))
+    return XSeries.from_fractions(ctx, form_to_fractions(
+        ([[acc]], ctx.p ** (1 + n_factors)))[0][0], trunc)
 
 
 def _closed_form(p: int, n: int):
@@ -100,12 +85,11 @@ def _closed_form(p: int, n: int):
     (odd levels up to n), as an integer form."""
     if n < 1:
         raise InputError("n must be at least 1")
-    even, a = _log_product(p, range(2, n + 1, 2))
-    odd, b = _log_product(p, range(1, n + 1, 2))
-    b //= p  # p times the minus product
-    m = lcm(a, b)
-    return [[[], [-c * (m // a) for c in even]],
-            [[c * (m // b) for c in odd], []]], m
+    q, t = n // 2, (n + 1) // 2
+    even = cyclo_product_ints(p, range(2, n + 1, 2))
+    odd = cyclo_product_ints(p, range(1, n + 1, 2))
+    return [[[], [-c for c in even]],
+            [[c * p ** (q + 1 - t) for c in odd], []]], p ** (q + 1)
 
 
 def closed_form_matrix(fd: FrobeniusData, n: int):
@@ -134,7 +118,7 @@ def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
     dict with an overall ``ok`` flag.
     """
     _require_pollack(fd)
-    M = _exact_levels(fd, (n,))[n]
+    M = fd.tower.M(n)
     report = {"n": n, "note": SIGN_NOTE}
     report["diagonal_zero"] = not M[0][0][0] and not M[0][1][1]
 

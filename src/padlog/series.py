@@ -22,6 +22,7 @@ import math
 from functools import lru_cache
 
 from .errors import InputError, NotInImage, PrecisionLoss
+from .linalg import int_dot
 from .padic import INF, PadicContext, PadicScalar
 
 
@@ -235,6 +236,15 @@ def phi_cyclo_ints(p: int, k: int):
         for j in range(e + 1):
             out[j] += math.comb(e, j)
     return tuple(out)
+
+
+def cyclo_product_ints(p: int, levels, times: int = 1):
+    """Integer coefficients of prod_(k in levels) Phi_{p^k}(1+X)^times."""
+    acc = [1]
+    for k in levels:
+        for _ in range(times):
+            acc = int_dot([(phi_cyclo_ints(p, k), acc)])
+    return acc
 
 
 @lru_cache(maxsize=None)

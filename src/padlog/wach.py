@@ -12,9 +12,9 @@ polynomial matrix, the C_k of logmatrix.  The tower approximants
 
     M'_n = C_phi^n * P_n^{-1} * ... * P_1^{-1} = C_phi^n * C_n * ... * C_1
 
-are read off logmatrix's exact chain C_n ... C_1, the same product
-that gives M_n = C_phi * M'_n, and kept as integer forms (N, d), the
-exact polynomial type of linalg.  They are exact polynomial matrices with
+are read off the instance's exact tower (logmatrix.ExactTower), which
+also gives M_n = C_phi * M'_n, as integer forms (N, d), the exact
+polynomial type of linalg.  They are exact polynomial matrices with
 M'_n(0) = I, congruent to each other modulo (1 + pi)^{p^n} - 1, and
 they satisfy M'_n = C_phi * phi(M'_{n-1}) * P_1^{-1}, since phi carries
 C_k to C_{k+1}; the tests check that identity, the library does not
@@ -62,6 +62,7 @@ from .linalg import (
     cofactor_det,
     form_at_zero,
     form_const,
+    form_depth,
     form_mul,
     form_sub,
     form_to_fractions,
@@ -69,13 +70,7 @@ from .linalg import (
     int_trim,
     vp_frac,
 )
-from .logmatrix import (
-    FrobeniusData,
-    _stabilizes,
-    build_chain,
-    build_Cn,
-    cphi_power_times,
-)
+from .logmatrix import FrobeniusData, _stabilizes
 from .padic import PadicContext, PadicScalar
 from .series import XSeries, phi_cyclo_ints
 
@@ -243,13 +238,6 @@ def _pmat_integral(A, p: int):
     return None
 
 
-def _depth(A, p: int):
-    """min(0, least valuation of a coefficient of the integer form A)."""
-    N, d = A
-    content = math.gcd(*[c for row in N for e in row for c in e])
-    return min(0, vp_frac(content, p) - vp_frac(d, p))
-
-
 def _constant_term(A):
     """The value at zero of the integer form A, as strings."""
     return [[str(e[0]) if e else "0" for e in row]
@@ -291,7 +279,7 @@ def build_Pn(fd: FrobeniusData, n: int) -> dict:
     if n < 1:
         raise InputError("n must be at least 1")
     qn = list(phi_cyclo_ints(fd.ctx.p, n))
-    return {"P_inv": form_to_fractions(build_Cn(fd, n)),
+    return {"P_inv": form_to_fractions(fd.tower.C(n)),
             "qP": form_to_fractions(_qP(fd, qn)), "q_n": qn}
 
 
@@ -382,7 +370,8 @@ class WachMatrixTower:
         bad = _pmat_integral(G, p)
         const_ok = form_at_zero(G) == _identity(size)
         if not gamma.is_integer:
-            return G, bad, const_ok, _depth((N, d), p) + _depth(Minv, p)
+            depth = form_depth((N, d), p) + form_depth(Minv, p)
+            return G, bad, const_ok, depth
         if bad is not None:
             raise IntegralityViolation(
                 "twist has a non p-integral coefficient", witness=bad)
@@ -394,14 +383,13 @@ class WachMatrixTower:
 
 
 def build_M_prime(fd: FrobeniusData, n: int) -> WachMatrixTower:
-    """Build the tower up to level n as M'_k = C_phi^k * C_k ... C_1,
-    from one exact chain."""
+    """The tower up to level n, M'_k = C_phi^k * C_k ... C_1, read off
+    the instance's exact tower."""
     _require_wach(fd)
     if n < 1:
         raise InputError("n must be at least 1")
-    chain = build_chain(fd, n)
-    levels = [cphi_power_times(fd, k, chain[k]) for k in range(1, n + 1)]
-    return WachMatrixTower(fd, n, levels)
+    return WachMatrixTower(fd, n, [fd.tower.M_prime(k)
+                                   for k in range(1, n + 1)])
 
 
 def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
@@ -420,8 +408,8 @@ def verify_tower_congruence(tower: WachMatrixTower, m: int, n: int) -> bool:
 
 def build_G_gamma(fd: FrobeniusData, n: int, gamma: GammaElement,
                   trunc: int) -> dict:
-    """G^(n) = (M'_n)^{-1} gamma(M'_n) mod pi^trunc, on a fresh tower;
-    see WachMatrixTower.twist."""
+    """G^(n) = (M'_n)^{-1} gamma(M'_n) mod pi^trunc; see
+    WachMatrixTower.twist."""
     return build_M_prime(fd, n).twist(n, gamma, trunc)
 
 
@@ -434,16 +422,20 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
                     trunc: int) -> dict:
     """P_1 gamma(P_1^{-1}) must be congruent to I mod pi.
 
-    Computed exactly for integer exponents: the product equals
-    (1/q) * qP_1 * gamma(P_1^{-1}), with 1/q expanded mod pi^trunc.
+    Computed exactly for integer exponents as (1/q) * qP_1 *
+    gamma(P_1^{-1}) mod pi^min(trunc, 1), as only its constant term
+    C diag(I, gamma(q)(0) / q(0)) C^{-1} is read.  That is I by
+    construction, so the check guards C_1 and the substitution, not the
+    input; a trunc below 1 leaves a zero product (False).
     """
     _require_wach(fd)
     if not gamma.is_integer:
         raise InputError("exact check needs an integer gamma exponent")
+    T = min(trunc, 1)
     q = phi_cyclo_ints(fd.ctx.p, 1)
-    moved = _act(lambda e: gamma_act_poly(gamma, e, trunc), build_Cn(fd, 1))
-    prod = form_mul(form_mul(_qP(fd, q), moved, trunc),
-                    _diagonal(*_pseries_inv(q, trunc), fd.size), trunc)
+    moved = _act(lambda e: gamma_act_poly(gamma, e, T), fd.tower.C(1))
+    prod = form_mul(form_mul(_qP(fd, q), moved, T),
+                    _diagonal(*_pseries_inv(q, T), fd.size), T)
     return {"identity_mod_pi": form_at_zero(prod) == _identity(fd.size),
             "constant_term": _constant_term(prod)}
 

@@ -107,25 +107,20 @@ def test_logmatrix_out_matrix_is_padic_records(tmp_path):
 
 
 def test_logmatrix_and_coleman_build_one_chain(instance_file, tmp_path,
-                                               monkeypatch):
-    import padlog.coleman as coleman
-    import padlog.logmatrix as logmatrix
-
-    calls = []
-    for mod in (coleman, logmatrix):
-        build = mod.build_chain
-        monkeypatch.setattr(mod, "build_chain", lambda fd, n, build=build:
-                            calls.append(n) or build(fd, n))
+                                               grown):
+    # every check of a run reads one tower, which grows each level once
     assert main(["logmatrix", "--input", instance_file, "--n", "3"]) == 0
-    assert calls == [3]
-    # one chain per vector, for both images of the roundtrip and the
-    # factored output
-    calls.clear()
+    assert [k for _, k in grown] == [1, 2, 3]
+    assert len({id(tower) for tower, _ in grown}) == 1
+    # the vectors at levels 1 and 2, both images of each roundtrip and the
+    # factored output read one chain
+    grown.clear()
     vec_path = tmp_path / "vectors.json"
     vec_path.write_text(json.dumps(VECTORS))
     assert main(["coleman", "--input", instance_file,
                  "--vectors", str(vec_path)]) == 0
-    assert calls == [1, 2]
+    assert [k for _, k in grown] == [1, 2]
+    assert len({id(tower) for tower, _ in grown}) == 1
 
 
 def test_logmatrix_gate_rejects_bad_instance(tmp_path, capsys):

@@ -396,46 +396,29 @@ def test_tower_projection_and_roundtrip_on_random_instances(fd):
             assert rep["ok"] and rep["witness"] is None
 
 
-def test_roundtrip_reads_one_chain_and_returns_the_image(monkeypatch):
-    import padlog.coleman as coleman
-
+def test_roundtrip_reads_one_chain_and_returns_the_image(grown):
     fd = random_instance(3, 3, 1, 1)
     col = random_polynomial_vector(fd, random.Random(27))
-    want = forward(fd, 2, col)
-    calls = []
-    build = coleman.build_chain
-    monkeypatch.setattr(coleman, "build_chain",
-                        lambda fd, n: calls.append(n) or build(fd, n))
     rep = roundtrip_check(fd, 2, col)
-    assert rep["ok"] and calls == [2]
+    # both images read P_2, grown once
+    assert rep["ok"] and grown == [(fd.tower, 1), (fd.tower, 2)]
+    want = forward(fd, 2, col)
+    assert len(grown) == 2
     assert ([list(c.rep.coeffs) for c in rep["image"].components]
             == [list(c.rep.coeffs) for c in want.components])
 
 
-def test_tower_projection_reads_the_chain_only_to_level_n(monkeypatch):
+def test_tower_projection_reads_the_chain_only_to_level_n(grown):
     # P_(n+1) has degree p^(n+1) - 1; the level-n projection needs only
-    # P_n and C_(n+1) mod omega_n, so no chain grows past level n
-    import padlog.coleman as coleman
-
+    # P_n and C_(n+1) mod omega_n, so the tower never grows past level n
     fd = random_instance(3, 3, 1, 1)
     rng = random.Random(28)
-    chains, lengths = [], []
-    build_chain = coleman.build_chain
-
-    def counted(fd, n):
-        chain = build_chain(fd, n)
-        chains.append(n)
-        lengths.append(len(chain))
-        return chain
-
-    monkeypatch.setattr(coleman, "build_chain", counted)
     for n in (1, 2, 3):
-        chains.clear()
-        lengths.clear()
+        grown.clear()
         col = random_polynomial_vector(fd, rng)
         assert tower_projection_check(fd, n, col)["ok"]
-        assert chains == [n]
-        assert lengths == [n + 1]
+        assert grown == [(fd.tower, n)]
+        assert len(fd.tower.chain) == n + 1
 
 
 @pytest.mark.parametrize("fd", [

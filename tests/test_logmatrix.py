@@ -1,9 +1,11 @@
 """Logarithmic matrix approximants: admission gate, tower build,
 stabilization, determinant identity, basis change, image condition."""
 
+import gc
 import math
 import random
 import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from padlog import (
     NotFiltrationAdapted,
     PadicContext,
     SingularOperator,
+    XSeries,
     build_Mn,
     check_evaluation,
     check_hypotheses,
@@ -28,15 +31,24 @@ from padlog import (
 from padlog.coleman import (
     factor_level,
     forward,
+    integral_shift,
     kernel_basis,
     roundtrip_check,
     tower_projection_check,
 )
-from padlog.logmatrix import build_chain, min_coeff_valuation
+from padlog.linalg import form_to_fractions
+from padlog.logmatrix import (
+    ExactTower,
+    build_Cn,
+    log_matrix_in_basis,
+    min_coeff_valuation,
+)
 from padlog.pollack import verify_antidiagonal
 from padlog.wach import (
     GammaElement,
+    build_G_gamma,
     build_M_prime,
+    build_Pn,
     verify_cocycle,
     verify_commutation,
     verify_p1_twist,
@@ -349,13 +361,13 @@ def test_non_integral_C_matches_the_oracles():
 
 
 def test_integer_chain_matches_the_oracle_chain():
-    # each level N_k / d_k of build_chain is P_k = C_k ... C_1, with d_k
-    # prime to the content of N_k
+    # each level N_k / d_k of the tower's chain is P_k = C_k ... C_1,
+    # with d_k prime to the content of N_k
     for p in (3, 5):
         for size in (2, 3, 4):
             fd = random_instance(p, size, size // 2, 2)
             want = chain_oracle(fd, 3)
-            for k, (N, d) in enumerate(build_chain(fd, 3)):
+            for k, (N, d) in enumerate(fd.tower.P(k) for k in range(4)):
                 assert [[pscale(e, Fraction(1, d)) for e in row]
                         for row in N] == [[ptrim(e) for e in row]
                                           for row in want[k]]
@@ -379,16 +391,16 @@ def count_calls(monkeypatch, names):
 
 
 def test_tower_readers_run_on_integer_forms(monkeypatch):
-    # the chain multiplies no C_k matrices, and no reader of the tower,
-    # no Coleman map, no twist and none of the twist's checks puts a
-    # matrix of Fraction polynomials into an integer form: Fractions
+    # growing the tower multiplies no C_k matrices, and no reader of the
+    # tower, no Coleman map, no twist and none of the twist's checks puts
+    # a matrix of Fraction polynomials into an integer form: Fractions
     # enter only at the edges and are formed only for results
     fd = random_instance(3, 3, 1, 1)
     B = random_adapted_B(fd, random.Random(9))
     col = random_polynomial_vector(fd, random.Random(10))
     calls = count_calls(monkeypatch, ("build_Cn", "form_from_fractions"))
-    build_chain(fd, 3)
-    assert calls == []
+    fd.tower.P(3)
+    assert calls == [] and len(fd.tower.chain) == 4
     calls = count_calls(monkeypatch, ("form_from_fractions", "fpoly_mul"))
     build_Mn(fd, 2)
     det_Mn(fd, 2)
@@ -409,3 +421,108 @@ def test_tower_readers_run_on_integer_forms(monkeypatch):
     assert verify_commutation(wach_fd, 1, gamma, 12)["ok"]
     assert verify_cocycle(wach_fd, 1, 4, 7, 12)["ok"]
     assert calls == []
+
+
+def _run_every_reader(fd):
+    """Every library reader of the tower, once on fd (an r = 1 instance),
+    with its results."""
+    rng = random.Random(11)
+    B = random_adapted_B(fd, rng)
+    col = random_polynomial_vector(fd, rng)
+    raw = [XSeries.from_fractions(fd.ctx, e) for row in mn_poly_oracle(fd, 1)
+           for e in row[:1]]
+    gamma = GammaElement(fd.ctx.p, 1 + fd.ctx.p)
+    out = [
+        build_Mn(fd, 2), det_Mn(fd, 2), verify_stabilization(fd, 1, 3),
+        log_matrix_in_basis(build_Mn(fd, 1), B),
+        conjugate_basis_check(fd, B, levels=(1, 2)),
+        forward(fd, 2, col), roundtrip_check(fd, 2, col),
+        tower_projection_check(fd, 2, col), kernel_basis(fd, 1),
+        integral_shift(fd, 1, raw), build_Cn(fd, 3), build_Pn(fd, 2),
+        build_M_prime(fd, 3), build_G_gamma(fd, 2, gamma, 8),
+        verify_p1_twist(fd, gamma, 8), verify_commutation(fd, 1, gamma, 8),
+        verify_cocycle(fd, 1, 1 + fd.ctx.p, 1 + 2 * fd.ctx.p, 8),
+    ]
+    if fd.C == pollack_fd().C:
+        out.append(verify_antidiagonal(fd, 3))
+    return out
+
+
+def _plain(x):
+    """A comparable copy of a result, down to its scalars."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    slots = getattr(type(x), "__slots__", None)
+    if slots:
+        return [type(x).__name__] + [_plain(getattr(x, s)) for s in slots]
+    return x
+
+
+TOWER_CASES = {"antidiagonal": pollack_fd,
+               "size2": lambda: random_instance(3, 2, 1, 0)}
+
+
+@pytest.mark.parametrize("make", TOWER_CASES.values(), ids=TOWER_CASES)
+def test_each_tower_level_grows_once_across_the_readers(make, grown,
+                                                        monkeypatch):
+    # every reader draws from the instance's one tower: across two runs
+    # of all of them each level of it grows once, and each power of
+    # C_phi is formed once; a conjugated instance is new on every call,
+    # and its own tower also grows each level once
+    import padlog.logmatrix as logmatrix
+
+    fd = make()
+    powers = []
+    form_const = logmatrix.form_const
+    monkeypatch.setattr(
+        logmatrix, "form_const", lambda A, e=1: (
+            A is fd.C_phi and powers.append(e)) or form_const(A, e))
+    _run_every_reader(fd)
+    _run_every_reader(fd)
+    assert [k for tower, k in grown if tower is fd.tower] == [1, 2, 3]
+    others = {}
+    for tower, k in grown:
+        if tower is not fd.tower:
+            others.setdefault(id(tower), []).append(k)
+    assert len(others) == 2
+    assert all(levels == [1, 2] for levels in others.values())
+    assert sorted(powers) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("make", TOWER_CASES.values(), ids=TOWER_CASES)
+def test_readers_leave_the_shared_tower_as_grown(make):
+    # a reader that changed a shared form in place would change the
+    # second run's results or the cached levels
+    fd = make()
+    first = _plain(_run_every_reader(fd))
+    assert _plain(_run_every_reader(fd)) == first
+    want = chain_oracle(fd, 3)
+    assert len(fd.tower.chain) == len(want)
+    for (N, d), P in zip(fd.tower.chain, want):
+        assert [[pscale(e, Fraction(1, d)) for e in row] for row in N] == [
+            [ptrim(e) for e in row] for row in P]
+    for n in (1, 2, 3):
+        assert form_to_fractions(fd.tower.M(n)) == [
+            [ptrim(e) for e in row] for row in mn_poly_oracle(fd, n)]
+
+
+def test_tower_lives_and_dies_with_its_instance():
+    # no cache outside the instance holds the tower or the instance
+    def live_towers():
+        return sum(isinstance(o, ExactTower) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_towers()
+
+    def used():
+        fd = random_instance(3, 2, 1, 0)
+        _run_every_reader(fd)
+        assert live_towers() > before
+        return weakref.ref(fd)
+
+    ref = used()
+    gc.collect()
+    assert ref() is None
+    assert live_towers() == before

@@ -12,12 +12,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _spans():
+def _layers():
     path = ROOT / "perfbench" / "layers.py"
     spec = importlib.util.spec_from_file_location("perfbench_layers", path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
-    return mod.SPANS
+    return mod
+
+
+def _spans():
+    return _layers().SPANS
 
 
 def test_every_traced_span_resolves():
@@ -44,3 +48,24 @@ def test_benchmark_checks_accept_genuine_and_reject_faulty_output():
                          cwd=ROOT, capture_output=True, text=True,
                          timeout=120)
     assert got.returncode == 0, got.stdout + got.stderr
+
+
+def test_growing_a_tower_calls_no_traced_function():
+    """A benchmark round reuses the instances of the last one, so a
+    traced call made only while a tower grows would count in the first
+    round and not in the next, and a traced run would stop."""
+    from instances import random_instance
+
+    tracer = _layers().Tracer()
+    fd = random_instance(3, 3, 1, 1)
+    tracer.install()
+    try:
+        tower = fd.tower
+        tower.M(3)
+        tower.M_prime(3)
+        tower.C(4)
+        tower.cphi_power(-3)
+    finally:
+        tracer.uninstall()
+    assert len(tower.chain) == 4
+    assert not +tracer.calls, dict(tracer.calls)
