@@ -12,7 +12,8 @@ column of integer polynomials over one denominator, see linalg), with
 one absolute precision N for the whole vector.  Fractions are formed
 only to round the result: each output coefficient is rounded once at
 N, less the digits a non-p-integral matrix could lose (none when
-admitted); a zero one is O(p^N).
+admitted); a zero one is O(p^N).  The checks decide on the exact
+forms, with one certification rule (_first_unresolved).
 
 The factorization result is unique only modulo the kernel of the
 forward map; the kernel_tag records that, and kernel_basis computes an
@@ -28,14 +29,19 @@ from .linalg import (
     form_mod,
     form_mul,
     form_sub,
-    form_to_fractions,
     pseudo_divmod,
     vp_frac,
     zp_nullspace,
 )
 from .logmatrix import FrobeniusData
 from .padic import INF
-from .series import LambdaNElement, XSeries, omega_ints, phi_cyclo_ints
+from .series import (
+    LambdaNElement,
+    XSeries,
+    form_views,
+    omega_ints,
+    phi_cyclo_ints,
+)
 
 
 class RegulatorVector:
@@ -99,16 +105,22 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
     return form_mod((X, p ** k), omega_ints(p, n)), N
 
 
-def _first_below(f, d: int, p: int, N):
-    """Index of the first coefficient of the integer polynomial f over d
-    of valuation below N, or None."""
-    if N == INF:
-        return next((j for j, c in enumerate(f) if c), None)
+def _first_unresolved(x, p: int, N, cutoff: int):
+    """The certification rule on a column form x known modulo p^N: the
+    first component with a coefficient j of valuation below N gives
+    (i, j, "nonzero"), failing that N < cutoff gives (i, 0,
+    "indeterminate"), and None means x is certified zero."""
+    X, d = x
+    # c / d has valuation below N iff c is nonzero mod p^(N + v_p(d))
     k = N + vp_frac(d, p)
-    if k <= 0:
-        return None
-    pk = p ** k
-    return next((j for j, c in enumerate(f) if c % pk), None)
+    m = None if k == INF else p ** max(k, 0)
+    for i, (f,) in enumerate(X):
+        j = next((j for j, c in enumerate(f)
+                  if (c if m is None else c % m)), None)
+        if j is not None:
+            return i, j, "nonzero"
+        if N < cutoff:
+            return i, 0, "indeterminate"
 
 
 def _apply(M, x, p: int, n: int):
@@ -117,16 +129,10 @@ def _apply(M, x, p: int, n: int):
 
 
 def _embed(ctx, n: int, x, N):
-    """Level-n classes of the column form x, exact and known modulo p^N.
-    Each coefficient is rounded once; a zero one is O(p^N), not an exact
-    zero, so each representative is padded to p^n terms unless N is
-    INF."""
-    length = 0 if N == INF else ctx.p ** n
-    zero = ctx.zero(N)
-    return [LambdaNElement(ctx, n, XSeries(
-        ctx, [ctx.from_rational(c, N) if c else zero
-              for c in f + [0] * (length - len(f))]))
-            for (f,) in form_to_fractions(x)]
+    """Level-n classes of the column form x known modulo p^N; a zero
+    coefficient is O(p^N), so each has p^n terms unless N is INF."""
+    return [LambdaNElement(ctx, n, e)
+            for (e,) in form_views(ctx, x, N, ctx.p ** n)]
 
 
 def _image(fd: FrobeniusData, n: int, col) -> RegulatorVector:
@@ -171,16 +177,17 @@ def factor_level(fd: FrobeniusData, n: int, L,
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
         X, d = x
+        rems = []
         for i in range(fd.fil_dim, fd.size):
-            quo, rem, _ = pseudo_divmod(X[i][0], phi)
-            X[i] = [quo]
-            j = _first_below(rem, d, p, N)
-            if j is not None:
-                raise NotInImage("division leaves certified-nonzero "
-                                 f"remainder at X^{j}")
-            if N < cutoff:
-                raise PrecisionLoss(f"remainder known only modulo p^{N}, "
-                                    f"unresolved at cutoff {cutoff}")
+            X[i][0], rem, _ = pseudo_divmod(X[i][0], phi)
+            rems.append([rem])
+        bad = _first_unresolved((rems, d), p, N, cutoff)
+        if bad and bad[2] == "nonzero":
+            raise NotInImage("division leaves certified-nonzero "
+                             f"remainder at X^{bad[1]}")
+        if bad:
+            raise PrecisionLoss(f"remainder known only modulo p^{N}, "
+                                f"unresolved at cutoff {cutoff}")
         x = _apply(C, x, p, n)
         N += lost
     return ColemanVector(n, _embed(fd.ctx, n, x, N),
@@ -205,21 +212,24 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     x, N = _as_classes(fd, n, raw)
     p = fd.ctx.p
     shift = fd.tower.cphi_power(-(n + 1))
-    comps = _embed(fd.ctx, n, _apply(shift, x, p, n),
-                   N + form_depth(shift, p))
-    for i, c in enumerate(comps):
-        for j, coeff in enumerate(c.rep.coeffs):
-            if coeff.is_zero_rep:
-                if coeff.prec < 0:
-                    raise PrecisionLoss(
-                        f"component {i}, coefficient {j}: cannot certify "
-                        f"integrality at absolute precision {coeff.prec}"
-                    )
-            elif coeff.v < 0:
+    y = _apply(shift, x, p, n)
+    N += form_depth(shift, p)
+    comps = _embed(fd.ctx, n, y, N)
+    # nonintegral below valuation min(N, 0); at N < 0 nothing certifies
+    Y, d = y
+    vd = vp_frac(d, p)
+    for i, (f,) in enumerate(Y):
+        for j, c in enumerate(f or [0]):
+            v = vp_frac(c, p) - vd
+            if v < min(N, 0):
                 raise NotIntegral(
-                    f"component {i}, coefficient {j} has valuation "
-                    f"{coeff.v}",
-                    witness=(i, j, repr(coeff)),
+                    f"component {i}, coefficient {j} has valuation {v}",
+                    witness=(i, j, repr(comps[i].rep.coeffs[j])),
+                )
+            if N < 0:
+                raise PrecisionLoss(
+                    f"component {i}, coefficient {j}: cannot certify "
+                    f"integrality at absolute precision {N}"
                 )
     return RegulatorVector(n, comps)
 
@@ -234,11 +244,10 @@ def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     recovered = factor_level(fd, n, L, cutoff)
     (a, Na), (b, Nb) = (_as_classes(fd, n, v)
                         for v in (L, _image(fd, n, recovered)))
-    diff = form_sub(a, b)
-    for i, d in enumerate(_embed(fd.ctx, n, diff, min(Na, Nb))):
-        st, idx = d.zero_status(cutoff)
-        if st != "zero":
-            return {"ok": False, "witness": (i, idx, st), "image": L}
+    witness = _first_unresolved(form_sub(a, b), fd.ctx.p, min(Na, Nb),
+                                cutoff)
+    if witness:
+        return {"ok": False, "witness": witness, "image": L}
     return {"ok": True, "witness": None, "recovered": recovered, "image": L}
 
 
@@ -251,9 +260,9 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n, with
     C_(n+1) mod omega_n an integer form.
     """
-    x, N = _as_classes(fd, n + 1, col)
     if n < 1:
-        raise InputError("forward needs n >= 1")
+        raise InputError("tower_projection_check needs n >= 1")
+    x, N = _as_classes(fd, n + 1, col)
     p, tower = fd.ctx.p, fd.tower
     low = _apply(tower.P(n), x, p, n)
     top = form_mod(tower.C(n + 1), omega_ints(p, n))
@@ -262,11 +271,8 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     twisted = _apply(cphi_inv, low, p, n)
     lost = form_depth(tower.C_inv, p)
     N += min((n + 1) * lost, n * lost + form_depth(cphi_inv, p))
-    for i, d in enumerate(_embed(fd.ctx, n, form_sub(hi, twisted), N)):
-        st, idx = d.zero_status(cutoff)
-        if st != "zero":
-            return {"ok": False, "witness": (i, idx, st)}
-    return {"ok": True, "witness": None}
+    witness = _first_unresolved(form_sub(hi, twisted), p, N, cutoff)
+    return {"ok": not witness, "witness": witness}
 
 
 def _times_x(f, omega):
@@ -302,10 +308,7 @@ def kernel_basis(fd: FrobeniusData, n: int):
                     block[deg][i * N + j] = val
                 f = _times_x(f, omega)
         H += block
-    ctx = fd.ctx
-    out = []
-    for vec in zp_nullspace(H, p):
-        comps = [LambdaNElement(ctx, n, XSeries.from_ints(
-            ctx, vec[i * N:(i + 1) * N])) for i in range(fd.size)]
-        out.append(ColemanVector(n, comps, kernel_tag="kernel element"))
-    return out
+    columns = ([[vec[i * N:(i + 1) * N]] for i in range(fd.size)]
+               for vec in zp_nullspace(H, p))
+    return [ColemanVector(n, _embed(fd.ctx, n, (X, 1), INF),
+                          kernel_tag="kernel element") for X in columns]

@@ -456,12 +456,16 @@ def form_at_zero(A):
                      for row in N], d)
 
 
-def form_depth(A, p: int):
-    """min(0, least valuation of a coefficient of the integer form A):
-    the digits of absolute precision a product with A can lose."""
+def form_valuation(A, p: int):
+    """The least coefficient valuation of the integer form A (INF if 0)."""
     N, d = A
     content = gcd(*[c for row in N for e in row for c in e])
-    return min(0, vp_frac(content, p) - vp_frac(d, p))
+    return vp_frac(content, p) - vp_frac(d, p)
+
+
+def form_depth(A, p: int):
+    """min(0, form_valuation): the digits a product with A can lose."""
+    return min(0, form_valuation(A, p))
 
 
 def fpoly_mul(f, g, T=None):

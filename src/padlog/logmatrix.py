@@ -16,14 +16,15 @@ Each instance grows one ExactTower, on first use: the chain P_k on
 integer forms (linalg's exact polynomial type: a matrix N of integer
 polynomials over one denominator d, content-reduced) and the powers of
 C_phi.  M_n, M'_n = C_phi^n P_n, the Coleman maps and kernel all read
-it; Fractions are formed only where a result is returned or embedded.
+it; Fractions are formed only where a result is returned.
 P_n has degree p^n - 1, so M_n is already reduced modulo omega_n.
 
 The tower satisfies, and this module verifies exactly on the integer
-numerators: M_m = M_n mod omega_n, the closed-form determinant, and
-the transport law under a basis change.  The XSeries view of M_n, whose
-coefficients keep rel_prec digits, carries the certified checks
-M_n(0) = C_phi and the coefficient valuation bound (n+1) * minval(C_phi).
+numerators: M_m = M_n mod omega_n, the closed-form determinant, the
+transport law under a basis change, M_n(0) = C_phi and the coefficient
+valuation bound (n+1) * minval(C_phi).  No verdict reads a rounded view:
+the XSeries that build_Mn, det_Mn and log_matrix_in_basis return are
+rounded once, by series.form_views, for the caller.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from functools import cached_property
 from .errors import (
     DenominatorBudgetExceeded,
     HypothesisFailed,
-    Indeterminate,
     InputError,
     NotFiltrationAdapted,
     NotInImage,
@@ -43,11 +43,12 @@ from .errors import (
 )
 from .linalg import (
     cofactor_det,
+    form_at_zero,
     form_const,
     form_mod,
     form_mul,
     form_sub,
-    form_to_fractions,
+    form_valuation,
     frac_det,
     frac_inv,
     frac_mat,
@@ -61,11 +62,12 @@ from .linalg import (
     vp_frac,
     zp_solve_integral,
 )
-from .padic import INF, PadicContext
+from .padic import PadicContext
 from .series import (
     LambdaNElement,
     XSeries,
     cyclo_product_ints,
+    form_views,
     omega_ints,
     phi_cyclo_ints,
 )
@@ -302,12 +304,6 @@ def _first_nonzero(f):
     return next((k for k, c in enumerate(f) if c), None)
 
 
-def _embed_matrix(ctx, M):
-    """Matrix of Fraction polynomials -> matrix of XSeries whose
-    coefficients keep rel_prec digits."""
-    return [[XSeries.from_fractions(ctx, e) for e in row] for row in M]
-
-
 class LogMatrixApprox:
     """Level-n approximant as XSeries views: the polynomial matrix and
     its classes modulo omega_n."""
@@ -322,10 +318,10 @@ class LogMatrixApprox:
 
 
 def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
-    """M_n = C_phi^(n+1) * C_n ... C_1, built exactly and embedded once.
+    """M_n = C_phi^(n+1) * C_n ... C_1, built exactly and rounded once.
     Its degree is below p^n, so the omega_n classes share the raw
     representatives."""
-    raw = _embed_matrix(fd.ctx, form_to_fractions(fd.tower.M(n)))
+    raw = form_views(fd.ctx, fd.tower.M(n))
     reduced = [[LambdaNElement(fd.ctx, n, e) for e in row] for row in raw]
     return LogMatrixApprox(fd, n, raw, reduced)
 
@@ -333,25 +329,18 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
 # -- verification ----------------------------------------------------------
 
 
-def check_evaluation(approx: LogMatrixApprox, cutoff: int = 1):
-    """M_n(0) = C_phi: compare the constant terms against the exact
-    embedding entry by entry."""
-    ctx = approx.fd.ctx
-    target = approx.fd.C_phi
-    witness = None
-    for i, row in enumerate(approx.raw):
-        for j, e in enumerate(row):
-            diff = e.eval_at_zero() - ctx.from_rational(target[i][j])
-            st = diff.zero_status(cutoff)
-            if st == "nonzero":
-                return {"ok": False, "witness": (i, j, repr(diff))}
-            if st == "indeterminate" and witness is None:
-                witness = (i, j, repr(diff))
-    if witness is not None:
-        raise Indeterminate(
-            f"evaluation check unresolved at {witness[:2]}", witness
-        )
-    return {"ok": True, "witness": None}
+def _at_zero_witness(fd: FrobeniusData, M):
+    """(i, j, detail) at the first entry where M(0) != C_phi, or None."""
+    diff, d = form_sub(form_at_zero(M), fd.tower.cphi_power(1))
+    return next(((i, j, f"M_n(0) - C_phi = {Fraction(e[0], d)}")
+                 for i, row in enumerate(diff)
+                 for j, e in enumerate(row) if e), None)
+
+
+def check_evaluation(approx: LogMatrixApprox):
+    """M_n(0) = C_phi, decided exactly on the integer form of M_n."""
+    witness = _at_zero_witness(approx.fd, approx.fd.tower.M(approx.n))
+    return {"ok": witness is None, "witness": witness}
 
 
 def verify_stabilization(fd, n: int, m: int) -> bool:
@@ -378,8 +367,7 @@ def _closed_det(fd: FrobeniusData, n: int):
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
     """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block size."""
-    return XSeries.from_fractions(
-        fd.ctx, form_to_fractions(_closed_det(fd, n))[0][0])
+    return form_views(fd.ctx, _closed_det(fd, n))[0][0]
 
 
 def det_Mn(fd: FrobeniusData, n: int):
@@ -393,9 +381,8 @@ def det_Mn(fd: FrobeniusData, n: int):
     rem = pseudo_divmod(diff, omega_ints(fd.ctx.p, n))[1]
     return {
         "n": n,
-        "det": XSeries.from_fractions(fd.ctx, form_to_fractions(det)[0][0]),
-        "closed_form": XSeries.from_fractions(
-            fd.ctx, form_to_fractions(closed)[0][0]),
+        "det": form_views(fd.ctx, det)[0][0],
+        "closed_form": form_views(fd.ctx, closed)[0][0],
         "raw_match": not diff,
         "reduced_match": not rem,
         "witness": _first_nonzero(diff),
@@ -403,14 +390,9 @@ def det_Mn(fd: FrobeniusData, n: int):
 
 
 def min_coeff_valuation(approx: LogMatrixApprox):
-    """Observed minimum coefficient valuation of the raw matrix against
-    the guaranteed bound (n+1)*minval(C_phi)."""
-    observed = INF
-    for row in approx.raw:
-        for e in row:
-            for c in e.coeffs:
-                v = c.prec if c.is_zero_rep else c.v
-                observed = min(observed, v)
+    """The least coefficient valuation of the exact M_n (INF when it is
+    zero) against the guaranteed bound (n+1)*minval(C_phi)."""
+    observed = form_valuation(approx.fd.tower.M(approx.n), approx.fd.ctx.p)
     bound = (approx.n + 1) * min(0, approx.fd.min_val_C_phi())
     return {"observed": observed, "bound": bound,
             "ok": observed >= bound}
@@ -467,7 +449,7 @@ def log_matrix_in_basis(approx: LogMatrixApprox, B):
     Bq = frac_mat(B)
     M = approx.fd.tower.M(approx.n)
     conj = form_mul(form_mul(form_const(Bq), M), form_const(frac_inv(Bq)))
-    return _embed_matrix(approx.fd.ctx, form_to_fractions(conj))
+    return form_views(approx.fd.ctx, conj)
 
 
 def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):

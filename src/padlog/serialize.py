@@ -13,10 +13,10 @@ from fractions import Fraction
 
 from .basis import LatticeSetup
 from .errors import InputError
-from .linalg import form_from_fractions, form_mod, form_to_fractions
+from .linalg import form_from_fractions, form_mod
 from .logmatrix import FrobeniusData
 from .padic import PadicContext
-from .series import LambdaNElement, XSeries, omega_ints
+from .series import LambdaNElement, XSeries, form_views, omega_ints
 
 
 def read_json(path: str):
@@ -125,17 +125,15 @@ def vector_from_record(record: dict, fd: FrobeniusData,
     if not isinstance(comps, list) or len(comps) != fd.size:
         raise InputError(
             f"{where}.components: expected {fd.size} coefficient arrays")
-    out = []
+    column = []
     for i, arr in enumerate(comps):
         if not isinstance(arr, list):
             raise InputError(f"{where}.components[{i}]: expected an array")
-        fracs = [as_fraction(c, f"{where}.components[{i}][{j}]")
-                 for j, c in enumerate(arr)]
-        rem = form_mod(form_from_fractions([[fracs]]),
-                       omega_ints(fd.ctx.p, n))
-        out.append(LambdaNElement(fd.ctx, n, XSeries.from_fractions(
-            fd.ctx, form_to_fractions(rem)[0][0])))
-    return n, out
+        column.append([[as_fraction(c, f"{where}.components[{i}][{j}]")
+                        for j, c in enumerate(arr)]])
+    rem = form_mod(form_from_fractions(column), omega_ints(fd.ctx.p, n))
+    return n, [LambdaNElement(fd.ctx, n, e)
+               for (e,) in form_views(fd.ctx, rem)]
 
 
 def class_to_record(elem: LambdaNElement) -> dict:

@@ -9,11 +9,12 @@ trunc tracks only the X-adic uncertainty.  A LambdaNElement is a class
 in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
 degree-reduced representative.
 
-The library computes on linalg's integer forms, exact matrices of
-integer polynomials over one denominator, and rounds once into these
-views.  No library path does arithmetic on
-them: XSeries.__mul__, poly_divmod, divide_exact and reduce_mod_omega
-stay only because the benchmark's layer tracer names them.
+The library computes and decides on linalg's integer forms and rounds
+a returned value into these views once, through form_views.  No library
+path does arithmetic on them or on their scalars: XSeries.__mul__,
+poly_divmod, divide_exact and reduce_mod_omega, the last users of the
+PadicScalar arithmetic, stay only because the benchmark's tracer names
+them.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from functools import lru_cache
 
 from .errors import InputError, NotInImage, PrecisionLoss
-from .linalg import int_dot
+from .linalg import form_to_fractions, int_dot
 from .padic import INF, PadicContext, PadicScalar
 
 
@@ -174,6 +175,16 @@ class XSeries:
             terms.append(f"({c!r})*X^{j}" if j else f"({c!r})")
         body = " + ".join(terms) if terms else "0"
         return body + tail
+
+
+def form_views(ctx: PadicContext, A, N=INF, length: int = 0):
+    """The one rounding of an exact result: the integer form A as XSeries,
+    each coefficient rounded once at absolute precision N (keeping at most
+    rel_prec digits), each entry padded with O(p^N) zeros to length."""
+    zero = ctx.zero(N)
+    return [[XSeries(ctx, [ctx.from_rational(c, N) for c in e]
+                     + [zero] * (length - len(e))) for e in row]
+            for row in form_to_fractions(A)]
 
 
 # -- polynomial division ------------------------------------------------

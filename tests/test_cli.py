@@ -221,14 +221,19 @@ def test_pollack_p5(capsys):
 
 
 def test_cutoff_is_ignored_by_the_exact_subcommands(capsys):
-    printed = []
-    for cutoff in ("0", "5"):
-        assert main(["pollack", "--p", "3", "--levels", "2",
-                     "--cutoff", cutoff]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0] == printed[1]
+    sample = str(ROOT / "sample_inputs" / "pollack3.json")
+    runs = (["pollack", "--p", "3", "--levels", "2"],
+            ["logmatrix", "--input", sample, "--n", "2"])
+    for argv, cutoffs in zip(runs, (("0", "5"), ("0", "20"))):
+        printed = []
+        for cutoff in cutoffs:
+            assert main(argv + ["--cutoff", cutoff]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
+    assert "[PASS] value at zero is C_phi" in printed[1]
     exact = "ignored: these checks are exact"
-    said = {"check": exact, "pollack": exact, "wach": exact,
+    said = {"check": exact, "logmatrix": exact, "pollack": exact,
+            "wach": exact,
             "basis": "ignored: the subset determinants are exact"}
     for command, why in said.items():
         with pytest.raises(SystemExit):

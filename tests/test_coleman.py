@@ -18,6 +18,9 @@ from padlog import (
     PrecisionLoss,
     XSeries,
     build_Mn,
+    check_evaluation,
+    conjugate_basis_check,
+    det_Mn,
     factor_level,
     forward,
     integral_shift,
@@ -28,7 +31,7 @@ from padlog import (
 )
 from padlog.cli import main
 from padlog.linalg import fp_rank
-from padlog.logmatrix import log_matrix_in_basis
+from padlog.logmatrix import log_matrix_in_basis, min_coeff_valuation
 from padlog.serialize import vector_from_record
 from padlog.wach import GammaElement, build_M_prime
 
@@ -212,6 +215,10 @@ def test_forward_input_validation():
     wrong_level = classes(fd, 2, [[1], [1]])
     with pytest.raises(InputError):
         forward(fd, 1, wrong_level)
+    # the level is checked before the vector is lifted at level n + 1
+    for n in (0, -1, -2):
+        with pytest.raises(InputError, match="tower_projection_check"):
+            tower_projection_check(fd, n, classes(fd, 1, [[1], [1]]))
 
 
 def test_integral_shift_certifies():
@@ -451,7 +458,8 @@ def test_integral_shift_matches_oracle(fd):
 
 def count_series_calls(monkeypatch):
     """Record every XSeries product, XSeries long division and XSeries
-    reduction mod omega_n, wherever a padlog module binds them."""
+    reduction mod omega_n, wherever a padlog module binds them, and
+    every PadicScalar sum, difference, negation, product and inverse."""
     import padlog.series as series
 
     calls = []
@@ -464,6 +472,9 @@ def count_series_calls(monkeypatch):
 
     monkeypatch.setattr(series.XSeries, "__mul__",
                         counted("XSeries.__mul__", series.XSeries.__mul__))
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "inv"):
+        monkeypatch.setattr(PadicScalar, name, counted(
+            f"PadicScalar.{name}", getattr(PadicScalar, name)))
     for name in ("poly_divmod", "reduce_mod_omega"):
         fn = getattr(series, name)
         for mod in list(sys.modules.values()):
@@ -474,8 +485,9 @@ def count_series_calls(monkeypatch):
 
 
 def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
-    # the five entry points compute on the exact layer: no XSeries
-    # product and no XSeries long division on their path
+    # the five entry points compute and decide on the exact layer: no
+    # XSeries product, no XSeries long division and no scalar arithmetic
+    # on their path
     fd = random_instance(3, 3, 1, 1)
     col = random_polynomial_vector(fd, random.Random(26), max_deg=8)
     calls = count_series_calls(monkeypatch)
@@ -485,6 +497,24 @@ def test_coleman_maps_run_no_series_products_or_divisions(monkeypatch):
         assert roundtrip_check(fd, n, col)["ok"]
         assert tower_projection_check(fd, n, col)["ok"]
         integral_shift(fd, n, col)
+    assert calls == []
+
+
+def test_logmatrix_checks_run_no_scalar_arithmetic(monkeypatch, tmp_path):
+    # the checks on M_n decide on its integer form and round only the
+    # views they return, in the library and in padlog logmatrix
+    fd = random_instance(3, 2, 1, 3)
+    B = random_adapted_B(fd, random.Random(8))
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(fd.to_record()))
+    calls = count_series_calls(monkeypatch)
+    for n in (1, 2):
+        approx = build_Mn(fd, n)
+        assert check_evaluation(approx)["ok"]
+        assert min_coeff_valuation(approx)["ok"]
+        assert det_Mn(fd, n)["raw_match"]
+        conjugate_basis_check(fd, B, levels=(n,))
+    assert main(["logmatrix", "--input", str(inst_path), "--n", "2"]) == 0
     assert calls == []
 
 

@@ -36,7 +36,7 @@ from padlog.coleman import (
     roundtrip_check,
     tower_projection_check,
 )
-from padlog.linalg import form_to_fractions
+from padlog.linalg import form_from_fractions, form_to_fractions
 from padlog.logmatrix import (
     ExactTower,
     build_Cn,
@@ -77,6 +77,7 @@ from oracles import (
     pmul,
     pscale,
     ptrim,
+    vp_rational,
 )
 
 
@@ -183,6 +184,39 @@ def test_min_coeff_valuation_bound():
         rep = min_coeff_valuation(build_Mn(fd, n))
         assert rep["ok"]
         assert rep["observed"] >= rep["bound"]
+
+
+def test_min_coeff_valuation_against_the_oracle():
+    # the observed valuation is the least one of the independently
+    # rebuilt M_n
+    rng = random.Random(19)
+    for _ in range(4):
+        p = rng.choice((3, 5))
+        size, d0 = rng.choice(((2, 1), (3, 1), (4, 2)))
+        fd = random_instance(p, size, d0, rng.randrange(100))
+        for n in (1, 2):
+            want = min(vp_rational(c, p) for row in mn_poly_oracle(fd, n)
+                       for e in row for c in e if c)
+            assert min_coeff_valuation(build_Mn(fd, n))["observed"] == want
+
+
+@pytest.mark.parametrize("make", [pollack_fd,
+                                  lambda: random_instance(3, 4, 2, 1)])
+def test_checks_on_M_n_see_a_tampered_entry(make, monkeypatch):
+    # the checks read the tower's M_n: a constant term moved below the
+    # valuation bound fails both, with the witness at that entry
+    fd, n = make(), 2
+    p, (i, j) = fd.ctx.p, (fd.size - 1, 0)
+    bound = min_coeff_valuation(build_Mn(fd, n))["bound"]
+    M = form_to_fractions(fd.tower.M(n))
+    M[i][j] = padd(M[i][j], [Fraction(p) ** (bound - 1)])
+    monkeypatch.setitem(fd.tower._products, (n + 1, n),
+                        form_from_fractions(M))
+    approx = build_Mn(fd, n)
+    got = check_evaluation(approx)
+    assert not got["ok"] and got["witness"][:2] == (i, j)
+    assert min_coeff_valuation(approx) == {
+        "observed": bound - 1, "bound": bound, "ok": False}
 
 
 def test_conjugation_diagonal_unit_is_exact():
