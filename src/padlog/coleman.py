@@ -215,22 +215,21 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     y = _apply(shift, x, p, n)
     N += form_depth(shift, p)
     comps = _embed(fd.ctx, n, y, N)
-    # nonintegral below valuation min(N, 0); at N < 0 nothing certifies
+    # nonintegral below valuation min(N, 0), looked for in every
+    # coefficient first; at N < 0 nothing else certifies
     Y, d = y
     vd = vp_frac(d, p)
     for i, (f,) in enumerate(Y):
-        for j, c in enumerate(f or [0]):
+        for j, c in enumerate(f):
             v = vp_frac(c, p) - vd
             if v < min(N, 0):
                 raise NotIntegral(
                     f"component {i}, coefficient {j} has valuation {v}",
                     witness=(i, j, repr(comps[i].rep.coeffs[j])),
                 )
-            if N < 0:
-                raise PrecisionLoss(
-                    f"component {i}, coefficient {j}: cannot certify "
-                    f"integrality at absolute precision {N}"
-                )
+    if N < 0:
+        raise PrecisionLoss(
+            f"cannot certify integrality at absolute precision {N}")
     return RegulatorVector(n, comps)
 
 

@@ -255,7 +255,7 @@ def frac_charpoly(A):
     denominator d: there every division by k is exact, and a_k is the
     coefficient of N's characteristic polynomial divided by d^(n-k)."""
     n = len(A)
-    N, d = _integer_matrix(A)
+    N, d = integer_matrix(A)
     coeffs = [0] * n + [1]
     M = N
     for k in range(1, n + 1):
@@ -370,7 +370,7 @@ def cofactor_det(A, T=None):
 # -- integer forms ---------------------------------------------------------
 
 
-def _integer_matrix(A):
+def integer_matrix(A):
     """(numerators, d): the matrix of rationals A as integers over the
     least common denominator d."""
     # a set, not a generator: a tuple built from a generator is resized
@@ -392,7 +392,7 @@ def form_const(A, e=1):
     """The constant matrix A^e as an integer form, for a matrix A of
     rationals (square when e > 1) and e >= 1; the power is formed on the
     integer numerators."""
-    N, d = _integer_matrix(A)
+    N, d = integer_matrix(A)
     power = N
     for _ in range(e - 1):
         power = mat_mul(N, power)

@@ -10,7 +10,10 @@ tower of approximants is built as
 
 with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
-(-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.
+(-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.  An
+adapted change of basis carries admission over, so the conjugated
+instance of conjugate_basis_check is transported on integer numerators,
+not gated; conjugated_instance still gates it.
 
 Each instance grows one ExactTower, on first use: the chain P_k on
 integer forms (linalg's exact polynomial type: a matrix N of integer
@@ -29,7 +32,7 @@ rounded once, by series.form_views, for the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -50,12 +53,14 @@ from .linalg import (
     form_sub,
     form_valuation,
     frac_det,
+    frac_identity,
     frac_inv,
     frac_mat,
     frac_charpoly,
     frac_rank,
     hull_root_valuations,
     int_dot,
+    integer_matrix,
     mat_mul,
     newton_lower_hull,
     pseudo_divmod,
@@ -165,15 +170,18 @@ class FrobeniusData:
         d = g // r
         if not (0 <= d0 <= d):
             raise InputError(f"d0={d0} outside 0..{d}")
-        fd = cls(ctx=ctx, d=d, d0=d0, r=r, C=C)
-        report = check_hypotheses(fd)
+        return cls(ctx=ctx, d=d, d0=d0, r=r, C=C)._gate(force)
+
+    def _gate(self, force: bool = False):
+        """self once it passes check_hypotheses (or is forced through)."""
+        report = check_hypotheses(self)
         if report.ok:
-            fd.C_inv  # an admitted C is invertible: invert it once, now
+            self.C_inv  # an admitted C is invertible: invert it once, now
         elif not force:
             raise HypothesisFailed(
                 "; ".join(report.failures), report=report
             )
-        return fd
+        return self
 
     def to_record(self):
         return {
@@ -421,21 +429,39 @@ def _validate_adapted(fd: FrobeniusData, B):
 
 def conjugated_instance(fd: FrobeniusData, B) -> FrobeniusData:
     """The instance whose Frobenius matrix is B C_phi B^{-1} (read off
-    through C_w = B C_phi B^{-1} diag(I, p))."""
-    return _conjugation(fd, B)[2]
+    through C_w = B C_phi B^{-1} diag(I, p)), run through the gate."""
+    return _conjugation(fd, B)[2]._gate()
+
+
+def _lift(N, f: int, p: int):
+    """Delta^-1 N Delta, Delta = diag(I_f, p I), for a block upper
+    triangular N: the entries with i < f <= j times p."""
+    return [[x * p if i < f <= j else x for j, x in enumerate(row)]
+            for i, row in enumerate(N)]
 
 
 def _conjugation(fd: FrobeniusData, B):
-    """(B, B^{-1}, conjugated_instance(fd, B)), B inverted once."""
+    """(B, B^{-1}, the conjugated instance), B inverted once.
+
+    With Delta = diag(I, p I), C_w = B C_phi B^-1 Delta is B C lift(B^-1)
+    and C_w^-1 is lift(B) C^-1 B^-1, lift(A) = Delta^-1 A Delta; both are
+    formed on integer numerators over one denominator.  The instance
+    skips the gate, as it passes exactly when fd does: lift(B^-1) is
+    p-integral, so C_w is when C is; det C_w = det C; and C_w Delta^-1 =
+    B C_phi B^-1 has the characteristic polynomial of C_phi.
+    """
     B = _validate_adapted(fd, B)
     B_inv = frac_inv(B)
-    middle = mat_mul(mat_mul(B, fd.C_phi), B_inv)
-    C_w = [
-        [middle[i][j] * (1 if j < fd.fil_dim else fd.ctx.p)
-         for j in range(fd.size)]
-        for i in range(fd.size)
-    ]
-    return B, B_inv, FrobeniusData.create(fd.ctx, C_w, fd.d0, fd.r)
+    f, p = fd.fil_dim, fd.ctx.p
+    (NB, b), (NB_inv, b_inv) = integer_matrix(B), integer_matrix(B_inv)
+    (NC, c), (NC_inv, c_inv) = integer_matrix(fd.C), integer_matrix(fd.C_inv)
+    C_w = mat_mul(mat_mul(NB, NC), _lift(NB_inv, f, p))
+    C_w_inv = mat_mul(mat_mul(_lift(NB, f, p), NC_inv), NB_inv)
+    fd_w = replace(fd, C=tuple(tuple(Fraction(x, b * c * b_inv) for x in row)
+                               for row in C_w))
+    fd_w.__dict__["C_inv"] = tuple(  # filled in for the cached property
+        tuple(Fraction(x, b * c_inv * b_inv) for x in row) for row in C_w_inv)
+    return B, B_inv, fd_w
 
 
 def log_matrix_in_basis(approx: LogMatrixApprox, B):
@@ -470,8 +496,9 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
         is divisible by X (E_k(0) = I), so the value at zero is
         transported.
 
-    Both approximants are read off the instances' towers; every verdict
-    is exact, decided on integer numerators.  Returns a report; raises
+    The conjugated instance is transported from fd, not gated (see
+    _conjugation).  Both approximants are read off the instances'
+    towers; every verdict is exact, decided on integer numerators.  Returns a report; raises
     NotFiltrationAdapted when B lacks the adapted block form.
     """
     B, B_inv, fd_w = _conjugation(fd, B)
@@ -481,25 +508,12 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     mv, mw = ({n: inst.tower.M(n) for n in order} for inst in (fd, fd_w))
     per_level = {}
     for n in levels:
-        diff, _ = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])
-        omega = omega_ints(fd.ctx.p, n)
-        exact_ok = mod_ok = True
-        witness = None
-        for i, row in enumerate(diff):
-            for j, e in enumerate(row):
-                if not e:
-                    continue
-                exact_ok = False
-                rem = pseudo_divmod(e, omega)[1]
-                if rem:
-                    mod_ok = False
-                    if witness is None:
-                        witness = (i, j, _first_nonzero(rem))
-        per_level[n] = {
-            "exact": exact_ok,
-            "mod_omega": mod_ok,
-            "witness": witness,
-        }
+        diff = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])
+        rem, _ = form_mod(diff, omega_ints(fd.ctx.p, n))
+        witness = next(((i, j, _first_nonzero(e)) for i, row in enumerate(rem)
+                        for j, e in enumerate(row) if e), None)
+        per_level[n] = {"exact": not any(e for row in diff[0] for e in row),
+                        "mod_omega": witness is None, "witness": witness}
     all_exact = all(lev["exact"] for lev in per_level.values())
     return {
         "adapted": True,
@@ -549,31 +563,19 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
     w = [Fraction(x) for x in w]
     if len(w) != len(I):
         raise InputError(f"w must have {len(I)} coordinates (one per index)")
-    fil = [[Fraction(int(i == k)) for i in range(g)]
-           for k in range(fd.fil_dim)]
+    op = frac_identity(g)
     if trivial_character:
-        phi = fd.C_phi_frac()
-        one_minus_phi = [
-            [Fraction(int(i == j)) - phi[i][j] for j in range(g)]
-            for i in range(g)
-        ]
-        one_minus_phi_over_p = [
-            [Fraction(int(i == j)) - phi[i][j] / fd.ctx.p for j in range(g)]
-            for i in range(g)
-        ]
+        one_minus_phi, one_minus_phi_over_p = (
+            [[int(i == j) - x / scale for j, x in enumerate(row)]
+             for i, row in enumerate(fd.C_phi)] for scale in (1, fd.ctx.p))
         if frac_det(one_minus_phi) == 0:
             raise SingularOperator("1 - phi is singular")
         if frac_det(one_minus_phi_over_p) == 0:
             raise SingularOperator("1 - phi/p is singular")
-        inv = frac_inv(one_minus_phi_over_p)
-        op = mat_mul(one_minus_phi, inv)
-        transported = [
-            [sum(op[i][k] * v[k] for k in range(g)) for i in range(g)]
-            for v in fil
-        ]
-    else:
-        transported = fil
-    columns = [[v[i - 1] for i in I] for v in transported]
+        op = mat_mul(one_minus_phi, frac_inv(one_minus_phi_over_p))
+    # Fil0 is spanned by the first fil_dim standard vectors: its images
+    # are the first fil_dim columns of op
+    columns = [[op[i - 1][k] for i in I] for k in range(fd.fil_dim)]
     try:
         coeffs = zp_solve_integral(columns, w, fd.ctx.p)
         membership = True

@@ -97,11 +97,6 @@ class XSeries:
                 )
         return -1
 
-    def eval_at_zero(self) -> PadicScalar:
-        if self.trunc is None and not self.coeffs:
-            return self.ctx.zero()
-        return self.coeffs[0] if self.coeffs else self.ctx.zero()
-
     # -- arithmetic ------------------------------------------------------
 
     def _join_trunc(self, other):

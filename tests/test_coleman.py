@@ -234,6 +234,22 @@ def test_integral_shift_certifies():
         integral_shift(fd, 1, bad)
 
 
+def test_integral_shift_finds_nonintegral_past_lost_precision():
+    # C_phi^-2 = -3 I sends [O(3^-1), 3^-6 X] to [O(1), -3^-5 X]: the
+    # vector is known to absolute precision -1 only, yet its X coefficient
+    # lies below that, so it is certified nonintegral
+    fd = pollack_fd()
+    ctx = fd.ctx
+    vec = [XSeries(ctx, [ctx.zero(-1), ctx.from_rational(Fraction(1, 3 ** 6))]),
+           XSeries.from_ints(ctx, [1])]
+    with pytest.raises(NotIntegral) as err:
+        integral_shift(fd, 1, vec)
+    assert err.value.witness[:2] == (0, 1)
+    vague = [XSeries(ctx, [ctx.zero(-1)]), XSeries.from_ints(ctx, [1])]
+    with pytest.raises(PrecisionLoss, match="absolute precision -1"):
+        integral_shift(fd, 1, vague)
+
+
 def _forward_oracle(fd, n, vec):
     """P_n v mod omega_n with P_n = C_phi^-(n+1) M_n, from the oracles."""
     p, g, fil = fd.ctx.p, fd.size, fd.fil_dim

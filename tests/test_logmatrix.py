@@ -36,9 +36,10 @@ from padlog.coleman import (
     roundtrip_check,
     tower_projection_check,
 )
-from padlog.linalg import form_from_fractions, form_to_fractions
+from padlog.linalg import form_from_fractions, form_to_fractions, frac_inv
 from padlog.logmatrix import (
     ExactTower,
+    _conjugation,
     build_Cn,
     log_matrix_in_basis,
     min_coeff_valuation,
@@ -246,6 +247,74 @@ def test_conjugated_instance_passes_gate():
     fd = pollack_fd()
     fd_w = conjugated_instance(fd, [[2, 1], [0, 1]])
     assert check_hypotheses(fd_w).ok
+
+
+def _frac_mul(A, B):
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
+
+
+def _criterion_4_changes():
+    """(fd, B) for criterion 4's seed-404 draws: each adapted B and its
+    block-diagonal part."""
+    rng = random.Random(404)
+    for fd in (pollack_fd(), random_instance(3, 2, 1, 0),
+               random_instance(3, 4, 2, 0)):
+        g, f = fd.size, fd.fil_dim
+        for _ in range(10):
+            B = random_adapted_B(fd, rng)
+            yield fd, [[B[i][j] if (i < f) == (j < f) else 0
+                        for j in range(g)] for i in range(g)]
+            yield fd, B
+
+
+def _fraction_changes():
+    """(fd, B) for adapted B with entries over p-unit denominators: rows
+    of a random adapted B over units, the corner over other units."""
+    rng = random.Random(405)
+    for fd in (pollack_fd(), random_instance(3, 4, 2, 0),
+               random_instance(5, 3, 1, 1), *unit_denominator_instances()):
+        p, f = fd.ctx.p, fd.fil_dim
+
+        def unit():
+            return rng.choice([u for u in range(2, 3 * p) if u % p])
+
+        for _ in range(4):
+            B = [[Fraction(x, unit()) if i < f <= j else Fraction(x)
+                  for j, x in enumerate(row)]
+                 for i, row in enumerate(random_adapted_B(fd, rng))]
+            yield fd, [[x / u for x in row] for row, u in
+                       zip(B, (unit() for _ in B))]
+
+
+def test_transported_conjugate_is_the_direct_product():
+    # C_w = B C lift(B^-1) on integers is B C_phi B^-1 diag(I, p), its
+    # transported inverse is C_w^-1, and C_w passes the gate it skipped
+    count = 0
+    for fd, B in (*_criterion_4_changes(), *_fraction_changes()):
+        p, g, f = fd.ctx.p, fd.size, fd.fil_dim
+        Bq = [[Fraction(x) for x in row] for row in B]
+        middle = _frac_mul(_frac_mul(Bq, fd.C_phi_frac()), inv_oracle(Bq))
+        want = [[x * (p if j >= f else 1) for j, x in enumerate(row)]
+                for row in middle]
+        fd_w = _conjugation(fd, B)[2]
+        assert [list(row) for row in fd_w.C] == want
+        assert [list(row) for row in fd_w.C_inv] == frac_inv(want)
+        assert check_hypotheses(fd_w).ok
+        count += any(x.denominator > 1 for row in Bq for x in row)
+    assert count >= 20
+
+
+def test_conjugate_basis_check_runs_no_gate(monkeypatch):
+    # the conjugated instance is admitted by transport: no gate and no
+    # characteristic polynomial per check; conjugated_instance still gates
+    fd = random_instance(3, 4, 2, 0)
+    B = random_adapted_B(fd, random.Random(12))
+    calls = count_calls(monkeypatch, ("check_hypotheses", "frac_charpoly"))
+    conjugate_basis_check(fd, B)
+    assert calls == []
+    conjugated_instance(fd, B)
+    assert calls == ["check_hypotheses", "frac_charpoly"]
 
 
 def test_image_condition_frozen_values():

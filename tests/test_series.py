@@ -118,11 +118,6 @@ def test_divide_exact_recovers_factor():
     assert agrees(q, [2, 0, 1, 5])
 
 
-def test_eval_at_zero():
-    assert embed([7, 1]).eval_at_zero().lift() == 7
-    assert embed([]).eval_at_zero().is_zero_rep
-
-
 def test_lambda_reduction_matches_long_division():
     f = embed([1, 0, 0, 2, 0, 0, 1])  # degree 6 at level 1 (p^1 = 3)
     elem = reduce_mod_omega(f, 1)
