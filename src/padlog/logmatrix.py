@@ -498,8 +498,9 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
 
     The conjugated instance is transported from fd, not gated (see
     _conjugation).  Both approximants are read off the instances'
-    towers; every verdict is exact, decided on integer numerators.  Returns a report; raises
-    NotFiltrationAdapted when B lacks the adapted block form.
+    towers; every verdict is exact, decided on integer numerators.
+    Returns a report; raises NotFiltrationAdapted when B lacks the
+    adapted block form.
     """
     B, B_inv, fd_w = _conjugation(fd, B)
     left, right = form_const(B), form_const(B_inv)

@@ -240,8 +240,8 @@ def test_integral_shift_finds_nonintegral_past_lost_precision():
     # lies below that, so it is certified nonintegral
     fd = pollack_fd()
     ctx = fd.ctx
-    vec = [XSeries(ctx, [ctx.zero(-1), ctx.from_rational(Fraction(1, 3 ** 6))]),
-           XSeries.from_ints(ctx, [1])]
+    low = XSeries(ctx, [ctx.zero(-1), ctx.from_rational(Fraction(1, 3 ** 6))])
+    vec = [low, XSeries.from_ints(ctx, [1])]
     with pytest.raises(NotIntegral) as err:
         integral_shift(fd, 1, vec)
     assert err.value.witness[:2] == (0, 1)

@@ -292,7 +292,7 @@ def test_transported_conjugate_is_the_direct_product():
     # transported inverse is C_w^-1, and C_w passes the gate it skipped
     count = 0
     for fd, B in (*_criterion_4_changes(), *_fraction_changes()):
-        p, g, f = fd.ctx.p, fd.size, fd.fil_dim
+        p, f = fd.ctx.p, fd.fil_dim
         Bq = [[Fraction(x) for x in row] for row in B]
         middle = _frac_mul(_frac_mul(Bq, fd.C_phi_frac()), inv_oracle(Bq))
         want = [[x * (p if j >= f else 1) for j, x in enumerate(row)]
