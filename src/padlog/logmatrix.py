@@ -10,10 +10,11 @@ tower of approximants is built as
 
 with the unscaled block of size r*d0 and the scaled block of size
 r*(d-d0).  The admission gate checks the Newton-polygon slope window
-(-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit.  An
-adapted change of basis carries admission over, so the conjugated
-instance of conjugate_basis_check is transported on integer numerators,
-not gated; conjugated_instance still gates it.
+(-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit, all
+read off the characteristic polynomial of C_phi.  An adapted change of
+basis carries admission over, so the conjugated instance of
+conjugate_basis_check is transported on integer numerators, not gated;
+conjugated_instance still gates it.
 
 Each instance grows one ExactTower, on first use: the chain P_k on
 integer forms (linalg's exact polynomial type: a matrix N of integer
@@ -150,9 +151,6 @@ class FrobeniusData:
         return tuple(tuple(x if j < f else x / p for j, x in enumerate(row))
                      for row in self.C)
 
-    def C_frac(self):
-        return [list(row) for row in self.C]
-
     def C_phi_frac(self):
         return [list(row) for row in self.C_phi]
 
@@ -202,11 +200,11 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
     failures = []
     if any(vp_frac(x, p) < 0 for row in fd.C for x in row):
         failures.append("C is not p-integral")
-    det_C = frac_det(fd.C_frac())
+    cp = frac_charpoly(fd.C_phi)
+    # det C_phi = det C / p^s is (-1)^size a_0
+    det_C = (-1) ** fd.size * cp[0] * p ** fd.scaled_dim
     if vp_frac(det_C, p) != 0:
         failures.append(f"det(C) = {det_C} is not a p-adic unit")
-    cphi = fd.C_phi
-    cp = frac_charpoly(cphi)
     points = [(i, vp_frac(a, p)) for i, a in enumerate(cp)]
     hull = newton_lower_hull(points)
     roots = hull_root_valuations(hull)
@@ -215,9 +213,7 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
             failures.append(
                 f"eigenvalue valuation {val} (x{mult}) outside (-1, 0]"
             )
-    shifted = [[cphi[i][j] - Fraction(int(i == j)) for j in range(fd.size)]
-               for i in range(fd.size)]
-    if frac_det(shifted) == 0:
+    if sum(cp) == 0:  # the value at 1 is det(I - C_phi)
         failures.append("1 is an eigenvalue of C_phi")
     return HypothesisReport(
         charpoly=tuple(cp),

@@ -30,7 +30,7 @@ coefficients, and f(g) is the integer numerators of f times one integer
 matrix whose row k is g^k mod pi^T, formed once per twist.  The cost of
 a twist therefore does not depend on the size of c.  M'_n = N / d is
 cut to pi^T first and its inverse mod pi^T is d adj(N) times the series
-inverse, an integer recurrence, of det N (cofactor_det).  Every stage,
+inverse, an integer recurrence, of det N, read off adj(N).  Every stage,
 the product with gamma(M'_n) and the checks run on integer forms, and
 G is formed as Fractions once, when it is returned.  The twist is exact
 for both kinds of exponent: a PadicScalar c known mod p^N runs on its
@@ -182,16 +182,11 @@ def _padj(A, T: int):
     d = len(A)
     if d == 1:
         return [[[1]]]
-    out = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            minor = [
-                [A[r][c] for c in range(d) if c != j]
-                for r in range(d) if r != i
-            ]
-            cof = cofactor_det(minor, T)
-            out[j][i] = [-c for c in cof] if (i + j) % 2 else cof
-    return out
+    minors = [[cofactor_det([row[:j] + row[j + 1:]
+                             for r, row in enumerate(A) if r != i], T)
+               for i in range(d)] for j in range(d)]
+    return [[[-c for c in e] if (i + j) % 2 else e for i, e in enumerate(row)]
+            for j, row in enumerate(minors)]
 
 
 def _pseries_inv(F, T: int):
@@ -350,18 +345,19 @@ class WachMatrixTower:
         whether G(0) = I, and d_M + d_inv for a scalar exponent (0 for an
         integer one, which raises IntegralityViolation on a bad G).
 
-        M = N / d is cut to pi^T, and M^-1 = d adj(N) / det N with
-        1 / det N = H / den mod pi^T (_pseries_inv)."""
+        M = N / d is cut to pi^T and M^-1 = d adj(N) / det N, with det N =
+        N[0] . (column 0 of adj N) and 1 / det N = H / den (_pseries_inv)."""
         if T < 1:
             raise InputError("trunc must be positive")
         N, d = self._level(k)
         N = [[int_trim(e[:T]) for e in row] for row in N]
         size = self.fd.size
-        det = cofactor_det(N, T)
+        adj = _padj(N, T)
+        det = int_trim(int_dot(zip(N[0], [row[0] for row in adj]), T))
         if not det or det[0] != d ** size:
             raise InputError("tower determinant must have constant term 1")
         H, den = _pseries_inv(det, T)
-        Minv = form_mul((_padj(N, T), 1),
+        Minv = form_mul((adj, 1),
                         _diagonal([d * h for h in H], den, size), T)
         c = gamma.c if gamma.is_integer else gamma.c.lift()
         S = _power_matrix(_binom_shift(c, T), T, T)

@@ -144,7 +144,7 @@ def test_criterion_03_determinant_identity():
     ok = True
     for fd in battery():
         p, s = fd.ctx.p, fd.scaled_dim
-        det_C = perm_det(fd.C_frac())
+        det_C = perm_det([list(r) for r in fd.C])
         for n in (1, 2, 3):
             rebuilt = mn_poly_oracle(fd, n)
             det_poly = perm_det_poly(rebuilt)

@@ -2,6 +2,7 @@
 polynomials, Newton hulls, and integral normal forms."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -68,15 +69,16 @@ def test_det_matches_permutation_expansion():
 
 
 def test_charpoly_matches_oracle():
+    assert frac_charpoly([]) == [Fraction(1)]
     rng = random.Random(12)
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5, 6):
         for _ in range(5):
             A = rand_mat(rng, n, -5, 5)
             assert frac_charpoly(A) == charpoly_oracle(A)
     # rational entries with p-power denominators, as in C_phi, mixed with
     # unit denominators
     for p in (2, 3, 5):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5, 6):
             for _ in range(4):
                 A = [[Fraction(rng.randrange(-9, 10),
                                rng.choice((1, 7, p, p ** 2, p ** 3)))
@@ -533,24 +535,54 @@ def _rand_fpoly(rng, max_len):
 
 def test_cofactor_det_matches_permutation_expansion_and_truncates():
     # the determinant of the numerators N of the form N / d of A, over
-    # d^size
+    # d^size, is the exact integer list d^size det(A), trimmed
     rng = random.Random(340)
-    for size in (1, 2, 3, 4):
-        for _ in range(6):
+    for size in (1, 2, 3, 4, 5, 6):
+        for _ in range(6 if size < 6 else 2):
             A = [[_rand_fpoly(rng, 4) for _ in range(size)]
                  for _ in range(size)]
             want = perm_det_poly(A)
             N, d = form_from_fractions(A)
-            assert all(type(c) is int for c in cofactor_det(N))
-            assert form_to_fractions(([[cofactor_det(N)]], d ** size)) \
-                == [[want]]
-            for T in (1, 2, 5):
-                assert form_to_fractions(
-                    ([[cofactor_det(N, T)]], d ** size)) \
-                    == [[ptrim(want[:T])]]
+            scaled = [int(c * d ** size) for c in want]
+            got = cofactor_det(N)
+            assert got == scaled and all(type(c) is int for c in got)
+            for T in (0, 1, 2, 5):
+                assert cofactor_det(N, T) == ptrim(scaled[:T])
     for bad in ([], [[[1], [2]]]):
         with pytest.raises(InputError):
             cofactor_det(bad)
+
+
+def test_cofactor_det_at_its_coefficient_bound():
+    # a diagonal or antidiagonal matrix of single large coefficients
+    # c_i X^k_i has the one coefficient +-prod |c_i|, which is the bound
+    # prod_i sum_j ||A_ij||_1 itself, with either sign; a zero row and
+    # entries without a constant term are read as well
+    rng = random.Random(342)
+    for size in (1, 2, 3, 4, 5):
+        for anti in (False, True):
+            for _ in range(4):
+                cs = [rng.choice((-1, 1)) * rng.randrange(2 ** 20, 2 ** 40)
+                      for _ in range(size)]
+                ks = [rng.randrange(3) for _ in range(size)]
+                N = [[[] for _ in range(size)] for _ in range(size)]
+                for i, (c, k) in enumerate(zip(cs, ks)):
+                    N[i][size - 1 - i if anti else i] = [0] * k + [c]
+                A = [[[Fraction(c) for c in e] for e in row] for row in N]
+                want = [int(c) for c in perm_det_poly(A)]
+                assert abs(want[-1]) == math.prod(map(abs, cs))
+                assert cofactor_det(N) == want
+                assert cofactor_det(N, sum(ks)) == []
+    for size in (2, 3, 4):
+        N = [[[0] + [rng.randrange(-9, 10) for _ in range(3)]
+              for _ in range(size)] for _ in range(size)]
+        A = [[[Fraction(c) for c in e] for e in row] for row in N]
+        want = [int(c) for c in perm_det_poly(A)]
+        assert want[:size] == [0] * size
+        assert cofactor_det(N) == want
+        for zero in ([], [0, 0]):
+            N[rng.randrange(size)] = [zero] * size
+            assert cofactor_det(N) == [] and cofactor_det(N, 3) == []
 
 
 def test_pmat_mul_matches_oracle_on_rectangular_shapes():

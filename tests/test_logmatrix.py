@@ -66,7 +66,9 @@ from instances import (
 from oracles import (
     agree_mod_precision,
     chain_oracle,
+    charpoly_oracle,
     inv_oracle,
+    lower_hull_oracle,
     matches_rational,
     mn_poly_oracle,
     omega_oracle,
@@ -112,6 +114,75 @@ def test_force_create_keeps_failing_report():
     ctx = PadicContext(3, rel_prec=20, denom_budget=24)
     fd = FrobeniusData.create(ctx, [[1, 0], [0, 1]], d0=1, force=True)
     assert not check_hypotheses(fd).ok
+
+
+def _gate_instances():
+    """Forced instances at p = 3 and 5: admitted random ones, and random
+    ones with a non-integral C, a non-unit det C or the eigenvalue 1 of
+    C_phi (C_phi = B U B^-1 for an upper triangular U with a 1 on its
+    diagonal)."""
+    rng = random.Random(23)
+    out = []
+    for p in (3, 5):
+        ctx = PadicContext(p, rel_prec=20, denom_budget=24)
+        for size, d0 in ((2, 1), (3, 1), (4, 2), (5, 2), (6, 3)):
+            def create(C):
+                return FrobeniusData.create(ctx, C, d0=d0, force=True)
+
+            out.append(random_instance(p, size, d0, rng.randrange(100)))
+            C = [[rng.randrange(-6, 7) for _ in range(size)]
+                 for _ in range(size)]
+            out.append(create(C))
+            out.append(create([[Fraction(x, rng.choice((1, 2, p)))
+                                for x in row] for row in C]))
+            out.append(create([[x * p for x in C[0]], *C[1:]]))
+            U = [[rng.randrange(-3, 4) if j > i else 0 for j in range(size)]
+                 for i in range(size)]
+            for i in range(size):
+                U[i][i] = 1 if i == size // 2 else rng.choice((-2, 3, p))
+            B = random_adapted_B(create(C), rng)
+            Bq = [[Fraction(x) for x in row] for row in B]
+            Cphi = _frac_mul(_frac_mul(Bq, U), inv_oracle(Bq))
+            out.append(create([[x * (p if j >= d0 else 1)
+                                for j, x in enumerate(row)]
+                               for row in Cphi]))
+    return out
+
+
+def test_gate_report_matches_the_oracles():
+    # det C, the characteristic polynomial of C_phi, its Newton hull and
+    # every failure clause, against the permutation expansions
+    clauses = set()
+    for fd in _gate_instances():
+        p = fd.ctx.p
+        C = [list(row) for row in fd.C]
+        Cphi = fd.C_phi_frac()
+        det_C = perm_det(C)
+        cp = charpoly_oracle(Cphi)
+        hull = lower_hull_oracle([(i, vp_rational(a, p))
+                                  for i, a in enumerate(cp) if a])
+        want = []
+        if any(x and vp_rational(x, p) < 0 for row in C for x in row):
+            want.append("C is not p-integral")
+        if not det_C or vp_rational(det_C, p):
+            want.append(f"det(C) = {det_C} is not a p-adic unit")
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            val = Fraction(y1 - y2, x2 - x1)
+            if not -1 < val <= 0:
+                want.append(f"eigenvalue valuation {val} (x{x2 - x1}) "
+                            "outside (-1, 0]")
+        shifted = [[int(i == j) - x for j, x in enumerate(row)]
+                   for i, row in enumerate(Cphi)]
+        if perm_det(shifted) == 0:
+            want.append("1 is an eigenvalue of C_phi")
+        report = check_hypotheses(fd)
+        assert report.det_C == det_C and type(report.det_C) is Fraction
+        assert list(report.charpoly) == cp
+        assert list(report.hull) == hull
+        assert list(report.failures) == want
+        clauses.update(w.split(" ")[0] for w in want)
+        clauses.add(report.ok)
+    assert clauses == {"C", "det(C)", "eigenvalue", "1", True, False}
 
 
 def test_m1_frozen_entries():
@@ -161,6 +232,25 @@ def test_determinant_identity_random():
     fd = random_instance(5, 2, 1, 2)
     rep = det_Mn(fd, 2)
     assert rep["raw_match"]
+
+
+def test_determinant_identity_at_size_8(monkeypatch):
+    # rank 8, as for an abelian surface at an inert place of degree 2:
+    # det M_2 in one integer elimination, against det(C) p^(-3s)
+    # Phi_3^s Phi_9^s built from the oracles
+    fd = random_instance(3, 8, 4, 1, denom_budget=64)
+    assert check_hypotheses(fd).ok
+    p, s, n = fd.ctx.p, fd.scaled_dim, 2
+    closed = [perm_det([list(r) for r in fd.C]) / p ** ((n + 1) * s)]
+    for k in range(1, n + 1):
+        for _ in range(s):
+            closed = pmul(closed, phi_oracle(p, k))
+    calls = count_calls(monkeypatch, ("cofactor_det",))
+    rep = det_Mn(fd, n)
+    assert calls == ["cofactor_det"]
+    assert rep["raw_match"] and rep["reduced_match"]
+    assert _series_is(rep["closed_form"], closed)
+    assert _series_is(rep["det"], closed)
 
 
 def test_det_closed_form_against_independent_product():
@@ -393,7 +483,8 @@ def test_exact_checks_keep_the_denominator_budget():
 def test_inverse_and_scaled_matrix_are_cached_on_the_instance():
     fd = random_instance(5, 4, 2, 1)
     assert fd.C_inv is fd.C_inv and fd.C_phi is fd.C_phi
-    assert [list(row) for row in fd.C_inv] == inv_oracle(fd.C_frac())
+    assert [list(row) for row in fd.C_inv] == inv_oracle(
+        [list(r) for r in fd.C])
     p, f = fd.ctx.p, fd.fil_dim
     assert fd.C_phi == tuple(
         tuple(x if j < f else x / p for j, x in enumerate(row))
@@ -433,7 +524,7 @@ def _series_is(e, want):
 def test_non_integral_C_matches_the_oracles():
     for fd in unit_denominator_instances():
         p, s = fd.ctx.p, fd.scaled_dim
-        C = fd.C_frac()
+        C = [list(r) for r in fd.C]
         Cinv = inv_oracle(C)
         det_C = perm_det(C)
         assert [list(row) for row in fd.C_inv] == Cinv
