@@ -233,15 +233,17 @@ class LatticeSetup:
             raise InputError("setup carries no phi_matrix")
         phi = frac_mat(self.phi_matrix)
         ident = frac_identity(self.g)
-        one_minus = mat_sub(ident, phi)
-        if frac_det(one_minus) == 0:
-            raise SingularOperator("1 - phi is singular (1 is an eigenvalue)")
+        try:
+            inv = frac_inv(mat_sub(ident, phi))
+        except SingularOperator:
+            raise SingularOperator(
+                "1 - phi is singular (1 is an eigenvalue)") from None
         scaled = [[Fraction(self.ctx.p) * x for x in row] for row in phi]
         p_phi_minus = mat_sub(scaled, ident)
         if frac_det(p_phi_minus) == 0:
             raise SingularOperator(
                 "p phi - 1 is singular (1/p is an eigenvalue)")
-        return mat_mul(frac_inv(one_minus), p_phi_minus)
+        return mat_mul(inv, p_phi_minus)
 
 
 def _subset_certificates(setup: LatticeSetup, vectors, kind: str):
@@ -323,14 +325,6 @@ def _strong_certificate(setup: LatticeSetup, vecs, moved):
 # ---------------------------------------------------------------------------
 
 
-def _span_contains(basis_rows, vec) -> bool:
-    """Whether vec lies in the rational span of the given rows."""
-    if not basis_rows:
-        return all(x == 0 for x in vec)
-    r = frac_rank([list(b) for b in basis_rows])
-    return frac_rank([list(b) for b in basis_rows] + [list(vec)]) == r
-
-
 def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
     """Produce a primitive vector outside every listed corank-one
     summand and outside p^k times the lattice.
@@ -346,16 +340,16 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
         raise InputError("rank must be at least 1")
     if k < 1:
         raise InputError("k must be at least 1")
-    hyps = []
+    functionals = []
     for H in hyperplanes:
         rows = [_as_vec(h, rank, "hyperplane vector") for h in H]
-        if len(rows) != rank - 1 or (rows and frac_rank(rows) != rank - 1):
+        if len(rows) != rank - 1:
             raise InputError(
                 "each hyperplane needs exactly rank-1 independent vectors")
-        hyps.append(rows)
+        functionals.append(_hyperplane_functional(rows, rank))
 
     def escapes(vec) -> bool:
-        return not any(_span_contains(H, vec) for H in hyps)
+        return all(sum(f * x for f, x in zip(fn, vec)) for fn in functionals)
 
     # structured candidates first: standard vectors, then small sums
     for size in range(1, rank + 1):
@@ -366,12 +360,12 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
     # then the moment curve: a nonzero functional vanishes at no more
     # than rank - 1 of its points, so one of the first h (rank - 1) + 1
     # escapes all h hyperplanes; its leading 1 keeps it primitive
-    for t in range(1, len(hyps) * (rank - 1) + 2):
+    for t in range(1, len(functionals) * (rank - 1) + 2):
         vec = [t ** i for i in range(rank)]
         if escapes(vec):
             return vec
     raise SearchExhausted(
-        f"no vector escaping {len(hyps)} hyperplanes in rank {rank}")
+        f"no vector escaping {len(functionals)} hyperplanes in rank {rank}")
 
 
 def avoid_slopes(ctx: PadicContext, a, b, c, d, forbidden):
@@ -412,11 +406,12 @@ def avoid_slopes(ctx: PadicContext, a, b, c, d, forbidden):
 
 
 def _hyperplane_functional(rows, rank: int):
-    """A nonzero linear functional vanishing on a corank-one span."""
-    ker = frac_nullspace([list(r) for r in rows])
+    """A nonzero linear functional vanishing on a corank-one span (any
+    nonzero one on the zero span of rank 1)."""
+    ker = frac_nullspace([list(r) for r in rows] or [[Fraction(0)] * rank])
     if len(ker) != 1:
         raise InputError(
-            "hyperplane must have exactly rank-1 independent vectors")
+            "each hyperplane needs exactly rank-1 independent vectors")
     return ker[0]
 
 

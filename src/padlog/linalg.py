@@ -10,10 +10,10 @@ row over one denominator and runs on the integer numerators; it gives
 the rank, the determinant and an integer row echelon form.  One
 back-substitution turns that into the reduced form over the rationals,
 from which the inverse, the solution of a square system and the
-canonical nullspace basis are read.  The rank over F_p, the Smith form
-over Z_(p) and the saturated nullspace over Z_(p) keep their own
-eliminations, as their arithmetic differs; the Smith form feeds the
-integral solve, and the nullspace gives the Coleman kernel.
+canonical nullspace basis are read.  Over Z_(p) one integer elimination,
+pivoting on an entry of least valuation, gives the saturated nullspace
+(the Coleman kernel), the rank over F_p (its unit pivots) and the
+integral solve (a kernel vector with a unit last coordinate).
 Characteristic polynomials (polynomial determinants) and Newton
 polygons complete the admission gate's toolkit.
 
@@ -103,35 +103,16 @@ def vp_frac(q, p: int):
 
 def fp_rank(rows, p: int) -> int:
     """Rank over the residue field F_p of a matrix of p-integral
-    rationals."""
-    M = []
-    for row in rows:
-        out = []
-        for x in row:
-            q = Fraction(x)
-            if q.denominator % p == 0:
-                raise InputError(f"entry {q} is not p-integral")
-            out.append(q.numerator * pow(q.denominator, -1, p) % p)
-        M.append(out)
-    height, cols = mat_shape(M)
-    rank = 0
-    r = 0
-    for c in range(cols):
-        if r == height:
-            break
-        piv = next((i for i in range(r, height) if M[i][c] % p), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [x * inv % p for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        rank += 1
-        r += 1
-    return rank
+    rationals: the number of unit pivots (v = 0) of _zp_echelon.  Its
+    steps are invertible over Z_(p), so they keep the row module mod p,
+    and after the first pivot of positive valuation every entry left is
+    divisible by p."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    bad = [q for row in A for q in row if q.denominator % p == 0]
+    if bad:
+        raise InputError(f"entry {bad[0]} is not p-integral")
+    mat_shape(A)
+    return sum(v == 0 for _, _, v in _zp_echelon(A, p))
 
 
 def _bareiss(M):
@@ -506,7 +487,10 @@ def smith_zp(A, p: int):
     and the list of (index, valuation) pivots.
 
     Min-valuation pivoting keeps every multiplier p-integral, so P, Q,
-    Qinv all lie in GL over Z_(p).
+    Qinv all lie in GL over Z_(p).  No library path calls it (nor
+    _min_val_pivot): the integral solve runs on zp_nullspace, and both
+    stay only because the benchmark's layer tracer names smith_zp.
+    ROADMAP item 11 deletes them, with test_smith_zp_contract.
     """
     D = [row[:] for row in frac_mat(A)]
     rows = len(D)
@@ -552,33 +536,20 @@ def smith_zp(A, p: int):
 
 def zp_solve_integral(columns, target, p: int):
     """Find x with sum_i x_i * columns[i] = target and every x_i
-    p-integral, or raise NotInImage.  Exact Fraction arithmetic."""
-    if not columns:
-        raise InputError("no columns given")
-    n = len(columns[0])
-    A = [[Fraction(columns[j][i]) for j in range(len(columns))]
-         for i in range(n)]
-    b = [Fraction(t) for t in target]
-    snf = smith_zp(A, p)
-    D, P, Q = snf["D"], snf["P"], snf["Q"]
-    rank = len(snf["pivots"])
-    Pb = [sum(P[i][j] * b[j] for j in range(n)) for i in range(n)]
-    y = [Fraction(0)] * len(columns)
-    for k in range(rank):
-        y[k] = Pb[k] / D[k][k]
-        if vp_frac(y[k], p) < 0:
-            raise NotInImage(
-                f"solution needs p^{vp_frac(y[k], p)} at pivot {k}"
-            )
-    for i in range(rank, n):
-        if Pb[i] != 0:
-            raise NotInImage(f"inconsistent row {i}: residual {Pb[i]}")
-    x = [sum(Q[i][k] * y[k] for k in range(len(columns)))
-         for i in range(len(columns))]
-    for i, xi in enumerate(x):
-        if vp_frac(xi, p) < 0:
-            raise NotInImage(f"coefficient {i} is not p-integral: {xi}")
-    return x
+    p-integral, or raise NotInImage.  Such an x exists exactly when the
+    saturated kernel of [columns | -target] has a vector with a unit
+    last coordinate; x is the first such vector of zp_nullspace, divided
+    by that coordinate."""
+    if not (columns and target) or any(len(c) != len(target)
+                                       for c in columns):
+        raise InputError("need one or more columns and a target, all of "
+                         "one nonzero length")
+    A = [[Fraction(x) for x in row] + [-Fraction(t)]
+         for *row, t in zip(*columns, target)]
+    for vec in zp_nullspace(A, p):
+        if vec[-1] % p:
+            return [Fraction(x, vec[-1]) for x in vec[:-1]]
+    raise NotInImage("target is not in the Z_(p)-span of the columns")
 
 
 def _strip_unit_content(row, p: int):
@@ -601,21 +572,10 @@ def _zp_pivot(M, p: int):
         v, q = v + 1, q * p
 
 
-def zp_nullspace(A, p: int):
-    """Saturated basis of ker A inside Z_(p)^n, as integer vectors.
-
-    Each row of the rational matrix A is put over one denominator.  The
-    forward elimination takes as pivot an entry of least valuation v in
-    what is left, so u = pivot / p^v is a unit and every a / p^v below
-    it is an integer: the step row <- u row - (a / p^v) pivot row is
-    exact and invertible over Z_(p), and each new row is divided by the
-    part of its content prime to p.  Every entry of a pivot row then has
-    valuation at least v, so the row divided by p^v has a unit pivot,
-    and back-substitution on those rows stays integral.  The result has
-    one vector per free column, primitive and positive there and 0 at
-    the other free columns; that unit diagonal makes it saturated.
-    """
-    _, cols = mat_shape(A)
+def _zp_echelon(A, p: int):
+    """The forward elimination of zp_nullspace, for a rational matrix A
+    with rows of one length: (row, c, v) for each pivot, where c is its
+    column, v its valuation and row the pivot row divided by p^v."""
     M = []
     for row in A:
         d = lcm(*{x.denominator for x in row})
@@ -637,7 +597,26 @@ def zp_nullspace(A, p: int):
             if any(row):
                 rest.append(row)
         M = rest
-        echelon.append(([x // pv for x in top], c))
+        echelon.append(([x // pv for x in top], c, v))
+    return echelon
+
+
+def zp_nullspace(A, p: int):
+    """Saturated basis of ker A inside Z_(p)^n, as integer vectors.
+
+    Each row of the rational matrix A is put over one denominator.  The
+    forward elimination takes as pivot an entry of least valuation v in
+    what is left, so u = pivot / p^v is a unit and every a / p^v below
+    it is an integer: the step row <- u row - (a / p^v) pivot row is
+    exact and invertible over Z_(p), and each new row is divided by the
+    part of its content prime to p.  Every entry of a pivot row then has
+    valuation at least v, so the row divided by p^v has a unit pivot,
+    and back-substitution on those rows stays integral.  The result has
+    one vector per free column, primitive and positive there and 0 at
+    the other free columns; that unit diagonal makes it saturated.
+    """
+    _, cols = mat_shape(A)
+    echelon = [(row, c) for row, c, _ in _zp_echelon(A, p)]
     for k in reversed(range(len(echelon))):
         low, c = echelon[k]
         u = low[c]

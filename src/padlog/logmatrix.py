@@ -567,9 +567,10 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
              for i, row in enumerate(fd.C_phi)] for scale in (1, fd.ctx.p))
         if frac_det(one_minus_phi) == 0:
             raise SingularOperator("1 - phi is singular")
-        if frac_det(one_minus_phi_over_p) == 0:
-            raise SingularOperator("1 - phi/p is singular")
-        op = mat_mul(one_minus_phi, frac_inv(one_minus_phi_over_p))
+        try:
+            op = mat_mul(one_minus_phi, frac_inv(one_minus_phi_over_p))
+        except SingularOperator:
+            raise SingularOperator("1 - phi/p is singular") from None
     # Fil0 is spanned by the first fil_dim standard vectors: its images
     # are the first fil_dim columns of op
     columns = [[op[i - 1][k] for i in I] for k in range(fd.fil_dim)]

@@ -232,6 +232,23 @@ def in_span(rows, vec) -> bool:
     return rank_oracle(list(rows) + [list(vec)]) == base
 
 
+def in_zp_span(columns, w, p: int) -> bool:
+    """Whether w is a combination of the columns with p-integral
+    coefficients.  With L the Z_(p)-span of the columns and L' that of
+    the columns and w, w lies in L exactly when w lies in the rational
+    span, so that both have one rank r, and the index of L in L' is 1:
+    the least valuation of the r x r minors is the same for both."""
+    def rank_and_depth(cols):
+        rows = [list(r) for r in zip(*cols)]
+        r = rank_oracle(rows)
+        minors = (perm_det([[rows[i][j] for j in cj] for i in ri])
+                  for ri in itertools.combinations(range(len(rows)), r)
+                  for cj in itertools.combinations(range(len(cols)), r))
+        return r, min(vp_rational(d, p) for d in minors if d != 0)
+
+    return rank_and_depth(columns) == rank_and_depth(list(columns) + [w])
+
+
 # -- p-adic value checks -----------------------------------------------------
 
 

@@ -40,6 +40,7 @@ from padlog.linalg import (
 from oracles import (
     charpoly_oracle,
     in_span,
+    in_zp_span,
     inv_oracle,
     lower_hull_oracle,
     omega_oracle,
@@ -211,6 +212,79 @@ def test_zp_solve_integral_negative():
     # inconsistent system
     with pytest.raises(NotInImage):
         zp_solve_integral([[1, 0]], [0, 1], p)
+
+
+def test_zp_solve_integral_rejects_mismatched_lengths():
+    # a longer target was cut to the columns' length, a shorter one
+    # raised IndexError
+    cases = [
+        ([[1, 0], [0, 1]], [1, 2, 5]),
+        ([[1, 0], [0, 1]], [1]),
+        ([[1, 0], [0]], [1, 2]),
+        ([[1, 0]], []),
+    ]
+    for cols, target in cases:
+        with pytest.raises(InputError):
+            zp_solve_integral(cols, target, 3)
+
+
+def test_zp_solve_integral_particular_solution_on_dependent_columns():
+    # the second column repeats the first: the solution is the first
+    # saturated kernel vector of [columns | -target] with a unit last
+    # coordinate, which is 0 at the repeated column
+    assert zp_solve_integral([[0, 1], [0, 1], [-1, 0]], [1, 1], 3) == [
+        1, 0, -1]
+    assert zp_solve_integral([[0, 1], [0, 1], [1, 0]], [0, 3], 3) == [
+        3, 0, 0]
+
+
+def _random_system(rng):
+    """(columns, target, p): up to 4 columns of length up to 4, some
+    dependent, with p-power denominators; half the targets are
+    combinations of the columns, a fifth of those perturbed."""
+    p = rng.choice((2, 3, 5))
+    n, k = rng.randint(1, 4), rng.randint(1, 4)
+    r = rng.randint(0, min(n, k))
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), p ** rng.randrange(2))
+
+    cols = [[entry() for _ in range(n)] for _ in range(r)]
+    for _ in range(k - r):
+        coeffs = [rng.randint(-2, 2) * Fraction(p) ** rng.randrange(-1, 2)
+                  for _ in range(r)]
+        cols.append([sum((c * col[i] for c, col in zip(coeffs, cols)),
+                         Fraction(0)) for i in range(n)])
+    rng.shuffle(cols)
+    if rng.random() < 0.5:
+        x = [Fraction(rng.randint(-4, 4), p ** rng.choice((0, 0, 1)))
+             for _ in range(k)]
+        w = [sum(xj * col[i] for xj, col in zip(x, cols)) for i in range(n)]
+        if rng.random() < 0.2:
+            w[rng.randrange(n)] += Fraction(p) ** rng.randrange(-1, 2)
+    else:
+        w = [entry() for _ in range(n)]
+    return cols, w, p
+
+
+def test_zp_solve_integral_matches_the_span_oracle():
+    rng = random.Random(39)
+    verdicts = set()
+    for _ in range(300):
+        cols, w, p = _random_system(rng)
+        member = in_zp_span(cols, w, p)
+        verdicts.add(member)
+        if not member:
+            with pytest.raises(NotInImage):
+                zp_solve_integral(cols, w, p)
+            continue
+        x = zp_solve_integral(cols, w, p)
+        assert len(x) == len(cols)
+        assert all(vp_rational(xj, p) is None or vp_rational(xj, p) >= 0
+                   for xj in x)
+        assert [sum(xj * col[i] for xj, col in zip(x, cols))
+                for i in range(len(w))] == w
+    assert verdicts == {True, False}
 
 
 def _is_integral_kernel_basis(A, basis, p):

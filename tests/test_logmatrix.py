@@ -14,6 +14,7 @@ from padlog import (
     DenominatorBudgetExceeded,
     FrobeniusData,
     HypothesisFailed,
+    LatticeSetup,
     NotFiltrationAdapted,
     PadicContext,
     SingularOperator,
@@ -23,6 +24,8 @@ from padlog import (
     check_hypotheses,
     conjugate_basis_check,
     conjugated_instance,
+    construct_admissible,
+    construct_strongly_admissible,
     det_Mn,
     det_closed_form,
     image_condition_at_zero,
@@ -421,6 +424,21 @@ def test_image_condition_plain_character():
     fd = pollack_fd()
     res = image_condition_at_zero(fd, [1], [1])
     assert res.membership and res.finite_index
+
+
+def test_integral_checks_take_no_smith_form(monkeypatch):
+    # the integral solve and the rank mod p run on zp_nullspace's
+    # elimination; smith_zp stays only for the benchmark's tracer
+    fd = pollack_fd()
+    calls = count_calls(monkeypatch, ("smith_zp",))
+    setup = LatticeSetup(PadicContext(3), 3, 2, [[0, 0, 1]],
+                         phi_matrix=[[0, 1, 0], [2, 0, 0], [0, 0, 3]])
+    for trivial in (False, True):
+        assert image_condition_at_zero(fd, [1], [3],
+                                       trivial_character=trivial)
+    construct_admissible(setup)
+    construct_strongly_admissible(setup)
+    assert calls == []
 
 
 def test_random_instances_pass_full_battery():
