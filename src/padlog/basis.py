@@ -601,13 +601,14 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
 
 
 def _complement_indices(setup: LatticeSetup):
-    """Standard vectors extending fil0_dual to a basis mod p, greedily."""
+    """Standard vectors extending fil0_dual to a basis mod p, greedily;
+    the rows keep full rank mod p, as LatticeSetup checks fil0_dual."""
     p = setup.ctx.p
     rows = [list(v) for v in setup.fil0_dual]
     chosen = []
     for i in range(setup.g):
         e = [Fraction(1) if j == i else Fraction(0) for j in range(setup.g)]
-        if fp_rank(rows + [e], p) > fp_rank(rows, p):
+        if fp_rank(rows + [e], p) > len(rows):
             rows.append(e)
             chosen.append(i)
         if len(chosen) == setup.g_minus:

@@ -13,7 +13,9 @@ one absolute precision N for the whole vector.  Fractions are formed
 only to round the result: each output coefficient is rounded once at
 N, less the digits a non-p-integral matrix could lose (none when
 admitted); a zero one is O(p^N).  The checks decide on the exact
-forms, with one certification rule (_first_unresolved).
+forms, with one certification rule (_first_unresolved): a certified
+nonzero anywhere in the vector, found by linalg.form_witness, comes
+before an indeterminate verdict.
 
 The factorization result is unique only modulo the kernel of the
 forward map; the kernel_tag records that, and kernel_basis computes an
@@ -29,6 +31,7 @@ from .linalg import (
     form_mod,
     form_mul,
     form_sub,
+    form_witness,
     pseudo_divmod,
     vp_frac,
     zp_nullspace,
@@ -107,20 +110,16 @@ def _as_classes(fd: FrobeniusData, n: int, comps):
 
 def _first_unresolved(x, p: int, N, cutoff: int):
     """The certification rule on a column form x known modulo p^N: the
-    first component with a coefficient j of valuation below N gives
-    (i, j, "nonzero"), failing that N < cutoff gives (i, 0,
-    "indeterminate"), and None means x is certified zero."""
-    X, d = x
-    # c / d has valuation below N iff c is nonzero mod p^(N + v_p(d))
-    k = N + vp_frac(d, p)
-    m = None if k == INF else p ** max(k, 0)
-    for i, (f,) in enumerate(X):
-        j = next((j for j, c in enumerate(f)
-                  if (c if m is None else c % m)), None)
-        if j is not None:
-            return i, j, "nonzero"
-        if N < cutoff:
-            return i, 0, "indeterminate"
+    first coefficient j of valuation below N, in any component i, gives
+    (i, j, "nonzero"); failing that, N < cutoff gives (0, 0,
+    "indeterminate") when x has a component, and None means x is
+    certified zero."""
+    witness = form_witness(x, p, N)
+    if witness:
+        return witness[0], witness[2], "nonzero"
+    if N < cutoff and x[0]:
+        return 0, 0, "indeterminate"
+    return None
 
 
 def _apply(M, x, p: int, n: int):
@@ -217,16 +216,12 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
     comps = _embed(fd.ctx, n, y, N)
     # nonintegral below valuation min(N, 0), looked for in every
     # coefficient first; at N < 0 nothing else certifies
-    Y, d = y
-    vd = vp_frac(d, p)
-    for i, (f,) in enumerate(Y):
-        for j, c in enumerate(f):
-            v = vp_frac(c, p) - vd
-            if v < min(N, 0):
-                raise NotIntegral(
-                    f"component {i}, coefficient {j} has valuation {v}",
-                    witness=(i, j, repr(comps[i].rep.coeffs[j])),
-                )
+    bad = form_witness(y, p, min(N, 0))
+    if bad:
+        (Y, d), (i, _, j) = y, bad
+        v = vp_frac(Y[i][0][j], p) - vp_frac(d, p)
+        raise NotIntegral(f"component {i}, coefficient {j} has valuation {v}",
+                          witness=(i, j, repr(comps[i].rep.coeffs[j])))
     if N < 0:
         raise PrecisionLoss(
             f"cannot certify integrality at absolute precision {N}")

@@ -7,13 +7,16 @@ Polynomial matrices are integer forms (below).
 The exact layer works on Fractions and is the decision engine.  One
 fraction-free elimination (Bareiss), behind every determinant, puts each
 row over one denominator and runs on the integer numerators; it gives
-the rank, the determinant and an integer row echelon form.  One
-back-substitution turns that into the reduced form over the rationals,
-from which the inverse, the solution of a square system and the
-canonical nullspace basis are read.  Over Z_(p) one integer elimination,
-pivoting on an entry of least valuation, gives the saturated nullspace
-(the Coleman kernel), the rank over F_p (its unit pivots) and the
-integral solve (a kernel vector with a unit last coordinate).
+the rank, the determinant and an integer row echelon form.  Over Z_(p)
+one integer elimination, pivoting on an entry of least valuation, gives
+the rank over F_p (its unit pivots) and an echelon form with unit
+pivots.  One integer back-substitution follows either pass.  The
+inverse and the solution of a square system are read off its rows, and
+one kernel readout gives primitive integer kernel vectors: the
+canonical nullspace basis over the rationals, and over Z_(p) the
+saturated nullspace (the Coleman kernel) and the integral solve (a
+kernel vector with a unit last coordinate).  Fractions are formed only
+at output.
 Characteristic polynomials (polynomial determinants) and Newton
 polygons complete the admission gate's toolkit.
 
@@ -24,10 +27,12 @@ antidiagonal checks and the Wach twist all compute on forms, with the
 few operations defined here: a constant matrix or a matrix of Fraction
 polynomials as a form, a product mod X^T (canonical: d is prime to the
 content of N), a difference over the common denominator, the remainder
-mod a monic integer polynomial, the value at zero, and a form out as
-Fractions.  They run on an integer polynomial core: a sum of products
-mod X^T, the Kronecker-substituted determinant and a pseudo-division.
-Fractions are formed only where a result leaves the library.
+mod a monic integer polynomial, the value at zero, a form out as
+Fractions, and the witness scan that every exact verdict reads
+(form_witness).  They run on an integer polynomial core: a sum of
+products mod X^T, the Kronecker-substituted determinant and a
+pseudo-division.  Fractions are formed only where a result leaves the
+library.
 """
 
 from __future__ import annotations
@@ -163,18 +168,36 @@ def _echelon(A):
 
 
 def _back_substitute(M, pivots):
-    """The reduced form of an integer row echelon form, in place: scale
-    each pivot row by Fraction(1, pivot) and clear the entries above the
-    pivot, last pivot first."""
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        inv = Fraction(1, M[r][c])
-        M[r] = [x * inv for x in M[r]]
-        for i in range(r):
-            if M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+    """Clear the entries above each pivot of the integer echelon form M,
+    in place, last pivot first: row <- a * row - f * pivot row, a the
+    pivot and f the row's entry above it, then divided by its content.
+    Row r over its entry in column pivots[r] is the reduced form."""
+    for k in reversed(range(len(pivots))):
+        low, c = M[k], pivots[k]
+        a = low[c]
+        for i in range(k):
+            f = M[i][c]
+            if f:
+                row = [a * x - f * y for x, y in zip(M[i], low)]
+                g = gcd(*row)
+                M[i] = [x // g for x in row]
     return M
+
+
+def _kernel(M, pivots, cols: int):
+    """(fc, vector) for each free column fc of the output M of
+    _back_substitute, with cols columns: the primitive integer kernel
+    vector that is positive at fc and 0 at the other free columns."""
+    L = lcm(*{row[c] for row, c in zip(M, pivots)})
+    basis = []
+    for fc in sorted(set(range(cols)) - set(pivots)):
+        vec = [0] * cols
+        vec[fc] = L
+        for row, c in zip(M, pivots):
+            vec[c] = -row[fc] * (L // row[c])
+        g = gcd(*vec)
+        basis.append((fc, [x // g for x in vec]))
+    return basis
 
 
 def frac_rank(A) -> int:
@@ -196,7 +219,8 @@ def frac_inv(A):
     M, pivots, _ = _echelon(aug)
     if pivots != list(range(n)):
         raise SingularOperator("matrix is not invertible")
-    return [row[n:] for row in _back_substitute(M, pivots)]
+    _back_substitute(M, pivots)
+    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(M)]
 
 
 def frac_solve(A, b):
@@ -208,28 +232,18 @@ def frac_solve(A, b):
     M, pivots, _ = _echelon([list(row) + [bb] for row, bb in zip(A, b)])
     if pivots != list(range(n)):
         raise SingularOperator("singular system")
-    return [row[n] for row in _back_substitute(M, pivots)]
+    _back_substitute(M, pivots)
+    return [Fraction(row[n], row[r]) for r, row in enumerate(M)]
 
 
 def frac_nullspace(A):
     """Basis of the right kernel of A over the rationals: one vector per
     non-pivot column, equal to 1 there and to 0 at the other non-pivot
     columns."""
+    _, cols = mat_shape(A)
     M, pivots, _ = _echelon(A)
-    if not M:
-        return []
-    M = _back_substitute(M, pivots)
-    cols = len(M[0])
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * cols
-        vec[fc] = Fraction(1)
-        for ri, pc in enumerate(pivots):
-            vec[pc] = -M[ri][fc]
-        basis.append(vec)
-    return basis
+    return [[Fraction(x, vec[fc]) for x in vec]
+            for fc, vec in _kernel(_back_substitute(M, pivots), pivots, cols)]
 
 
 def frac_charpoly(A):
@@ -452,6 +466,22 @@ def form_valuation(A, p: int):
     return vp_frac(content, p) - vp_frac(d, p)
 
 
+def form_witness(A, p: int, N=INF):
+    """(i, j, k): the first coefficient of the integer form A = X / d,
+    entry by entry and row by row, whose value c / d has valuation below
+    N; at N = INF, the first nonzero one.  None when there is none, and
+    at once when p^(N + v_p(d)) <= 1, as c / d has valuation below N
+    exactly when c is nonzero mod that power."""
+    X, d = A
+    e = N + vp_frac(d, p)
+    if e <= 0:
+        return None
+    m = None if e == INF else p ** e
+    return next(((i, j, k) for i, row in enumerate(X)
+                 for j, f in enumerate(row) for k, c in enumerate(f)
+                 if (c if m is None else c % m)), None)
+
+
 def form_depth(A, p: int):
     """min(0, form_valuation): the digits a product with A can lose."""
     return min(0, form_valuation(A, p))
@@ -611,32 +641,12 @@ def zp_nullspace(A, p: int):
     exact and invertible over Z_(p), and each new row is divided by the
     part of its content prime to p.  Every entry of a pivot row then has
     valuation at least v, so the row divided by p^v has a unit pivot,
-    and back-substitution on those rows stays integral.  The result has
+    and _back_substitute on those rows stays integral.  The result has
     one vector per free column, primitive and positive there and 0 at
     the other free columns; that unit diagonal makes it saturated.
     """
     _, cols = mat_shape(A)
-    echelon = [(row, c) for row, c, _ in _zp_echelon(A, p)]
-    for k in reversed(range(len(echelon))):
-        low, c = echelon[k]
-        u = low[c]
-        for i in range(k):
-            row, ci = echelon[i]
-            if row[c]:
-                f = row[c]
-                row = [u * x - f * y for x, y in zip(row, low)]
-                g = gcd(*row)
-                echelon[i] = ([x // g for x in row], ci)
-    pivots = {c for _, c in echelon}
-    L = lcm(*{row[c] for row, c in echelon})
-    basis = []
-    for fc in range(cols):
-        if fc in pivots:
-            continue
-        vec = [0] * cols
-        vec[fc] = L
-        for row, c in echelon:
-            vec[c] = -row[fc] * (L // row[c])
-        g = gcd(*vec)
-        basis.append([x // g for x in vec])
-    return basis
+    echelon = _zp_echelon(A, p)
+    pivots = [c for _, c, _ in echelon]
+    M = _back_substitute([row for row, _, _ in echelon], pivots)
+    return [vec for _, vec in _kernel(M, pivots, cols)]

@@ -53,6 +53,7 @@ from .linalg import (
     form_mul,
     form_sub,
     form_valuation,
+    form_witness,
     frac_det,
     frac_identity,
     frac_inv,
@@ -64,7 +65,6 @@ from .linalg import (
     integer_matrix,
     mat_mul,
     newton_lower_hull,
-    pseudo_divmod,
     vp_frac,
     zp_solve_integral,
 )
@@ -304,10 +304,6 @@ def build_Cn(fd: FrobeniusData, n: int):
     return fd.tower.C(n)
 
 
-def _first_nonzero(f):
-    return next((k for k, c in enumerate(f) if c), None)
-
-
 class LogMatrixApprox:
     """Level-n approximant as XSeries views: the polynomial matrix and
     its classes modulo omega_n."""
@@ -336,9 +332,9 @@ def build_Mn(fd: FrobeniusData, n: int) -> LogMatrixApprox:
 def _at_zero_witness(fd: FrobeniusData, M):
     """(i, j, detail) at the first entry where M(0) != C_phi, or None."""
     diff, d = form_sub(form_at_zero(M), fd.tower.cphi_power(1))
-    return next(((i, j, f"M_n(0) - C_phi = {Fraction(e[0], d)}")
-                 for i, row in enumerate(diff)
-                 for j, e in enumerate(row) if e), None)
+    w = form_witness((diff, d), fd.ctx.p)
+    return w and (*w[:2],
+                  f"M_n(0) - C_phi = {Fraction(diff[w[0]][w[1]][0], d)}")
 
 
 def check_evaluation(approx: LogMatrixApprox):
@@ -357,8 +353,8 @@ def verify_stabilization(fd, n: int, m: int) -> bool:
 
 def _stabilizes(p: int, n: int, low, high) -> bool:
     """True iff the integer forms M_m (high) = M_n (low) mod omega_n."""
-    rem, _ = form_mod(form_sub(high, low), omega_ints(p, n))
-    return not any(e for row in rem for e in row)
+    return form_witness(form_mod(form_sub(high, low), omega_ints(p, n)),
+                        p) is None
 
 
 def _closed_det(fd: FrobeniusData, n: int):
@@ -378,18 +374,20 @@ def det_Mn(fd: FrobeniusData, n: int):
     """Determinant of M_n = N / d, det N / d^size, against the closed
     form, both as polynomials and modulo omega_n, on 1 x 1 integer forms.
     The verdicts are exact; det and closed_form are XSeries views."""
+    p = fd.ctx.p
     N, d = fd.tower.M(n)
     det = [[cofactor_det(N)]], d ** fd.size
     closed = _closed_det(fd, n)
-    diff = form_sub(det, closed)[0][0][0]
-    rem = pseudo_divmod(diff, omega_ints(fd.ctx.p, n))[1]
+    diff = form_sub(det, closed)
+    witness = form_witness(diff, p)
     return {
         "n": n,
         "det": form_views(fd.ctx, det)[0][0],
         "closed_form": form_views(fd.ctx, closed)[0][0],
-        "raw_match": not diff,
-        "reduced_match": not rem,
-        "witness": _first_nonzero(diff),
+        "raw_match": witness is None,
+        "reduced_match": form_witness(form_mod(diff, omega_ints(p, n)),
+                                      p) is None,
+        "witness": witness and witness[2],
     }
 
 
@@ -406,13 +404,20 @@ def min_coeff_valuation(approx: LogMatrixApprox):
 
 
 def _validate_adapted(fd: FrobeniusData, B):
+    """(B, B^-1) for a filtration-adapted B, from one elimination: for a
+    p-integral B, det B is a unit exactly when B is invertible with a
+    p-integral inverse (det B det B^-1 = 1, B^-1 = adj B / det B)."""
     p = fd.ctx.p
     B = frac_mat(B)
     if len(B) != fd.size or any(len(row) != fd.size for row in B):
         raise InputError(f"B must be {fd.size}x{fd.size}")
     if any(vp_frac(x, p) < 0 for row in B for x in row):
         raise NotFiltrationAdapted("B is not p-integral")
-    if vp_frac(frac_det(B), p) != 0:
+    try:
+        B_inv = frac_inv(B)
+    except SingularOperator:
+        B_inv = None
+    if B_inv is None or any(vp_frac(x, p) < 0 for row in B_inv for x in row):
         raise NotFiltrationAdapted("det(B) is not a unit")
     for i in range(fd.fil_dim, fd.size):
         for j in range(fd.fil_dim):
@@ -420,7 +425,7 @@ def _validate_adapted(fd: FrobeniusData, B):
                 raise NotFiltrationAdapted(
                     f"lower-left block entry ({i}, {j}) is nonzero"
                 )
-    return B
+    return B, B_inv
 
 
 def conjugated_instance(fd: FrobeniusData, B) -> FrobeniusData:
@@ -446,8 +451,7 @@ def _conjugation(fd: FrobeniusData, B):
     p-integral, so C_w is when C is; det C_w = det C; and C_w Delta^-1 =
     B C_phi B^-1 has the characteristic polynomial of C_phi.
     """
-    B = _validate_adapted(fd, B)
-    B_inv = frac_inv(B)
+    B, B_inv = _validate_adapted(fd, B)
     f, p = fd.fil_dim, fd.ctx.p
     (NB, b), (NB_inv, b_inv) = integer_matrix(B), integer_matrix(B_inv)
     (NC, c), (NC_inv, c_inv) = integer_matrix(fd.C), integer_matrix(fd.C_inv)
@@ -499,17 +503,15 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     adapted block form.
     """
     B, B_inv, fd_w = _conjugation(fd, B)
-    left, right = form_const(B), form_const(B_inv)
+    left, right, p = form_const(B), form_const(B_inv), fd.ctx.p
     # a negative level fails first, then the budget at the top level
     order = sorted(levels, key=lambda n: (n >= 0, -n))
     mv, mw = ({n: inst.tower.M(n) for n in order} for inst in (fd, fd_w))
     per_level = {}
     for n in levels:
         diff = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])
-        rem, _ = form_mod(diff, omega_ints(fd.ctx.p, n))
-        witness = next(((i, j, _first_nonzero(e)) for i, row in enumerate(rem)
-                        for j, e in enumerate(row) if e), None)
-        per_level[n] = {"exact": not any(e for row in diff[0] for e in row),
+        witness = form_witness(form_mod(diff, omega_ints(p, n)), p)
+        per_level[n] = {"exact": form_witness(diff, p) is None,
                         "mod_omega": witness is None, "witness": witness}
     all_exact = all(lev["exact"] for lev in per_level.values())
     return {

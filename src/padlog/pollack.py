@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .errors import InputError
 from .linalg import form_sub
-from .logmatrix import FrobeniusData, _at_zero_witness, _first_nonzero
+from .logmatrix import FrobeniusData, _at_zero_witness
 from .padic import PadicContext
 from .series import XSeries, cyclo_product_ints, form_views
 
@@ -126,8 +126,8 @@ def verify_antidiagonal(fd: FrobeniusData, n: int) -> dict:
     for i in (0, 1):
         for j in (0, 1):
             if diff[i][j]:
-                witnesses[f"{i},{j}"] = ("nonzero",
-                                         _first_nonzero(diff[i][j]))
+                witnesses[f"{i},{j}"] = (
+                    "nonzero", next(k for k, c in enumerate(diff[i][j]) if c))
     report["entries_match_closed_form"] = not witnesses
     if witnesses:
         report["mismatches"] = witnesses

@@ -69,6 +69,18 @@ def _field(record: dict, name: str, where: str):
     return record[name]
 
 
+def _rational_rows(rows: list, where: str, kind: str):
+    """The list rows at path where as rows of Fractions; a row that is
+    not a list raises "expected a <kind>"."""
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise InputError(f"{where}[{i}]: expected a {kind}")
+        out.append([as_fraction(x, f"{where}[{i}][{j}]")
+                    for j, x in enumerate(row)])
+    return out
+
+
 def context_from_record(record: dict, where: str = "input") -> PadicContext:
     p = as_int(_field(record, "p", where), f"{where}.p")
     rel = as_int(record.get("rel_prec", 20), f"{where}.rel_prec")
@@ -89,12 +101,7 @@ def instance_from_record(record: dict, where: str = "input",
     C = _field(record, "C", where)
     if not isinstance(C, list) or not C:
         raise InputError(f"{where}.C: expected a nonempty matrix")
-    rows = []
-    for i, row in enumerate(C):
-        if not isinstance(row, list):
-            raise InputError(f"{where}.C[{i}]: expected a row")
-        rows.append([as_fraction(x, f"{where}.C[{i}][{j}]")
-                     for j, x in enumerate(row)])
+    rows = _rational_rows(C, f"{where}.C", "row")
     d0 = as_int(_field(record, "d0", where), f"{where}.d0")
     r = as_int(record.get("r", 1), f"{where}.r")
     if "d" in record:
@@ -168,23 +175,13 @@ def setup_from_record(record: dict, where: str = "input") -> LatticeSetup:
     fil = _field(record, "fil0_dual", where)
     if not isinstance(fil, list):
         raise InputError(f"{where}.fil0_dual: expected a list of vectors")
-    fil_rows = []
-    for i, row in enumerate(fil):
-        if not isinstance(row, list):
-            raise InputError(f"{where}.fil0_dual[{i}]: expected a vector")
-        fil_rows.append([as_fraction(x, f"{where}.fil0_dual[{i}][{j}]")
-                         for j, x in enumerate(row)])
+    fil_rows = _rational_rows(fil, f"{where}.fil0_dual", "vector")
     phi = record.get("phi_matrix")
     phi_rows = None
     if phi is not None:
         if not isinstance(phi, list):
             raise InputError(f"{where}.phi_matrix: expected a matrix")
-        phi_rows = []
-        for i, row in enumerate(phi):
-            if not isinstance(row, list):
-                raise InputError(f"{where}.phi_matrix[{i}]: expected a row")
-            phi_rows.append([as_fraction(x, f"{where}.phi_matrix[{i}][{j}]")
-                             for j, x in enumerate(row)])
+        phi_rows = _rational_rows(phi, f"{where}.phi_matrix", "row")
     try:
         return LatticeSetup(ctx, g, g_minus, fil_rows, phi_rows)
     except InputError as exc:

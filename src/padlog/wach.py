@@ -66,9 +66,9 @@ from .linalg import (
     form_mul,
     form_sub,
     form_to_fractions,
+    form_witness,
     int_dot,
     int_trim,
-    vp_frac,
 )
 from .logmatrix import FrobeniusData, _stabilizes
 from .padic import PadicContext, PadicScalar
@@ -217,22 +217,6 @@ def _identity(size: int):
                        for i in range(size)])
 
 
-def _pmat_integral(A, p: int):
-    """First non p-integral coefficient of the integer form A, or None
-    when all are."""
-    N, d = A
-    v = vp_frac(d, p)
-    if v:
-        pv = p ** v
-        for i, row in enumerate(N):
-            for j, e in enumerate(row):
-                for k, c in enumerate(e):
-                    if c % pv:
-                        return {"entry": (i, j), "degree": k,
-                                "value": str(Fraction(c, d))}
-    return None
-
-
 def _constant_term(A):
     """The value at zero of the integer form A, as strings."""
     return [[str(e[0]) if e else "0" for e in row]
@@ -363,7 +347,11 @@ class WachMatrixTower:
         S = _power_matrix(_binom_shift(c, T), T, T)
         G = form_mul(Minv, _act(lambda e: _substitute(e, S, T), (N, d)), T)
         p = self.fd.ctx.p
-        bad = _pmat_integral(G, p)
+        bad = form_witness(G, p, 0)  # the first non p-integral coefficient
+        if bad:
+            i, j, k = bad
+            bad = {"entry": (i, j), "degree": k,
+                   "value": str(Fraction(G[0][i][j][k], G[1]))}
         const_ok = form_at_zero(G) == _identity(size)
         if not gamma.is_integer:
             depth = form_depth((N, d), p) + form_depth(Minv, p)
@@ -460,11 +448,9 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
                    trunc)
     rhs = form_mul(form_mul(Gn1, gqP, trunc), _diagonal(q, 1, fd.size),
                    trunc)
-    diff, _ = form_sub(lhs, rhs)
-    mismatch = next(({"entry": (i, j),
-                      "degree": next(k for k, c in enumerate(e) if c)}
-                     for i, row in enumerate(diff)
-                     for j, e in enumerate(row) if e), None)
+    mismatch = form_witness(form_sub(lhs, rhs), p)
+    if mismatch:
+        mismatch = {"entry": mismatch[:2], "degree": mismatch[2]}
     return {"n": n, "trunc": trunc, "ok": mismatch is None,
             "mismatch": mismatch}
 

@@ -30,6 +30,7 @@ from padlog import (
     tower_projection_check,
 )
 from padlog.cli import main
+from padlog.coleman import _first_unresolved
 from padlog.linalg import fp_rank
 from padlog.logmatrix import log_matrix_in_basis, min_coeff_valuation
 from padlog.serialize import vector_from_record
@@ -401,6 +402,27 @@ def test_factor_level_verdicts_at_precision_three():
         factor_level(fd, 1, vector([30, 3, 1]), cutoff=5)
     with pytest.raises(NotInImage):
         factor_level(fd, 1, vector([1]))
+
+
+def test_a_nonzero_remainder_is_not_masked_by_an_earlier_component():
+    # every component is searched for a certified nonzero before the
+    # precision falls back to indeterminate: the zeros are known modulo
+    # 3 only, yet a unit in either scaled component is not in the image
+    fd = random_instance(3, 4, 2, 1)
+    ctx = fd.ctx
+    z = XSeries(ctx, [ctx.zero(1)])
+    u = XSeries(ctx, [ctx.from_rational(1, 1)])
+    for vector in ([z, z, z, u], [z, z, u, z]):
+        with pytest.raises(NotInImage):
+            factor_level(fd, 1, vector, cutoff=2)
+    with pytest.raises(PrecisionLoss):
+        factor_level(fd, 1, [z, z, z, z], cutoff=2)
+    # the column (0, 3X): 3 is nonzero below N = 2 and zero modulo 3^1
+    x = ([[[]], [[0, 3]]], 1)
+    assert _first_unresolved(x, 3, 2, 2) == (1, 1, "nonzero")
+    assert _first_unresolved(x, 3, 1, 2) == (0, 0, "indeterminate")
+    assert _first_unresolved(x, 3, 1, 1) is None
+    assert _first_unresolved(([], 1), 3, 1, 2) is None
 
 
 @pytest.mark.parametrize("fd", [

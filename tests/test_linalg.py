@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padlog import InputError, NotInImage, SingularOperator
+from padlog import INF, InputError, NotInImage, SingularOperator
 from padlog.linalg import (
     cofactor_det,
     form_from_fractions,
     form_mul,
     form_sub,
     form_to_fractions,
+    form_witness,
     fp_rank,
     fpoly_mul,
     frac_charpoly,
@@ -706,3 +707,25 @@ def test_integer_remainder_mod_omega_matches_the_oracle():
             F = [rng.randrange(-10 ** 6, 10 ** 6) for _ in range(length)]
             assert (pseudo_divmod(F, omega_ints(p, n))[1]
                     == pdivmod(F, omega_oracle(p, n))[1])
+
+
+def test_form_witness_reads_valuations_over_the_denominator():
+    # X / 9 at p = 3: the coefficients 27/9, 9/9 and 1/9 have valuations
+    # 1, 0 and -2; row by row, entry (0, 1) comes before entry (1, 0)
+    A = ([[[0, 27], [9]],
+          [[1], [0, 0, 9]]], 9)
+    assert form_witness(A, 3, 2) == (0, 0, 1)
+    assert form_witness(A, 3, 1) == (0, 1, 0)
+    assert form_witness(A, 3, 0) == (1, 0, 0)
+    assert form_witness(A, 3, -1) == (1, 0, 0)
+    # nothing has valuation below -v_p(d) = -2
+    assert form_witness(A, 3, -2) is None
+    assert form_witness(A, 3, -5) is None
+    # at N = INF any nonzero coefficient is one, however divisible
+    assert form_witness(A, 3, INF) == (0, 0, 1)
+    assert form_witness(A, 3) == (0, 0, 1)
+    assert form_witness(([[[0, 0, 3 ** 40]]], 1), 3) == (0, 0, 2)
+    assert form_witness(([[[], [0]]], 5), 3) is None
+    # a denominator prime to p: valuation below 0 is impossible
+    assert form_witness(([[[1, 2]]], 5), 3, 0) is None
+    assert form_witness(([[[3, 2]]], 5), 3, 1) == (0, 0, 1)

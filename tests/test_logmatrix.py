@@ -332,8 +332,15 @@ def test_conjugation_rejects_non_adapted():
     fd = pollack_fd()
     with pytest.raises(NotFiltrationAdapted):
         conjugate_basis_check(fd, [[1, 0], [1, 1]])
-    with pytest.raises(NotFiltrationAdapted):
-        conjugated_instance(fd, [[3, 0], [0, 1]])  # det not a unit
+    # a det that is not a unit, including the singular adapted-shaped
+    # [[1, 1], [0, 0]], fails as such (never as a singular operator),
+    # and before the block form is looked at
+    for B in ([[3, 0], [0, 1]], [[1, 0], [0, 9]], [[1, 1], [0, 0]],
+              [[1, 0], [1, 0]]):
+        for check in (conjugate_basis_check, conjugated_instance):
+            with pytest.raises(NotFiltrationAdapted) as exc:
+                check(fd, B)
+            assert str(exc.value) == "det(B) is not a unit"
 
 
 def test_conjugated_instance_passes_gate():

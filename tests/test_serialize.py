@@ -144,6 +144,26 @@ def test_setup_from_record():
         setup_from_record({"p": 3, "g": 3, "g_minus": 2}, "s")
 
 
+@pytest.mark.parametrize("field, kind", [
+    ("C", "row"), ("fil0_dual", "vector"), ("phi_matrix", "row"),
+])
+def test_rational_matrix_errors_name_their_path(field, kind):
+    good = {"p": 3, "d0": 1, "C": [["0", "-1"], ["1", "0"]], "g": 3,
+            "g_minus": 2, "fil0_dual": [["0", "0", "1"]],
+            "phi_matrix": [["1", "0", "0"], ["0", "1", "0"],
+                           ["0", "0", "1"]]}
+    load = instance_from_record if field == "C" else setup_from_record
+    for rows, message in [
+        ([["0", "0", "1"], "1"], f"input.{field}[1]: expected a {kind}"),
+        ([["0", "0", "x"]], f"input.{field}[0][2]: not a rational: 'x'"),
+        ([["0", "0", True]],
+         f"input.{field}[0][2]: expected a rational, got a boolean"),
+    ]:
+        with pytest.raises(InputError) as exc:
+            load({**good, field: rows}, "input")
+        assert str(exc.value) == message
+
+
 def test_write_and_read_json(tmp_path):
     path = str(tmp_path / "obj.json")
     write_json(path, {"a": [1, 2], "b": Fraction(1, 3)})
