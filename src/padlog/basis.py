@@ -249,8 +249,9 @@ class LatticeSetup:
 def _subset_certificates(setup: LatticeSetup, vectors, kind: str):
     """Run the determinant test over every index subset of size g_minus.
 
-    The matrix for subset I has the chosen vectors as its first columns
-    and the fil0_dual vectors as the remaining ones.
+    The determinant for subset I is taken on the chosen vectors followed
+    by the fil0_dual vectors as rows, the transpose of the column matrix
+    (det A^T = det A).
     """
     g, m = setup.g, setup.g_minus
     tau = setup.ctx.rel_prec - g
@@ -258,9 +259,7 @@ def _subset_certificates(setup: LatticeSetup, vectors, kind: str):
     admissible = True
     saturated = True
     for I in itertools.combinations(range(1, g + 1), m):
-        cols = [vectors[i - 1] for i in I] + [list(v) for v in setup.fil0_dual]
-        mat = [[cols[j][i] for j in range(g)] for i in range(g)]
-        det = frac_det(mat)
+        det = frac_det([vectors[i - 1] for i in I] + list(setup.fil0_dual))
         val = vp_frac(det, setup.ctx.p)
         if det == 0:
             certs.append(SubsetCertificate(I, det, INF, False, False))
@@ -282,6 +281,14 @@ def _subset_certificates(setup: LatticeSetup, vectors, kind: str):
         kind, tuple(certs), admissible, admissible and saturated)
 
 
+def _family(setup: LatticeSetup, vectors):
+    """The g candidate vectors as lists of Fractions."""
+    vecs = [_as_vec(v, setup.g, "candidate vector") for v in vectors]
+    if len(vecs) != setup.g:
+        raise InputError(f"expected {setup.g} vectors, got {len(vecs)}")
+    return vecs
+
+
 def is_admissible(setup: LatticeSetup, vectors) -> AdmissibilityCertificate:
     """Certify admissibility of a family of g lattice vectors.
 
@@ -289,19 +296,14 @@ def is_admissible(setup: LatticeSetup, vectors) -> AdmissibilityCertificate:
     nonzero determinant is too deep in p to classify at the working
     precision.
     """
-    vecs = [_as_vec(v, setup.g, "candidate vector") for v in vectors]
-    if len(vecs) != setup.g:
-        raise InputError(f"expected {setup.g} vectors, got {len(vecs)}")
-    return _subset_certificates(setup, vecs, "plain")
+    return _subset_certificates(setup, _family(setup, vectors), "plain")
 
 
 def is_strongly_admissible(setup: LatticeSetup,
                            vectors) -> StrongAdmissibilityCertificate:
     """Certify both the plain family and its transport under
     T = (1 - phi)^{-1} (p phi - 1)."""
-    vecs = [_as_vec(v, setup.g, "candidate vector") for v in vectors]
-    if len(vecs) != setup.g:
-        raise InputError(f"expected {setup.g} vectors, got {len(vecs)}")
+    vecs = _family(setup, vectors)
     T = setup.transport_operator()
     return _strong_certificate(setup, vecs, [_transport(T, v) for v in vecs])
 
@@ -435,8 +437,7 @@ def merge_complement(ctx: PadicContext, rank: int, W1, v1, W2, v2,
             raise InputError(f"{name} needs exactly rank-1 independent vectors")
 
     def bordered_det(rows, vec) -> Fraction:
-        mat = [list(r) for r in rows] + [list(vec)]
-        return frac_det(mat)
+        return frac_det(rows + [vec])
 
     x1 = bordered_det(W1rows, v1)
     x2 = bordered_det(W2rows, v2)
@@ -539,7 +540,7 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
         _integral_vec(_as_vec(v, m, "basis vector"), ctx.p, "basis vector")
         for v in W_basis
     ]
-    det0 = frac_det([list(r) for r in basis])
+    det0 = frac_det(basis)
     if det0 == 0 or vp_frac(det0, ctx.p) != 0:
         raise InputError("W_basis is not a basis (determinant not a unit)")
     if k == 0:
@@ -549,7 +550,7 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
 
     def all_subset_dets_ok(vectors, want_units: bool) -> bool:
         for sub in itertools.combinations(vectors, m):
-            det = frac_det([[col[i] for col in sub] for i in range(m)])
+            det = frac_det(sub)
             if det == 0:
                 return False
             if want_units and vp_frac(det, p) != 0:
@@ -606,8 +607,7 @@ def _complement_indices(setup: LatticeSetup):
     p = setup.ctx.p
     rows = [list(v) for v in setup.fil0_dual]
     chosen = []
-    for i in range(setup.g):
-        e = [Fraction(1) if j == i else Fraction(0) for j in range(setup.g)]
+    for i, e in enumerate(frac_identity(setup.g)):
         if fp_rank(rows + [e], p) > len(rows):
             rows.append(e)
             chosen.append(i)
@@ -632,13 +632,11 @@ def construct_admissible(setup: LatticeSetup) -> CandidateBasis:
     comp = _complement_indices(setup)
     # change of coordinates: rows are the complement standard vectors
     # followed by fil0_dual; unimodular by the greedy construction
-    A = [[Fraction(1) if j == i else Fraction(0) for j in range(g)]
-         for i in comp]
-    A += [list(v) for v in setup.fil0_dual]
-    ident = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    ext, achieved = generic_position_extend(setup.ctx, ident, setup.g_plus,
-                                            mode="auto")
-    Ainv = frac_inv(frac_mat(A))
+    ident = frac_identity(g)
+    A = [ident[i] for i in comp] + list(setup.fil0_dual)
+    ext, achieved = generic_position_extend(setup.ctx, frac_identity(m),
+                                            setup.g_plus, mode="auto")
+    Ainv = frac_inv(A)
     vectors = []
     for idx, w in enumerate(ext):
         coords = list(w) + [Fraction(0)] * setup.g_plus
@@ -653,8 +651,7 @@ def construct_admissible(setup: LatticeSetup) -> CandidateBasis:
     if not cert.admissible:
         raise SearchExhausted(
             "constructed family failed its own admissibility certificate")
-    basis_det = frac_det([[Fraction(vectors[j][i]) for j in range(g)]
-                          for i in range(g)])
+    basis_det = frac_det(vectors)
     is_basis = basis_det != 0 and vp_frac(basis_det, setup.ctx.p) == 0
     return CandidateBasis(
         vectors=tuple(tuple(v) for v in vectors),
@@ -696,7 +693,7 @@ def construct_strongly_admissible(setup: LatticeSetup,
         return vecs, moved
 
     def finish(vecs, moved):
-        det = frac_det([[vecs[j][i] for j in range(g)] for i in range(g)])
+        det = frac_det(vecs)
         if det == 0 or vp_frac(det, p) != 0:
             return None
         cert = _strong_certificate(setup, vecs, moved)

@@ -1,8 +1,9 @@
 """Finite-level signed-Coleman factorization.
 
 forward multiplies a coordinate vector by C_n ... C_1 inside the level-n
-quotient; factor_level inverts that product stage by stage, dividing the
-scaled block by Phi_{p^k} and multiplying by C at each stage k = n..1.
+quotient, and roundtrip_check reads both of its images through it;
+factor_level inverts that product stage by stage, dividing the scaled
+block by Phi_{p^k} and multiplying by C at each stage k = n..1.
 Division happens on the degree-reduced representative, which is sound
 because Phi_{p^k} divides omega_n: a class is divisible iff its reduced
 representative is divisible as a polynomial.
@@ -18,8 +19,9 @@ nonzero anywhere in the vector, found by linalg.form_witness, comes
 before an indeterminate verdict.
 
 The factorization result is unique only modulo the kernel of the
-forward map; the kernel_tag records that, and kernel_basis computes an
-explicit saturated basis for small sizes.
+forward map; the kernel_tag of a ColemanVector records that, and
+kernel_basis computes an explicit saturated basis for small sizes.
+RegulatorVector and ColemanVector check their components alike.
 """
 
 from __future__ import annotations
@@ -47,18 +49,23 @@ from .series import (
 )
 
 
+def _check_components(level: int, components):
+    """The components as a tuple, each a class at the level."""
+    components = tuple(components)
+    for c in components:
+        if not isinstance(c, LambdaNElement) or c.level != level:
+            raise InputError("components must be classes at the level")
+    return components
+
+
 class RegulatorVector:
     """Level-n vector of finite-level classes (the regulator side)."""
 
     __slots__ = ("level", "components")
 
     def __init__(self, level: int, components):
-        components = tuple(components)
-        for c in components:
-            if not isinstance(c, LambdaNElement) or c.level != level:
-                raise InputError("components must be classes at the level")
+        self.components = _check_components(level, components)
         self.level = level
-        self.components = components
 
 
 class ColemanVector:
@@ -67,12 +74,8 @@ class ColemanVector:
     __slots__ = ("level", "components", "kernel_tag")
 
     def __init__(self, level: int, components, kernel_tag: str = ""):
-        components = tuple(components)
-        for c in components:
-            if not isinstance(c, LambdaNElement) or c.level != level:
-                raise InputError("components must be classes at the level")
+        self.components = _check_components(level, components)
         self.level = level
-        self.components = components
         self.kernel_tag = kernel_tag
 
 
@@ -134,17 +137,6 @@ def _embed(ctx, n: int, x, N):
             for (e,) in form_views(ctx, x, N, ctx.p ** n)]
 
 
-def _image(fd: FrobeniusData, n: int, col) -> RegulatorVector:
-    """P_n col inside the level-n quotient, certified as forward is."""
-    if n < 1:
-        raise InputError("forward needs n >= 1")
-    x, N = _as_classes(fd, n, col)
-    p = fd.ctx.p
-    return RegulatorVector(n, _embed(fd.ctx, n,
-                                     _apply(fd.tower.P(n), x, p, n),
-                                     N + n * form_depth(fd.tower.C_inv, p)))
-
-
 def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     """C_n ... C_1 applied to col inside the level-n quotient.
 
@@ -153,7 +145,13 @@ def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     precision, less what C^-1 can lose at each of the n stages (nothing
     for an admitted instance).
     """
-    return _image(fd, n, col)
+    if n < 1:
+        raise InputError("forward needs n >= 1")
+    x, N = _as_classes(fd, n, col)
+    p = fd.ctx.p
+    return RegulatorVector(n, _embed(fd.ctx, n,
+                                     _apply(fd.tower.P(n), x, p, n),
+                                     N + n * form_depth(fd.tower.C_inv, p)))
 
 
 def factor_level(fd: FrobeniusData, n: int, L,
@@ -229,15 +227,15 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
 
 
 def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
-    """forward(factor_level(forward(col))) vs forward(col), exactly, both
-    images read off the tower's P_n; "image" is forward(col).  The
-    factorization runs at the same cutoff, so it raises PrecisionLoss
-    when the image is known to fewer than cutoff digits.  The two images
-    are compared on their lifts, at the smaller of their precisions."""
-    L = _image(fd, n, col)
+    """forward(factor_level(forward(col))) vs forward(col), exactly;
+    "image" is forward(col).  The factorization runs at the same cutoff,
+    so it raises PrecisionLoss when the image is known to fewer than
+    cutoff digits.  The two images are compared on their lifts, at the
+    smaller of their precisions."""
+    L = forward(fd, n, col)
     recovered = factor_level(fd, n, L, cutoff)
     (a, Na), (b, Nb) = (_as_classes(fd, n, v)
-                        for v in (L, _image(fd, n, recovered)))
+                        for v in (L, forward(fd, n, recovered)))
     witness = _first_unresolved(form_sub(a, b), fd.ctx.p, min(Na, Nb),
                                 cutoff)
     if witness:

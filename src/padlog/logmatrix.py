@@ -72,7 +72,6 @@ from .padic import PadicContext
 from .series import (
     LambdaNElement,
     XSeries,
-    cyclo_product_ints,
     form_views,
     omega_ints,
     phi_cyclo_ints,
@@ -242,8 +241,7 @@ class ExactTower:
         self.p, self.fil_dim, self.budget = p, f, fd.ctx.denom_budget
         self.depth = max(0, -fd.min_val_C_phi())
         self.C_inv = form_const(fd.C_inv)
-        self.chain = [form_const([[int(i == j) for j in range(g)]
-                                  for i in range(g)])]
+        self.chain = [form_const(frac_identity(g))]
         self._cphi = (fd.C_phi, [[x * p if i >= f else x for x in row]
                                  for i, row in enumerate(fd.C_inv)])
         self._powers, self._products = {}, {}
@@ -358,15 +356,19 @@ def _stabilizes(p: int, n: int, low, high) -> bool:
 
 
 def _closed_det(fd: FrobeniusData, n: int):
-    """The closed form as a 1 x 1 integer form."""
-    s = fd.scaled_dim
-    acc = cyclo_product_ints(fd.ctx.p, range(1, n + 1), s)
-    c = frac_det(fd.C) / fd.ctx.p ** ((n + 1) * s)
+    """The closed form as a 1 x 1 integer form, reading
+    prod_{k<=n} Phi_{p^k}(1+X) as omega_n / X."""
+    p, s = fd.ctx.p, fd.scaled_dim
+    base, acc = omega_ints(p, n)[1:], [1]
+    for _ in range(s):
+        acc = int_dot([(base, acc)])
+    c = frac_det(fd.C) / p ** ((n + 1) * s)
     return [[[c.numerator * x for x in acc]]], c.denominator
 
 
 def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
-    """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block size."""
+    """det(C) * p^-(n+1)s * prod_{k<=n} Phi_{p^k}^s, s = scaled block
+    size, which is det(C) p^-(n+1)s (omega_n / X)^s."""
     return form_views(fd.ctx, _closed_det(fd, n))[0][0]
 
 
@@ -562,7 +564,7 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
     w = [Fraction(x) for x in w]
     if len(w) != len(I):
         raise InputError(f"w must have {len(I)} coordinates (one per index)")
-    op = frac_identity(g)
+    op = ident = frac_identity(g)
     if trivial_character:
         one_minus_phi, one_minus_phi_over_p = (
             [[int(i == j) - x / scale for j, x in enumerate(row)]
@@ -582,12 +584,9 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
     except NotInImage:
         coeffs = None
         membership = False
-    proj_rank = frac_rank([[col[i] for col in columns]
-                           for i in range(len(I))])
+    proj_rank = frac_rank(columns)  # the rank of the transpose
     finite_index = proj_rank == len(I)
-    stack = [[Fraction(int(idx - 1 == i)) for i in range(g)] for idx in I]
-    stack += [[Fraction(int(j == i)) for i in range(g)]
-              for j in range(fd.fil_dim, g)]
+    stack = [ident[idx - 1] for idx in I] + ident[fd.fil_dim:]
     dual_ok = frac_rank(stack) == len(stack)
     return ImageConditionResult(
         membership,

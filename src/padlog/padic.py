@@ -14,9 +14,10 @@ Every nonzero construction checks the denominator budget: a valuation
 below -denom_budget raises instead of silently growing denominators.
 
 No library path does this arithmetic: verdicts are decided on linalg's
-exact integer forms, and from_rational rounds only returned views.  It
-stays for XSeries.__mul__, poly_divmod, divide_exact and
-reduce_mod_omega, which the benchmark's layer tracer names.
+exact integer forms, and from_rational (integer is its int case) rounds
+only returned views.  The arithmetic stays for XSeries.__mul__,
+poly_divmod, divide_exact and reduce_mod_omega, which the benchmark's
+layer tracer names; only __add__ normalizes through from_mantissa.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class PadicContext:
 
     def integer(self, n: int) -> "PadicScalar":
         """Embed an exact integer at full relative precision."""
-        return PadicScalar.from_mantissa(self, 0, n, INF)
+        return self.from_rational(n)
 
     def one(self) -> "PadicScalar":
         return self.integer(1)
@@ -156,15 +157,9 @@ class PadicScalar:
     def from_mantissa(cls, ctx: PadicContext, base_v: int, m: int, abs_prec):
         """Normalize p^base_v * m + O(p^abs_prec) into canonical form.
 
-        m may be any integer (negative, non-unit, huge); abs_prec may
-        be INF for exactly-known mantissas.
+        m may be any integer (negative, non-unit, huge); abs_prec is
+        finite.
         """
-        if abs_prec == INF:
-            if m == 0:
-                return ctx.zero()
-            t, w = ctx.valuation_of_integer(m)
-            k = ctx.rel_prec
-            return cls(ctx, base_v + t, w % (ctx.p ** k), k)
         window = abs_prec - base_v
         if window <= 0:
             return ctx.zero(abs_prec)

@@ -56,12 +56,10 @@ class XSeries:
     # -- constructors --------------------------------------------------
 
     @classmethod
-    def from_ints(cls, ctx, ints, trunc=None):
-        return cls(ctx, [ctx.integer(n) for n in ints], trunc)
-
-    @classmethod
     def from_fractions(cls, ctx, fracs, trunc=None):
         return cls(ctx, [ctx.from_rational(q) for q in fracs], trunc)
+
+    from_ints = from_fractions
 
     # -- structure -----------------------------------------------------
 
@@ -244,12 +242,11 @@ def phi_cyclo_ints(p: int, k: int):
     return tuple(out)
 
 
-def cyclo_product_ints(p: int, levels, times: int = 1):
-    """Integer coefficients of prod_(k in levels) Phi_{p^k}(1+X)^times."""
+def cyclo_product_ints(p: int, levels):
+    """Integer coefficients of prod_(k in levels) Phi_{p^k}(1+X)."""
     acc = [1]
     for k in levels:
-        for _ in range(times):
-            acc = int_dot([(phi_cyclo_ints(p, k), acc)])
+        acc = int_dot([(phi_cyclo_ints(p, k), acc)])
     return acc
 
 
@@ -266,7 +263,7 @@ def omega_ints(p: int, n: int):
 
 def omega(ctx: PadicContext, n: int) -> XSeries:
     """(1+X)^(p^n) - 1, the level-n kernel polynomial."""
-    return XSeries.from_ints(ctx, omega_ints(ctx.p, n))
+    return XSeries.from_fractions(ctx, omega_ints(ctx.p, n))
 
 
 class LambdaNElement:

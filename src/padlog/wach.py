@@ -212,11 +212,6 @@ def _diagonal(f, den, size: int):
             for i in range(size)], den
 
 
-def _identity(size: int):
-    return form_const([[int(i == j) for j in range(size)]
-                       for i in range(size)])
-
-
 def _constant_term(A):
     """The value at zero of the integer form A, as strings."""
     return [[str(e[0]) if e else "0" for e in row]
@@ -231,11 +226,6 @@ def _constant_term(A):
 def _require_wach(fd: FrobeniusData) -> None:
     if fd.r != 1:
         raise InputError("the tower is implemented for r = 1 only")
-
-
-def q_poly(p: int):
-    """q = Phi_p(1 + pi) as an exact polynomial."""
-    return [Fraction(c) for c in phi_cyclo_ints(p, 1)]
 
 
 def _qP(fd: FrobeniusData, q):
@@ -283,7 +273,7 @@ class WachMatrixTower:
         return form_to_fractions(self._level(k))
 
     def value_at_zero_is_identity(self, k: int) -> bool:
-        return form_at_zero(self._level(k)) == _identity(self.fd.size)
+        return form_at_zero(self._level(k)) == self.fd.tower.P(0)
 
     def twist(self, k: int, gamma: GammaElement, trunc: int) -> dict:
         """G^(k) = (M'_k)^{-1} gamma(M'_k) mod pi^trunc.
@@ -352,7 +342,7 @@ class WachMatrixTower:
             i, j, k = bad
             bad = {"entry": (i, j), "degree": k,
                    "value": str(Fraction(G[0][i][j][k], G[1]))}
-        const_ok = form_at_zero(G) == _identity(size)
+        const_ok = form_at_zero(G) == self.fd.tower.P(0)
         if not gamma.is_integer:
             depth = form_depth((N, d), p) + form_depth(Minv, p)
             return G, bad, const_ok, depth
@@ -420,7 +410,7 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     moved = _act(lambda e: gamma_act_poly(gamma, e, T), fd.tower.C(1))
     prod = form_mul(form_mul(_qP(fd, q), moved, T),
                     _diagonal(*_pseries_inv(q, T), fd.size), T)
-    return {"identity_mod_pi": form_at_zero(prod) == _identity(fd.size),
+    return {"identity_mod_pi": form_at_zero(prod) == fd.tower.P(0),
             "constant_term": _constant_term(prod)}
 
 

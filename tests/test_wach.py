@@ -28,6 +28,7 @@ from padlog import (
 )
 from padlog.linalg import form_from_fractions
 from padlog.pollack import pollack_instance
+from padlog.series import phi_cyclo_ints
 from padlog.wach import (
     WachMatrixTower,
     _binom_shift,
@@ -36,7 +37,6 @@ from padlog.wach import (
     _pseries_inv,
     gamma_act_poly,
     phi_act_poly,
-    q_poly,
 )
 
 from instances import random_instance
@@ -57,11 +57,6 @@ from oracles import (
 
 def wach_fd(p=3):
     return pollack_instance(wach_context(p))
-
-
-def test_q_poly_is_level_one_cyclotomic():
-    assert q_poly(3) == [Fraction(3), Fraction(3), Fraction(1)]
-    assert q_poly(5) == [Fraction(c) for c in (5, 10, 10, 5, 1)]
 
 
 def test_binom_shift_frozen():
@@ -270,7 +265,7 @@ def test_gamma_element_rejects_exponent_of_unknown_residue(c):
 def test_p1_frozen_shapes():
     fd = wach_fd()
     data = build_Pn(fd, 1)
-    q = q_poly(3)
+    q = list(phi_cyclo_ints(3, 1))
     # qP = C diag(q, 1) = [[0, -1], [q, 0]]
     assert data["qP"] == [[[], [Fraction(-1)]], [q, []]]
     # P_inv = diag(1, q) C^{-1} = [[0, 1], [-q, 0]]
@@ -283,7 +278,7 @@ def test_m_prime_level_one_diagonal():
     fd = wach_fd()
     tower = build_M_prime(fd, 1)
     M1 = tower.matrix(1)
-    q_over_p = [c / 3 for c in q_poly(3)]
+    q_over_p = [Fraction(c, 3) for c in phi_cyclo_ints(3, 1)]
     assert M1 == [[q_over_p, []], [[], [Fraction(1)]]]
 
 
