@@ -162,6 +162,8 @@ def _cmd_coleman(args) -> int:
     fd = instance_from_record(record, where=args.input)
     vec_obj = read_json(args.vectors)
     records = vec_obj if isinstance(vec_obj, list) else [vec_obj]
+    if not records:
+        raise InputError(f"{args.vectors} holds no vector records")
     report = Report(f"factorization roundtrips for {args.vectors}")
     payload = {"factored": []}
     for idx, rec in enumerate(records):

@@ -155,6 +155,20 @@ def test_coleman_single_record(instance_file, tmp_path):
                  "--vectors", str(vec_path)]) == 0
 
 
+def test_coleman_empty_vector_list_is_input_error(instance_file, tmp_path,
+                                                  capsys):
+    # a run that checks nothing must not report PASS
+    vec_path = tmp_path / "vectors.json"
+    vec_path.write_text("[]")
+    out_path = tmp_path / "coleman.json"
+    assert main(["coleman", "--input", instance_file, "--vectors",
+                 str(vec_path), "--out", str(out_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "holds no vector records" in captured.err
+    assert not out_path.exists()
+
+
 def test_coleman_cutoff_beyond_precision_is_indeterminate(tmp_path,
                                                           capsys):
     # at rel_prec 2 the image is known modulo 3^2, so the factorization

@@ -43,6 +43,9 @@ CASES = {
                             "--cutoff 25",
     "logmatrix_n0_exit3": "logmatrix --input sample_inputs/pollack3.json "
                           "--n 0",
+    "coleman_no_vectors_exit3": "coleman --input sample_inputs/pollack3.json "
+                                "--vectors tests/golden/inputs/"
+                                "no_vectors.json",
 }
 
 
