@@ -1,0 +1,150 @@
+"""Planted faults that the test suite must catch.
+
+Each entry of MUTANTS is (file, old, new, tests).  The old text occurs
+exactly once in the file.  On a copy of the repository with old replaced
+by new, the pytest node ids in tests must fail; on the unedited copy
+they must pass.  The file name keeps pytest from collecting this module.
+
+Run from the repository root:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 0 only when the named tests pass
+on the unedited copy and every mutant is caught.  A mutant that survives
+stays listed: it calls for a test that catches it.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+LINALG = "src/padlog/linalg.py"
+WITNESS = ("tests/test_linalg.py::"
+           "test_form_witness_reads_valuations_over_the_denominator")
+SOLVE = "tests/test_linalg.py::test_zp_solve_integral_"
+
+MUTANTS = [
+    # form_witness: the threshold one digit too deep
+    (LINALG, "e = N + vp_frac(d, p)\n", "e = N + vp_frac(d, p) + 1\n",
+     [WITNESS]),
+    # form_witness: the scan ignores the denominator's valuation
+    (LINALG, "e = N + vp_frac(d, p)\n", "e = N\n", [WITNESS]),
+    # form_witness: a column-major scan
+    (LINALG,
+     "(i, j, k) for i, row in enumerate(X)\n"
+     "                 for j, f in enumerate(row) ",
+     "(i, j, k) for j in range(len(X[0]) if X else 0)\n"
+     "                 for i, f in ((i, r[j]) for i, r in enumerate(X)) ",
+     [WITNESS]),
+    # fp_rank: a pivot of valuation 1 counted as a unit
+    (LINALG, "sum(v == 0 for _, _, v in _zp_echelon(A, p))",
+     "sum(v <= 1 for _, _, v in _zp_echelon(A, p))",
+     ["tests/test_linalg.py::test_fp_rank_small_cases"]),
+    # zp_solve_integral: any nonzero last coordinate accepted
+    (LINALG, "if vec[-1] % p:", "if vec[-1]:", [SOLVE + "negative"]),
+    # zp_solve_integral: the length check dropped
+    (LINALG,
+     "if not (columns and target) or any(len(c) != len(target)\n"
+     "                                       for c in columns):",
+     "if not (columns and target):",
+     [SOLVE + "rejects_mismatched_lengths"]),
+    # det_Mn: omega_n / X read as omega_n without its top coefficient
+    ("src/padlog/logmatrix.py", "omega_ints(p, n)[1:]",
+     "omega_ints(p, n)[:-1]",
+     ["tests/test_logmatrix.py::test_determinant_identity",
+      "tests/test_cli_golden.py::test_cli_matches_golden[logmatrix_n2]"]),
+    # det_Mn: one factor of omega_n / X too few
+    ("src/padlog/logmatrix.py", "for _ in range(s):",
+     "for _ in range(s - 1):",
+     ["tests/test_logmatrix.py::test_determinant_identity"]),
+    # the shared component check lets a class at another level through
+    ("src/padlog/coleman.py",
+     "not isinstance(c, LambdaNElement) or c.level != level",
+     "not isinstance(c, LambdaNElement)",
+     ["tests/test_coleman.py::test_vectors_reject_classes_at_another_level"]),
+    # forward reads the chain one level short
+    ("src/padlog/coleman.py", "_apply(fd.tower.P(n), x, p, n)",
+     "_apply(fd.tower.P(n - 1), x, p, n)",
+     ["tests/test_coleman.py::test_forward_matches_chain_oracle"]),
+    # subset certificates read the vectors shifted by one
+    ("src/padlog/basis.py", "vectors[i - 1] for i in I",
+     "vectors[i % g] for i in I",
+     ["tests/test_basis.py::test_not_admissible_on_degenerate_subset"]),
+    # the shared family check accepts too few vectors
+    ("src/padlog/basis.py", "if len(vecs) != setup.g:",
+     "if len(vecs) > setup.g:",
+     ["tests/test_basis.py::test_families_of_the_wrong_size_are_rejected"]),
+    # the twist's constant term compared with P_1 instead of P_0 = I
+    ("src/padlog/wach.py", "form_at_zero(G) == self.fd.tower.P(0)",
+     "form_at_zero(G) == self.fd.tower.P(1)",
+     ["tests/test_wach.py::test_cocycle_identity"]),
+    # PadicContext.integer keeps rel_prec digits above p^0, not above p^v
+    ("src/padlog/padic.py", "return self.from_rational(n)",
+     "return self.from_rational(n, self.rel_prec)",
+     ["tests/test_padic.py"]),
+    # padlog coleman on an empty vector list passes again
+    ("src/padlog/cli.py", "if not records:", "if records is None:",
+     ["tests/test_cli.py::test_coleman_empty_vector_list_is_input_error"]),
+]
+
+
+def _pytest(tree: Path, ids):
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *ids], cwd=tree, capture_output=True, text=True, timeout=900,
+        env=_env(tree))
+
+
+def _env(tree: Path):
+    """The environment with the copy's src first on the import path."""
+    return dict(os.environ, PYTHONPATH=str(tree / "src"),
+                PYTHONDONTWRITEBYTECODE="1")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".pytest_cache", ".hypothesis",
+            ".benchmarks", "*.egg-info", "results"))
+        where = subprocess.run(
+            [sys.executable, "-c", "import padlog; print(padlog.__file__)"],
+            cwd=tree, capture_output=True, text=True, env=_env(tree)).stdout
+        if not where.startswith(str(tree)):
+            print(f"the copy imports padlog from {where.strip()!r}")
+            return 1
+        for path, old, new, _ in MUTANTS:
+            count = (tree / path).read_text().count(old)
+            if count != 1:
+                print(f"{path}: old text occurs {count} times: {old!r}")
+                return 1
+        ids = sorted({i for *_, tests in MUTANTS for i in tests})
+        got = _pytest(tree, ids)
+        if got.returncode != 0:
+            print("the named tests do not pass on the unedited copy")
+            print(got.stdout[-3000:] + got.stderr[-3000:])
+            return 1
+        survivors = 0
+        for path, old, new, tests in MUTANTS:
+            source = (tree / path).read_text()
+            (tree / path).write_text(source.replace(old, new))
+            try:
+                got = _pytest(tree, tests)
+            finally:
+                (tree / path).write_text(source)
+            caught = got.returncode == 1  # 1: tests ran and failed
+            survivors += not caught
+            print(f"{'caught' if caught else 'SURVIVED'} "
+                  f"(pytest exit {got.returncode}): {path}: "
+                  f"{old.strip()!r} -> {new.strip()!r}")
+        print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants caught")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -101,6 +101,15 @@ def test_strong_certificate_requires_phi():
         is_strongly_admissible(setup, [E1, E2, [1, 1, 0]])
 
 
+def test_families_of_the_wrong_size_are_rejected():
+    # the length check comes first, before any determinant or transport
+    setup = setup_rank3()
+    for check in (is_admissible, is_strongly_admissible):
+        for fam in ([E1, E2], [E1, E2, [1, 1, 0], E3]):
+            with pytest.raises(InputError, match="expected 3 vectors"):
+                check(setup, fam)
+
+
 def test_transport_operator_singularities():
     ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     with pytest.raises(SingularOperator) as exc:

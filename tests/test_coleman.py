@@ -11,11 +11,13 @@ import pytest
 
 from padlog import (
     INF,
+    ColemanVector,
     InputError,
     NotInImage,
     NotIntegral,
     PadicScalar,
     PrecisionLoss,
+    RegulatorVector,
     XSeries,
     build_Mn,
     check_evaluation,
@@ -220,6 +222,18 @@ def test_forward_input_validation():
     for n in (0, -1, -2):
         with pytest.raises(InputError, match="tower_projection_check"):
             tower_projection_check(fd, n, classes(fd, 1, [[1], [1]]))
+
+
+def test_vectors_reject_classes_at_another_level():
+    # both vector types share one component check: classes, at the level
+    fd = pollack_fd()
+    at_one = classes(fd, 1, [[1, 2], [0, 1]])
+    for make in (RegulatorVector, ColemanVector):
+        assert make(1, at_one).components == tuple(at_one)
+        for bad in (classes(fd, 2, [[1], [1]]), [XSeries.from_ints(
+                fd.ctx, [1])] * 2):
+            with pytest.raises(InputError, match="classes at the level"):
+                make(1, bad)
 
 
 def test_integral_shift_certifies():
