@@ -64,8 +64,8 @@ class RegulatorVector:
     __slots__ = ("level", "components")
 
     def __init__(self, level: int, components):
-        self.components = _check_components(level, components)
         self.level = level
+        self.components = _check_components(level, components)
 
 
 class ColemanVector:
@@ -74,8 +74,8 @@ class ColemanVector:
     __slots__ = ("level", "components", "kernel_tag")
 
     def __init__(self, level: int, components, kernel_tag: str = ""):
-        self.components = _check_components(level, components)
         self.level = level
+        self.components = _check_components(level, components)
         self.kernel_tag = kernel_tag
 
 
