@@ -18,9 +18,15 @@ The constructive lemmas (escaping a union of proper summands, merging
 two complements, extending a basis in generic position) are exposed as
 standalone functions since they are useful on their own and are tested
 against brute-force certificates.  None of them searches without a
-bound: the extension in unit position is a closed-form arc in F_p^m,
-the normal rational curve for m <= p and a frame for m > p, as large as
-the bounds of Ball and of Bush allow (see generic_position_extend).
+bound, and each raises SearchExhausted past it: escape_union tries the
+2^rank - 1 nonzero 0/1 vectors and then h (rank - 1) + 1 points of the
+moment curve for h hyperplanes; avoid_slopes scans y < (|F| + 2) p at
+x = 1 for a forbidden set F; merge_complement scans v1 + t v2 for
+t < (h + 1) p; the extension in unit position is a closed-form arc in
+F_p^m, the normal rational curve for m <= p and a frame for m > p, as
+large as the bounds of Ball and of Bush allow (see
+generic_position_extend); and construct_strongly_admissible makes at
+most 64 seeded restarts of 64 draws per vector.
 """
 
 from __future__ import annotations
@@ -69,6 +75,10 @@ def _integral_vec(v, p: int, what: str):
             raise InputError(f"{what} has non p-integral entry {q}")
         vec.append(q)
     return vec
+
+
+def _is_unit(x: Fraction, p: int) -> bool:
+    return x != 0 and vp_frac(x, p) == 0
 
 
 def _integerize_unit(vec, p: int):
@@ -327,21 +337,20 @@ def _strong_certificate(setup: LatticeSetup, vecs, moved):
 # ---------------------------------------------------------------------------
 
 
-def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
+def escape_union(ctx: PadicContext, rank: int, hyperplanes):
     """Produce a primitive vector outside every listed corank-one
-    summand and outside p^k times the lattice.
+    summand.
 
     ``hyperplanes`` is a list of bases, each consisting of rank-1
     many independent vectors of length ``rank``.  The returned vector
-    has integer entries, is divisible by no positive power of p, and
-    avoids the rational span of every hyperplane.  The 0/1 vectors are
-    tried first, then at most h (rank - 1) + 1 points of the moment
-    curve for h hyperplanes, one of which always escapes.
+    has integer entries, is divisible by no positive power of p (so it
+    lies outside p^k times the lattice for every k >= 1), and avoids
+    the rational span of every hyperplane.  The 0/1 vectors are tried
+    first, then at most h (rank - 1) + 1 points of the moment curve for
+    h hyperplanes, one of which always escapes.
     """
     if rank < 1:
         raise InputError("rank must be at least 1")
-    if k < 1:
-        raise InputError("k must be at least 1")
     functionals = []
     for H in hyperplanes:
         rows = [_as_vec(h, rank, "hyperplane vector") for h in H]
@@ -372,38 +381,30 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes, k: int = 1):
 
 def avoid_slopes(ctx: PadicContext, a, b, c, d, forbidden):
     """Find unit coordinates (x, y) with c x + d y a unit and the ratio
-    (a x + b y) / (c x + d y) avoiding a finite forbidden set.
+    (a x + b y) / (c x + d y) avoiding a finite forbidden set F.
 
     The 2 x 2 matrix [[a, b], [c, d]] must be p-integral with unit
-    determinant.
+    determinant.  The answer is x = 1 and the least unit y below
+    (|F| + 2) p that works; one always does.  If d is not a unit then
+    b c is, as a d - b c is a unit, so c + d y is a unit for every y;
+    otherwise c + d y fails to be a unit on exactly one class of y mod
+    p.  With the class 0 that leaves at least p - 2 >= 1 good classes,
+    as p >= 3, and each has |F| + 2 members below (|F| + 2) p.  The
+    ratio (a + b y) / (c + d y) is a Moebius map of nonzero determinant,
+    so injective in y, and each forbidden value excludes at most one y.
     """
+    p = ctx.p
     a, b, c, d = (Fraction(t) for t in (a, b, c, d))
     for t in (a, b, c, d):
-        if vp_frac(t, ctx.p) is not INF and vp_frac(t, ctx.p) < 0:
+        if t.denominator % p == 0:
             raise InputError("matrix entries must be p-integral")
-    det = a * d - b * c
-    if det == 0 or vp_frac(det, ctx.p) != 0:
+    if not _is_unit(a * d - b * c, p):
         raise InputError("matrix must have unit determinant")
     bad = {Fraction(f) for f in forbidden}
-
-    def units():
-        n = 0
-        count = 0
-        limit = ctx.p ** 3 + len(bad) + 16
-        while count < limit:
-            n += 1
-            if n % ctx.p:
-                count += 1
-                yield n
-
-    for x in units():
-        for y in units():
-            den = c * x + d * y
-            if den == 0 or vp_frac(den, ctx.p) != 0:
-                continue
-            if (a * x + b * y) / den in bad:
-                continue
-            return (x, y)
+    for y in range(1, (len(bad) + 2) * p):
+        den = c + d * y
+        if y % p and _is_unit(den, p) and (a + b * y) / den not in bad:
+            return (1, y)
     raise SearchExhausted("no unit pair avoids the forbidden ratio set")
 
 
@@ -424,88 +425,54 @@ def merge_complement(ctx: PadicContext, rank: int, W1, v1, W2, v2,
     Given corank-one summands W1, W2 with respective complements
     Z_p v1, Z_p v2, produce a single vector v that complements both,
     additionally avoiding each hyperplane in ``avoid_hyperplanes``.
-    The vector is returned as a combination alpha v1 + beta v2 and is
-    verified exactly before being returned.
+    All four inputs must be p-integral.
+
+    The answer is v = v1 + t v2 for the least t below (h + 1) p that
+    works, with h hyperplanes to avoid; one always does.  The indices
+    det(W1, v) = x1 + t b1 and det(W2, v) = a2 + t x2 are p-integral,
+    and x1 = det(W1, v1) and x2 = det(W2, v2) are units, so each index
+    fails to be a unit on at most one class of t mod p: for the first
+    none if b1 is not a unit, for the second exactly one.  Since
+    p >= 3 a good class is left, and it has h + 1 members below
+    (h + 1) p.  A hyperplane with functional f contains v exactly when
+    f(v1) + t f(v2) = 0, which holds for at most one t, because f(v1)
+    and f(v2) do not both vanish.  So at most h of those h + 1 members
+    are excluded.
     """
     p = ctx.p
-    v1 = _as_vec(v1, rank, "v1")
-    v2 = _as_vec(v2, rank, "v2")
-    W1rows = [_as_vec(w, rank, "W1 vector") for w in W1]
-    W2rows = [_as_vec(w, rank, "W2 vector") for w in W2]
+
+    def integral(vec, what):
+        return _integral_vec(_as_vec(vec, rank, what), p, what)
+
+    v1 = integral(v1, "v1")
+    v2 = integral(v2, "v2")
+    W1rows = [integral(w, "W1 vector") for w in W1]
+    W2rows = [integral(w, "W2 vector") for w in W2]
     for rows, name in ((W1rows, "W1"), (W2rows, "W2")):
         if len(rows) != rank - 1 or (rows and frac_rank(rows) != rank - 1):
             raise InputError(f"{name} needs exactly rank-1 independent vectors")
-
-    def bordered_det(rows, vec) -> Fraction:
-        return frac_det(rows + [vec])
-
-    x1 = bordered_det(W1rows, v1)
-    x2 = bordered_det(W2rows, v2)
-    if x1 == 0 or vp_frac(x1, p) != 0:
+    x1, b1 = (frac_det(W1rows + [v]) for v in (v1, v2))
+    a2, x2 = (frac_det(W2rows + [v]) for v in (v1, v2))
+    if not _is_unit(x1, p):
         raise DegenerateInput("v1 does not complement W1 (non-unit index)")
-    if x2 == 0 or vp_frac(x2, p) != 0:
+    if not _is_unit(x2, p):
         raise DegenerateInput("v2 does not complement W2 (non-unit index)")
-    b1 = bordered_det(W1rows, v2)
-    a2 = bordered_det(W2rows, v1)
 
     functionals = []
     for H in avoid_hyperplanes:
         rows = [_as_vec(h, rank, "avoid hyperplane vector") for h in H]
         f = _hyperplane_functional(rows, rank)
-        s1 = sum(Fraction(fi) * wi for fi, wi in zip(f, v1))
-        s2 = sum(Fraction(fi) * wi for fi, wi in zip(f, v2))
+        s1 = sum(fi * wi for fi, wi in zip(f, v1))
+        s2 = sum(fi * wi for fi, wi in zip(f, v2))
         if s1 == 0 and s2 == 0:
             raise DegenerateInput(
                 "both candidate complements lie in a hyperplane to avoid")
         functionals.append((s1, s2))
 
-    def verify(alpha, beta):
-        if alpha == 0 and beta == 0:
-            return None
-        vec = [alpha * u + beta * w for u, w in zip(v1, v2)]
-        d1 = alpha * x1 + beta * b1
-        d2 = alpha * a2 + beta * x2
-        if d1 == 0 or vp_frac(d1, p) != 0:
-            return None
-        if d2 == 0 or vp_frac(d2, p) != 0:
-            return None
-        for s1, s2 in functionals:
-            if alpha * s1 + beta * s2 == 0:
-                return None
-        return vec
-
-    # the matrix sending (alpha, beta) to the two complement indices
-    X = [[x1, b1], [a2, x2]]
-    detX = x1 * x2 - b1 * a2
-    if detX != 0 and vp_frac(detX, p) == 0:
-        # invertible change of coordinates: pick the two indices directly
-        # with the ratio search, then pull back
-        forbidden = set()
-        for s1, s2 in functionals:
-            den = s1 * x2 - s2 * a2
-            if den != 0:
-                forbidden.add(Fraction(-(s2 * x1 - s1 * b1), den))
-        try:
-            dx, dy = avoid_slopes(ctx, 1, 0, 0, 1, forbidden)
-        except SearchExhausted:
-            dx = dy = None
-        if dx is not None:
-            Xinv = frac_inv(frac_mat(X))
-            alpha = Xinv[0][0] * dx + Xinv[0][1] * dy
-            beta = Xinv[1][0] * dx + Xinv[1][1] * dy
-            got = verify(alpha, beta)
-            if got is not None:
-                return _integerize_unit(got, p)
-
-    # bounded exact sweep; units first, then general residues
-    units = [t for t in range(1, p * p) if t % p]
-    rest = [t for t in range(p * p) if t % p == 0]
-    order = units + rest
-    for alpha in order:
-        for beta in order:
-            got = verify(Fraction(alpha), Fraction(beta))
-            if got is not None:
-                return _integerize_unit(got, p)
+    for t in range((len(functionals) + 1) * p):
+        if (_is_unit(x1 + t * b1, p) and _is_unit(a2 + t * x2, p)
+                and all(s1 + t * s2 for s1, s2 in functionals)):
+            return _integerize_unit([u + t * w for u, w in zip(v1, v2)], p)
     raise SearchExhausted(
         "no combination of the two complements satisfies every condition")
 
@@ -540,8 +507,7 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
         _integral_vec(_as_vec(v, m, "basis vector"), ctx.p, "basis vector")
         for v in W_basis
     ]
-    det0 = frac_det(basis)
-    if det0 == 0 or vp_frac(det0, ctx.p) != 0:
+    if not _is_unit(frac_det(basis), ctx.p):
         raise InputError("W_basis is not a basis (determinant not a unit)")
     if k == 0:
         return [list(v) for v in basis], "units"
@@ -651,8 +617,7 @@ def construct_admissible(setup: LatticeSetup) -> CandidateBasis:
     if not cert.admissible:
         raise SearchExhausted(
             "constructed family failed its own admissibility certificate")
-    basis_det = frac_det(vectors)
-    is_basis = basis_det != 0 and vp_frac(basis_det, setup.ctx.p) == 0
+    is_basis = _is_unit(frac_det(vectors), setup.ctx.p)
     return CandidateBasis(
         vectors=tuple(tuple(v) for v in vectors),
         admissible=cert.admissible,
@@ -666,13 +631,15 @@ def construct_strongly_admissible(setup: LatticeSetup,
                                   seed: int = 0) -> CandidateBasis:
     """Build a strongly admissible family by seeded random search.
 
-    Vectors are sampled one at a time; a partial family is kept only
-    when every subset of the appropriate size has full column rank
-    against fil0_dual for both the plain and the transported family.
-    Each accepted vector is transported once, and the finished family is
-    re-verified with the same certificates as is_strongly_admissible
-    and must additionally be a basis.  Falls back to a deterministic
-    sweep over small residues before giving up.
+    Vectors are sampled one at a time, with entries below p^2; a partial
+    family is kept only when every subset of the appropriate size has
+    full column rank against fil0_dual for both the plain and the
+    transported family.  Each accepted vector is transported once, and
+    the finished family is re-verified with the same certificates as
+    is_strongly_admissible and must additionally be a basis.  The search
+    makes at most 64 restarts, each drawing at most 64 candidates per
+    vector, so at most 64 * 64 * g candidates in all, and raises
+    SearchExhausted past that.
     """
     g, m = setup.g, setup.g_minus
     p = setup.ctx.p
@@ -692,22 +659,6 @@ def construct_strongly_admissible(setup: LatticeSetup,
                     return None
         return vecs, moved
 
-    def finish(vecs, moved):
-        det = frac_det(vecs)
-        if det == 0 or vp_frac(det, p) != 0:
-            return None
-        cert = _strong_certificate(setup, vecs, moved)
-        if not cert.strongly_admissible:
-            return None
-        return CandidateBasis(
-            vectors=tuple(tuple(_integerize_unit(v, p)) for v in vecs),
-            admissible=cert.plain.admissible,
-            saturated=cert.plain.saturated,
-            is_basis=True,
-            strongly_admissible=True,
-            certificates={"strong": cert},
-        )
-
     rng = random.Random(seed)
     for _ in range(64):
         vecs, moved = [], []
@@ -719,28 +670,17 @@ def construct_strongly_admissible(setup: LatticeSetup,
             if grown is None:
                 break
             vecs, moved = grown
-        if len(vecs) == g:
-            found = finish(vecs, moved)
-            if found is not None:
-                return found
-
-    # deterministic fallback over small residues
-    pool = list(itertools.product(range(p), repeat=g))
-    pool = [list(map(Fraction, t)) for t in pool if any(t)]
-
-    def grow(vecs, moved):
-        if len(vecs) == g:
-            return finish(vecs, moved)
-        for cand in pool:
-            grown = extend(vecs, moved, cand)
-            if grown is not None:
-                got = grow(*grown)
-                if got is not None:
-                    return got
-        return None
-
-    found = grow([], [])
-    if found is None:
-        raise SearchExhausted(
-            "no strongly admissible basis found by sampling or sweep")
-    return found
+        if len(vecs) < g or not _is_unit(frac_det(vecs), p):
+            continue
+        cert = _strong_certificate(setup, vecs, moved)
+        if cert.strongly_admissible:
+            return CandidateBasis(
+                vectors=tuple(tuple(_integerize_unit(v, p)) for v in vecs),
+                admissible=cert.plain.admissible,
+                saturated=cert.plain.saturated,
+                is_basis=True,
+                strongly_admissible=True,
+                certificates={"strong": cert},
+            )
+    raise SearchExhausted(
+        "no strongly admissible basis found in 64 seeded restarts")

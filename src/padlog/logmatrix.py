@@ -564,7 +564,7 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
     w = [Fraction(x) for x in w]
     if len(w) != len(I):
         raise InputError(f"w must have {len(I)} coordinates (one per index)")
-    op = ident = frac_identity(g)
+    op = frac_identity(g)
     if trivial_character:
         one_minus_phi, one_minus_phi_over_p = (
             [[int(i == j) - x / scale for j, x in enumerate(row)]
@@ -586,8 +586,8 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
         membership = False
     proj_rank = frac_rank(columns)  # the rank of the transpose
     finite_index = proj_rank == len(I)
-    stack = [ident[idx - 1] for idx in I] + ident[fd.fil_dim:]
-    dual_ok = frac_rank(stack) == len(stack)
+    # e_i (i in I) and e_(fil_dim+1), ..., e_g are independent exactly
+    # when I lies in 1..fil_dim
     return ImageConditionResult(
         membership,
         finite_index,
@@ -596,6 +596,6 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
             "trivial_character": trivial_character,
             "coefficients": coeffs,
             "projected_rank": proj_rank,
-            "dual_intersection_trivial": dual_ok,
+            "dual_intersection_trivial": I[-1] <= fd.fil_dim,
         },
     )

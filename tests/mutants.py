@@ -79,6 +79,20 @@ MUTANTS = [
     ("src/padlog/basis.py", "if len(vecs) != setup.g:",
      "if len(vecs) > setup.g:",
      ["tests/test_basis.py::test_families_of_the_wrong_size_are_rejected"]),
+    # merge_complement scans one class of t short of its bound
+    ("src/padlog/basis.py", "range((len(functionals) + 1) * p)",
+     "range(len(functionals) * p)",
+     ["tests/test_basis.py::test_merge_complement_scans_up_to_the_bound"]),
+    # avoid_slopes accepts a y divisible by p
+    ("src/padlog/basis.py", "if y % p and _is_unit(den, p)",
+     "if _is_unit(den, p)",
+     ["tests/test_basis.py::test_avoid_slopes_scans_y_at_x_one"]),
+    # merge_complement takes non p-integral input
+    ("src/padlog/basis.py",
+     "return _integral_vec(_as_vec(vec, rank, what), p, what)",
+     "return _as_vec(vec, rank, what)",
+     ["tests/test_basis.py::"
+      "test_merge_complement_rejects_non_integral_input"]),
     # the twist's constant term compared with P_1 instead of P_0 = I
     ("src/padlog/wach.py", "form_at_zero(G) == self.fd.tower.P(0)",
      "form_at_zero(G) == self.fd.tower.P(1)",

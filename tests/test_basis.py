@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import padlog.basis
 from padlog import (
     DegenerateInput,
     Indeterminate,
@@ -190,6 +191,16 @@ def test_avoid_slopes_invariants():
     assert Fraction(a * x + b * y, den) not in set(map(Fraction, forbidden))
 
 
+def test_avoid_slopes_scans_y_at_x_one():
+    # d = 1: c + d y = y fails to be a unit on the class 0 only, and the
+    # two forbidden ratios 1/y exclude y = 1 and y = 2
+    assert avoid_slopes(CTX, 1, 0, 0, 1, [1, Fraction(1, 2)]) == (1, 4)
+    # d = 3 is not a unit, so c + d y = 1 + 3 y is a unit for every y,
+    # and y = 3 is skipped only because it is not a unit itself
+    forbidden = [Fraction(1, 4), Fraction(2, 7)]
+    assert avoid_slopes(CTX, 0, 1, 1, 3, forbidden) == (1, 4)
+
+
 def test_avoid_slopes_validation():
     with pytest.raises(InputError):
         avoid_slopes(CTX, Fraction(1, 3), 0, 0, 1, [])
@@ -229,6 +240,30 @@ def test_merge_complement_shared_complement_line():
     W2, v2 = [E1, [1, 1, 0]], E3
     v = merge_complement(CTX, 3, W1, v1, W2, v2)
     merged_is_valid(v, W1, v1, W2, v2)
+
+
+def test_merge_complement_scans_up_to_the_bound():
+    # v = v1 + t v2 = (t, 1 + t) has indices 1 + t and -t, which are both
+    # units only for t = 1 mod 3; each line to avoid removes one such t,
+    # so h lines push the answer to t = 3 h + 1 < 3 (h + 1)
+    W1, v1, W2, v2 = [[1, 0]], [0, 1], [[0, 1]], [1, 1]
+    assert merge_complement(CTX, 2, W1, v1, W2, v2) == [1, 2]
+    lines = [[[1, 2]], [[4, 5]]]
+    for h in (1, 2):
+        v = merge_complement(CTX, 2, W1, v1, W2, v2,
+                             avoid_hyperplanes=lines[:h])
+        assert v == [3 * h + 1, 3 * h + 2]
+        merged_is_valid(v, W1, v1, W2, v2, lines[:h])
+
+
+def test_merge_complement_rejects_non_integral_input():
+    # v1 + t v2 would not be a lattice vector
+    with pytest.raises(InputError, match="non p-integral"):
+        merge_complement(CTX, 3, [E1, E2], E3, [E2, E3],
+                         [1, Fraction(1, 3), 0])
+    with pytest.raises(InputError, match="non p-integral"):
+        merge_complement(CTX, 3, [E1, [0, Fraction(1, 3), 0]], E3,
+                         [E2, E3], E1)
 
 
 def test_merge_complement_degenerate_inputs():
@@ -386,3 +421,21 @@ def test_strong_construction_transports_once(monkeypatch):
         cand = construct_strongly_admissible(setup_rank3(phi=PHI_OK), seed)
         assert cand.strongly_admissible
         assert calls == [1]
+
+
+class _ZeroRandom:
+    """A random source whose every draw is 0."""
+
+    def __init__(self, seed):
+        pass
+
+    def randrange(self, stop):
+        return 0
+
+
+def test_strong_construction_budget(monkeypatch):
+    # with every candidate the zero vector no family grows; the search
+    # gives up after its seeded restarts instead of sweeping further
+    monkeypatch.setattr(padlog.basis.random, "Random", _ZeroRandom)
+    with pytest.raises(SearchExhausted, match="64 seeded restarts"):
+        construct_strongly_admissible(setup_rank3(phi=PHI_OK))

@@ -25,7 +25,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
-# the commands of the CI workflow, exit codes 0, 2 and 3, and one deeper
+# the commands of the CI workflow, exit codes 0, 1, 2 and 3 (among them
+# the two that only main's exception handlers produce), and one deeper
 # logmatrix level
 CASES = {
     "check": "check --input sample_inputs/pollack3.json",
@@ -46,6 +47,11 @@ CASES = {
     "coleman_no_vectors_exit3": "coleman --input sample_inputs/pollack3.json "
                                 "--vectors tests/golden/inputs/"
                                 "no_vectors.json",
+    "logmatrix_budget0_exit2": "logmatrix --input tests/golden/inputs/"
+                               "pollack3_budget0.json --n 2",
+    "basis_strong_phi_identity_exit1": "basis --input tests/golden/inputs/"
+                                       "basis_rank3_phi_identity.json "
+                                       "--mode strong",
 }
 
 

@@ -427,6 +427,16 @@ def test_image_condition_frozen_values():
     assert r3.details["dual_intersection_trivial"]
 
 
+def test_image_condition_dual_intersection_past_fil_dim():
+    # fil_dim = 1: any index past it meets the complement of Fil0
+    fd = pollack_fd()
+    for I, w in (([2], [1]), ([1, 2], [1, 0])):
+        for trivial in (False, True):
+            res = image_condition_at_zero(fd, I, w,
+                                          trivial_character=trivial)
+            assert not res.details["dual_intersection_trivial"]
+
+
 def test_image_condition_plain_character():
     fd = pollack_fd()
     res = image_condition_at_zero(fd, [1], [1])

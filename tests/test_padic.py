@@ -29,6 +29,14 @@ def test_context_validation():
         PadicContext(3, rel_prec=0)
 
 
+def test_context_primality_past_the_small_prime_table():
+    # 41 and 43 are the first primes the trial division decides
+    assert PadicContext(41).p == 41 and PadicContext(43).p == 43
+    for n in (41 ** 2, 41 * 43):
+        with pytest.raises(InputError, match="odd prime"):
+            PadicContext(n)
+
+
 def test_integer_embedding_frozen():
     x = CTX.integer(18)
     assert (x.v, x.u, x.prec) == (2, 2, 5)

@@ -10,6 +10,7 @@ import pytest
 
 from padlog import (
     INF,
+    FrobeniusData,
     GammaElement,
     InputError,
     IntegralityViolation,
@@ -540,7 +541,6 @@ def test_scalar_twist_precision_exhaustion(p):
 
 def test_wach_rejects_higher_r():
     ctx = wach_context(3)
-    from padlog import FrobeniusData
     fd = random_instance(3, 4, 2, 0)
     fd2 = FrobeniusData.create(ctx, fd.C, d0=1, r=2, force=True)
     with pytest.raises(InputError):
@@ -555,6 +555,13 @@ def test_gl4_tower_also_works():
     assert verify_tower_congruence(tower, 2, 1)
     out = build_G_gamma(fd, 1, GammaElement.default(3), 16)
     assert out["exact"]
+
+
+def test_rank_one_tower_twists_to_the_identity():
+    # size 1: the adjugate of a 1 x 1 matrix is [[1]]
+    fd = FrobeniusData.create(PadicContext(3), [[2]], d0=1)
+    out = build_G_gamma(fd, 2, GammaElement(3, 4), 5)
+    assert out["exact"] and out["G"] == [[[1]]]
 
 
 def test_twist_rejects_nonpositive_trunc():
