@@ -347,7 +347,8 @@ def escape_union(ctx: PadicContext, rank: int, hyperplanes):
     lies outside p^k times the lattice for every k >= 1), and avoids
     the rational span of every hyperplane.  The 0/1 vectors are tried
     first, then at most h (rank - 1) + 1 points of the moment curve for
-    h hyperplanes, one of which always escapes.
+    h hyperplanes, one of which always escapes.  ``ctx`` is accepted for
+    the lemmas' common signature and is not read.
     """
     if rank < 1:
         raise InputError("rank must be at least 1")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from .errors import InputError, NotInImage, NotIntegral, PrecisionLoss
 from .linalg import (
-    form_const,
     form_depth,
     form_mod,
     form_mul,
@@ -151,7 +150,7 @@ def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
     p = fd.ctx.p
     return RegulatorVector(n, _embed(fd.ctx, n,
                                      _apply(fd.tower.P(n), x, p, n),
-                                     N + n * form_depth(fd.tower.C_inv, p)))
+                                     N + n * form_depth(fd.tower.frob_inv, p)))
 
 
 def factor_level(fd: FrobeniusData, n: int, L,
@@ -169,7 +168,7 @@ def factor_level(fd: FrobeniusData, n: int, L,
         raise InputError("factor_level needs n >= 1")
     x, N = _as_classes(fd, n, L)
     p = fd.ctx.p
-    C = form_const(fd.C)
+    C = fd.tower.frob
     lost = form_depth(C, p)
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
@@ -261,7 +260,7 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     cphi_inv = tower.cphi_power(-1)
     hi = _apply(top, low, p, n)
     twisted = _apply(cphi_inv, low, p, n)
-    lost = form_depth(tower.C_inv, p)
+    lost = form_depth(tower.frob_inv, p)
     N += min((n + 1) * lost, n * lost + form_depth(cphi_inv, p))
     witness = _first_unresolved(form_sub(hi, twisted), p, N, cutoff)
     return {"ok": not witness, "witness": witness}

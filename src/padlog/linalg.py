@@ -391,16 +391,10 @@ def _reduced(N, d):
     return N, d // g
 
 
-def form_const(A, e=1):
-    """The constant matrix A^e as an integer form, for a matrix A of
-    rationals (square when e > 1) and e >= 1; the power is formed on the
-    integer numerators."""
+def form_const(A):
+    """The constant matrix A of rationals as an integer form."""
     N, d = integer_matrix(A)
-    power = N
-    for _ in range(e - 1):
-        power = mat_mul(N, power)
-    return _reduced([[[x] if x else [] for x in row] for row in power],
-                    d ** e)
+    return _reduced([[[x] if x else [] for x in row] for row in N], d)
 
 
 def form_from_fractions(M):

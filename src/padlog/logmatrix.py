@@ -13,14 +13,15 @@ r*(d-d0).  The admission gate checks the Newton-polygon slope window
 (-1, 0], that 1 is not an eigenvalue, and that det(C) is a unit, all
 read off the characteristic polynomial of C_phi.  An adapted change of
 basis carries admission over, so the conjugated instance of
-conjugate_basis_check is transported on integer numerators, not gated;
-conjugated_instance still gates it.
+conjugate_basis_check is transported, not gated: its tower is built
+from C_w and C_w^-1 on integers.  conjugated_instance still gates it.
 
-Each instance grows one ExactTower, on first use: the chain P_k on
-integer forms (linalg's exact polynomial type: a matrix N of integer
-polynomials over one denominator d, content-reduced) and the powers of
-C_phi.  M_n, M'_n = C_phi^n P_n, the Coleman maps and kernel all read
-it; Fractions are formed only where a result is returned.
+Each instance grows one ExactTower on first use, its one integer lift:
+C and C^-1 as integer forms (linalg's exact polynomial type: a matrix N
+of integer polynomials over one denominator d, content-reduced), and on
+them C_phi^(+-1), their powers and the chain P_k.  M_n, M'_n = C_phi^n
+P_n and the Coleman and Wach maps read it; Fractions are formed only
+where a result is returned.
 P_n has degree p^n - 1, so M_n is already reduced modulo omega_n.
 
 The tower satisfies, and this module verifies exactly on the integer
@@ -49,6 +50,7 @@ from .linalg import (
     cofactor_det,
     form_at_zero,
     form_const,
+    form_depth,
     form_mod,
     form_mul,
     form_sub,
@@ -62,7 +64,6 @@ from .linalg import (
     frac_rank,
     hull_root_valuations,
     int_dot,
-    integer_matrix,
     mat_mul,
     newton_lower_hull,
     vp_frac,
@@ -140,8 +141,9 @@ class FrobeniusData:
 
     @cached_property
     def tower(self):
-        """The instance's ExactTower, created on first use."""
-        return ExactTower(self)
+        """The instance's ExactTower: C and C^-1 lifted once, on use."""
+        return ExactTower(self.ctx, self.fil_dim, form_const(self.C),
+                          form_const(self.C_inv))
 
     @cached_property
     def C_phi(self):
@@ -226,25 +228,32 @@ def check_hypotheses(fd: FrobeniusData) -> HypothesisReport:
 # -- the exact tower -------------------------------------------------------
 
 
+def _diagonal(entries, d: int):
+    """The integer form diag(entries) / d, for integer polynomials."""
+    return [[e if i == j else [] for j in range(len(entries))]
+            for i, e in enumerate(entries)], d
+
+
 class ExactTower:
-    """One instance's exact tower on integer forms, held by
-    FrobeniusData.tower and freed with it: C^-1 (C_inv), C_k, the chain
-    P_k = C_k P_(k-1) grown a level at a time, the powers of C_phi and of
-    C_phi^-1 = diag(I, p I) C^-1, M_k and M'_k.  Each is formed once and
-    shared read-only.  Growing it runs no elimination."""
+    """One instance's exact tower on integer forms and its one integer
+    lift, held by FrobeniusData.tower and freed with it: the forms of C
+    (frob) and C^-1 (frob_inv), C_k, the chain P_k = C_k P_(k-1) grown a
+    level at a time, C_phi^(+-1) and their powers, M_k and M'_k, each
+    formed once and shared read-only, by no elimination.  A transported
+    tower is built from C_w and C_w^-1 (see _conjugation)."""
 
-    __slots__ = ("p", "fil_dim", "depth", "budget", "C_inv", "chain",
-                 "_cphi", "_powers", "_products")
+    __slots__ = ("p", "fil_dim", "depth", "budget", "frob", "frob_inv",
+                 "chain", "_powers", "_products")
 
-    def __init__(self, fd: FrobeniusData):
-        g, f, p = fd.size, fd.fil_dim, fd.ctx.p
-        self.p, self.fil_dim, self.budget = p, f, fd.ctx.denom_budget
-        self.depth = max(0, -fd.min_val_C_phi())
-        self.C_inv = form_const(fd.C_inv)
-        self.chain = [form_const(frac_identity(g))]
-        self._cphi = (fd.C_phi, [[x * p if i >= f else x for x in row]
-                                 for i, row in enumerate(fd.C_inv)])
-        self._powers, self._products = {}, {}
+    def __init__(self, ctx: PadicContext, fil_dim: int, frob, frob_inv):
+        g, f, p = len(frob[0]), fil_dim, ctx.p
+        self.p, self.fil_dim, self.budget = p, f, ctx.denom_budget
+        self.frob, self.frob_inv = frob, frob_inv
+        self.chain, self._products = [_diagonal([[1]] * g, 1)], {}
+        self._powers = {
+            1: form_mul(frob, _diagonal([[p]] * f + [[1]] * (g - f), p)),
+            -1: form_mul(_diagonal([[1]] * f + [[p]] * (g - f), 1), frob_inv)}
+        self.depth = -form_depth(self._powers[1], p)
 
     def _scaled(self, A, k: int):
         """diag(I, Phi_{p^k}(1+X) I) A, as content-reduced as A."""
@@ -255,7 +264,7 @@ class ExactTower:
 
     def _grow(self):
         """Append P_k = C_k P_(k-1), of degree p^k - 1 < deg omega_k."""
-        P = form_mul(self.C_inv, self.chain[-1])
+        P = form_mul(self.frob_inv, self.chain[-1])
         self.chain.append(self._scaled(P, len(self.chain)))
 
     def P(self, k: int):
@@ -266,12 +275,13 @@ class ExactTower:
 
     def C(self, k: int):
         """C_k = diag(I, Phi_{p^k}(1+X) I) C^-1, for k >= 1."""
-        return self._scaled(self.C_inv, k)
+        return self._scaled(self.frob_inv, k)
 
     def cphi_power(self, e: int):
-        """C_phi^e, for e != 0."""
+        """C_phi^e, for e != 0, as C_phi^(+-1) C_phi^(e -+ 1)."""
         if e not in self._powers:
-            self._powers[e] = form_const(self._cphi[e < 0], abs(e))
+            s = 1 if e > 0 else -1
+            self._powers[e] = form_mul(self._powers[s], self.cphi_power(e - s))
         return self._powers[e]
 
     def _product(self, e: int, k: int):
@@ -436,34 +446,34 @@ def conjugated_instance(fd: FrobeniusData, B) -> FrobeniusData:
     return _conjugation(fd, B)[2]._gate()
 
 
-def _lift(N, f: int, p: int):
-    """Delta^-1 N Delta, Delta = diag(I_f, p I), for a block upper
-    triangular N: the entries with i < f <= j times p."""
-    return [[x * p if i < f <= j else x for j, x in enumerate(row)]
-            for i, row in enumerate(N)]
+def _lift(A, f: int, p: int):
+    """Delta^-1 A Delta, Delta = diag(I_f, p I), for a block upper
+    triangular integer form A: the entries with i < f <= j times p."""
+    N, d = A
+    return [[[c * p for c in e] if i < f <= j else e
+             for j, e in enumerate(row)] for i, row in enumerate(N)], d
 
 
 def _conjugation(fd: FrobeniusData, B):
-    """(B, B^{-1}, the conjugated instance), B inverted once.
+    """(B, B^-1 as integer forms, the conjugated instance, its tower).
 
     With Delta = diag(I, p I), C_w = B C_phi B^-1 Delta is B C lift(B^-1)
-    and C_w^-1 is lift(B) C^-1 B^-1, lift(A) = Delta^-1 A Delta; both are
-    formed on integer numerators over one denominator.  The instance
-    skips the gate, as it passes exactly when fd does: lift(B^-1) is
-    p-integral, so C_w is when C is; det C_w = det C; and C_w Delta^-1 =
-    B C_phi B^-1 has the characteristic polynomial of C_phi.
+    and C_w^-1 is lift(B) C^-1 B^-1, lift(A) = Delta^-1 A Delta, formed
+    on fd's tower to build the transported one; the instance holds C_w
+    as Fractions.  It skips the gate, as it passes exactly when fd does:
+    lift(B^-1) is p-integral, so C_w is when C is; det C_w = det C; and
+    C_w Delta^-1 = B C_phi B^-1 has the characteristic polynomial of
+    C_phi.
     """
     B, B_inv = _validate_adapted(fd, B)
-    f, p = fd.fil_dim, fd.ctx.p
-    (NB, b), (NB_inv, b_inv) = integer_matrix(B), integer_matrix(B_inv)
-    (NC, c), (NC_inv, c_inv) = integer_matrix(fd.C), integer_matrix(fd.C_inv)
-    C_w = mat_mul(mat_mul(NB, NC), _lift(NB_inv, f, p))
-    C_w_inv = mat_mul(mat_mul(_lift(NB, f, p), NC_inv), NB_inv)
-    fd_w = replace(fd, C=tuple(tuple(Fraction(x, b * c * b_inv) for x in row)
-                               for row in C_w))
-    fd_w.__dict__["C_inv"] = tuple(  # filled in for the cached property
-        tuple(Fraction(x, b * c_inv * b_inv) for x in row) for row in C_w_inv)
-    return B, B_inv, fd_w
+    f, p, tower = fd.fil_dim, fd.ctx.p, fd.tower
+    left, right = form_const(B), form_const(B_inv)
+    C_w = form_mul(form_mul(left, tower.frob), _lift(right, f, p))
+    C_w_inv = form_mul(form_mul(_lift(left, f, p), tower.frob_inv), right)
+    N, d = C_w
+    fd_w = replace(fd, C=tuple(tuple(Fraction(e[0] if e else 0, d)
+                                     for e in row) for row in N))
+    return left, right, fd_w, ExactTower(fd.ctx, f, C_w, C_w_inv)
 
 
 def log_matrix_in_basis(approx: LogMatrixApprox, B):
@@ -504,11 +514,11 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     Returns a report; raises NotFiltrationAdapted when B lacks the
     adapted block form.
     """
-    B, B_inv, fd_w = _conjugation(fd, B)
-    left, right, p = form_const(B), form_const(B_inv), fd.ctx.p
+    left, right, fd_w, tower_w = _conjugation(fd, B)
+    p = fd.ctx.p
     # a negative level fails first, then the budget at the top level
     order = sorted(levels, key=lambda n: (n >= 0, -n))
-    mv, mw = ({n: inst.tower.M(n) for n in order} for inst in (fd, fd_w))
+    mv, mw = ({n: t.M(n) for n in order} for t in (fd.tower, tower_w))
     per_level = {}
     for n in levels:
         diff = form_sub(form_mul(form_mul(left, mv[n]), right), mw[n])

@@ -303,8 +303,8 @@ class PadicScalar:
     def from_record(cls, ctx: PadicContext, rec) -> "PadicScalar":
         try:
             v, u, prec = rec["v"], rec["u"], rec["prec"]
-        except (TypeError, KeyError) as exc:
+            if v == "inf":
+                return ctx.zero(INF if prec == "inf" else int(prec))
+            return cls(ctx, int(v), int(u), int(prec))
+        except (TypeError, KeyError, ValueError) as exc:
             raise InputError(f"bad scalar record {rec!r}") from exc
-        if v == "inf":
-            return ctx.zero(INF if prec == "inf" else int(prec))
-        return cls(ctx, int(v), int(u), int(prec))

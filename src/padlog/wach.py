@@ -61,7 +61,6 @@ from .errors import (
 from .linalg import (
     cofactor_det,
     form_at_zero,
-    form_const,
     form_depth,
     form_mul,
     form_sub,
@@ -70,7 +69,7 @@ from .linalg import (
     int_dot,
     int_trim,
 )
-from .logmatrix import FrobeniusData, _stabilizes
+from .logmatrix import FrobeniusData, _diagonal, _stabilizes
 from .padic import PadicContext, PadicScalar
 from .series import XSeries, phi_cyclo_ints
 
@@ -98,11 +97,11 @@ class GammaElement:
             if (c.valuation() < 0 or c.abs_prec() < 1
                     or (c.lift() - 1) % p):
                 raise InputError("gamma exponent must be certified 1 mod p")
-        else:
-            c = int(c)
-            if c < 1 or c % p != 1:
-                raise InputError(
-                    "integer gamma exponent must be positive and 1 mod p")
+        elif not isinstance(c, int) or isinstance(c, bool):
+            raise InputError("gamma exponent must be an int or a PadicScalar")
+        elif c < 1 or c % p != 1:
+            raise InputError(
+                "integer gamma exponent must be positive and 1 mod p")
         self.p = p
         self.c = c
 
@@ -206,12 +205,6 @@ def _pseries_inv(F, T: int):
             c ** len(cpow))
 
 
-def _diagonal(f, den, size: int):
-    """The integer form f / den times the identity of the given size."""
-    return [[f if i == j else [] for j in range(size)]
-            for i in range(size)], den
-
-
 def _constant_term(A):
     """The value at zero of the integer form A, as strings."""
     return [[str(e[0]) if e else "0" for e in row]
@@ -230,7 +223,7 @@ def _require_wach(fd: FrobeniusData) -> None:
 
 def _qP(fd: FrobeniusData, q):
     """C diag(q I, I) as an integer form, for an integer polynomial q."""
-    N, d = form_const(fd.C)
+    N, d = fd.tower.frob
     return [[int_dot([(q, e)]) if j < fd.fil_dim else e
              for j, e in enumerate(row)] for row in N], d
 
@@ -332,7 +325,7 @@ class WachMatrixTower:
             raise InputError("tower determinant must have constant term 1")
         H, den = _pseries_inv(det, T)
         Minv = form_mul((adj, 1),
-                        _diagonal([d * h for h in H], den, size), T)
+                        _diagonal([[d * h for h in H]] * size, den), T)
         c = gamma.c if gamma.is_integer else gamma.c.lift()
         S = _power_matrix(_binom_shift(c, T), T, T)
         G = form_mul(Minv, _act(lambda e: _substitute(e, S, T), (N, d)), T)
@@ -408,8 +401,9 @@ def verify_p1_twist(fd: FrobeniusData, gamma: GammaElement,
     T = min(trunc, 1)
     q = phi_cyclo_ints(fd.ctx.p, 1)
     moved = _act(lambda e: gamma_act_poly(gamma, e, T), fd.tower.C(1))
+    inv, den = _pseries_inv(q, T)
     prod = form_mul(form_mul(_qP(fd, q), moved, T),
-                    _diagonal(*_pseries_inv(q, T), fd.size), T)
+                    _diagonal([inv] * fd.size, den), T)
     return {"identity_mod_pi": form_at_zero(prod) == fd.tower.P(0),
             "constant_term": _constant_term(prod)}
 
@@ -434,9 +428,9 @@ def verify_commutation(fd: FrobeniusData, n: int, gamma: GammaElement,
     gq = gamma_act_poly(gamma, q, trunc)
     gqP = _act(lambda e: gamma_act_poly(gamma, e, trunc), qP)
     phi_G = _act(lambda e: phi_act_poly(p, e, trunc), Gn)
-    lhs = form_mul(form_mul(qP, phi_G, trunc), _diagonal(gq, 1, fd.size),
+    lhs = form_mul(form_mul(qP, phi_G, trunc), _diagonal([gq] * fd.size, 1),
                    trunc)
-    rhs = form_mul(form_mul(Gn1, gqP, trunc), _diagonal(q, 1, fd.size),
+    rhs = form_mul(form_mul(Gn1, gqP, trunc), _diagonal([q] * fd.size, 1),
                    trunc)
     mismatch = form_witness(form_sub(lhs, rhs), p)
     if mismatch:

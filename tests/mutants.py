@@ -27,6 +27,7 @@ LINALG = "src/padlog/linalg.py"
 WITNESS = ("tests/test_linalg.py::"
            "test_form_witness_reads_valuations_over_the_denominator")
 SOLVE = "tests/test_linalg.py::test_zp_solve_integral_"
+CONJ = "tests/test_logmatrix.py::"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -62,6 +63,29 @@ MUTANTS = [
     ("src/padlog/logmatrix.py", "for _ in range(s):",
      "for _ in range(s - 1):",
      ["tests/test_logmatrix.py::test_determinant_identity"]),
+    # C_phi scaled on the Fil^0 columns instead of the scaled ones
+    ("src/padlog/logmatrix.py", "_diagonal([[p]] * f + [[1]] * (g - f), p)",
+     "_diagonal([[1]] * f + [[p]] * (g - f), p)",
+     ["tests/test_logmatrix.py::test_value_at_zero_is_frobenius_matrix",
+      "tests/test_cli_golden.py::test_cli_matches_golden[logmatrix_n2]"]),
+    # C_phi^-1 scaled by columns instead of rows
+    ("src/padlog/logmatrix.py",
+     "form_mul(_diagonal([[1]] * f + [[p]] * (g - f), 1), frob_inv)",
+     "form_mul(frob_inv, _diagonal([[1]] * f + [[p]] * (g - f), 1))",
+     ["tests/test_coleman.py::test_integral_shift_matches_oracle[size3]",
+      "tests/test_coleman.py::test_tower_projection_compatibility"]),
+    # the transported C_w^-1 formed without lifting B
+    ("src/padlog/logmatrix.py",
+     "form_mul(form_mul(_lift(left, f, p), tower.frob_inv), right)",
+     "form_mul(form_mul(left, tower.frob_inv), right)",
+     [CONJ + "test_transported_conjugate_is_the_direct_product",
+      CONJ + "test_conjugation_verdicts_and_witnesses_match_the_oracle"]),
+    # the transported C_w formed without lifting B^-1
+    ("src/padlog/logmatrix.py",
+     "form_mul(form_mul(left, tower.frob), _lift(right, f, p))",
+     "form_mul(form_mul(left, tower.frob), right)",
+     [CONJ + "test_transported_conjugate_is_the_direct_product",
+      CONJ + "test_conjugated_instance_passes_gate"]),
     # the shared component check lets a class at another level through
     ("src/padlog/coleman.py",
      "not isinstance(c, LambdaNElement) or c.level != level",
@@ -101,6 +125,16 @@ MUTANTS = [
     ("src/padlog/padic.py", "return self.from_rational(n)",
      "return self.from_rational(n, self.rel_prec)",
      ["tests/test_padic.py"]),
+    # a bool gamma exponent read as the int it equals
+    ("src/padlog/wach.py",
+     "elif not isinstance(c, int) or isinstance(c, bool):",
+     "elif not isinstance(c, int):",
+     ["tests/test_wach.py::"
+      "test_gamma_element_rejects_exponents_that_are_not_ints"]),
+    # a scalar record field that is not a number escapes as ValueError
+    ("src/padlog/padic.py", "except (TypeError, KeyError, ValueError)",
+     "except (TypeError, KeyError)",
+     ["tests/test_padic.py::test_malformed_record_is_input_error"]),
     # padlog coleman on an empty vector list passes again
     ("src/padlog/cli.py", "if not records:", "if records is None:",
      ["tests/test_cli.py::test_coleman_empty_vector_list_is_input_error"]),

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,7 @@ from oracles import (
     perm_det_poly,
     phi_oracle,
     pmul,
+    poly_mat_mul,
     pscale,
     ptrim,
     vp_rational,
@@ -387,9 +389,16 @@ def _fraction_changes():
                        zip(B, (unit() for _ in B))]
 
 
+def _constants(A):
+    """The constant integer form A as a matrix of Fractions."""
+    return [[e[0] if e else Fraction(0) for e in row]
+            for row in form_to_fractions(A)]
+
+
 def test_transported_conjugate_is_the_direct_product():
-    # C_w = B C lift(B^-1) on integers is B C_phi B^-1 diag(I, p), its
-    # transported inverse is C_w^-1, and C_w passes the gate it skipped
+    # C_w = B C lift(B^-1) on integers is B C_phi B^-1 diag(I, p), the
+    # transported tower holds it and its inverse C_w^-1, and C_w passes
+    # the gate it skipped
     count = 0
     for fd, B in (*_criterion_4_changes(), *_fraction_changes()):
         p, f = fd.ctx.p, fd.fil_dim
@@ -397,12 +406,56 @@ def test_transported_conjugate_is_the_direct_product():
         middle = _frac_mul(_frac_mul(Bq, fd.C_phi_frac()), inv_oracle(Bq))
         want = [[x * (p if j >= f else 1) for j, x in enumerate(row)]
                 for row in middle]
-        fd_w = _conjugation(fd, B)[2]
+        left, right, fd_w, tower_w = _conjugation(fd, B)
         assert [list(row) for row in fd_w.C] == want
-        assert [list(row) for row in fd_w.C_inv] == frac_inv(want)
+        assert _constants(left) == Bq and _constants(right) == frac_inv(Bq)
+        assert _constants(tower_w.frob) == want
+        assert _constants(tower_w.frob_inv) == frac_inv(want)
         assert check_hypotheses(fd_w).ok
         count += any(x.denominator > 1 for row in Bq for x in row)
     assert count >= 20
+
+
+def _first_nonzero(M):
+    """(i, j, k): the first nonzero coefficient of a matrix of Fraction
+    polynomials, entry by entry and row by row, or None."""
+    return next(((i, j, k) for i, row in enumerate(M)
+                 for j, e in enumerate(row) for k, c in enumerate(e) if c),
+                None)
+
+
+def _const_poly(A):
+    """A constant matrix of Fractions as a matrix of polynomials."""
+    return [[[x] for x in row] for row in A]
+
+
+def test_conjugation_verdicts_and_witnesses_match_the_oracle():
+    # the check's defect B M_(n,v) B^-1 - M_(n,w), rebuilt by the oracles
+    # from C and the direct product C_w: its zero test and, modulo
+    # omega_n, its first nonzero coefficient are the report's, so the
+    # transported tower's C_w^-1 shows in the witness when Q != 0
+    witnessed = 0
+    for fd, B in _criterion_4_changes():
+        p, f = fd.ctx.p, fd.fil_dim
+        Bq = [[Fraction(x) for x in row] for row in B]
+        Bi = inv_oracle(Bq)
+        middle = _frac_mul(_frac_mul(Bq, fd.C_phi_frac()), Bi)
+        fd_w = replace(fd, C=tuple(
+            tuple(x * (p if j >= f else 1) for j, x in enumerate(row))
+            for row in middle))
+        rep = conjugate_basis_check(fd, B, levels=(1, 2))
+        for n in (1, 2):
+            moved = poly_mat_mul(poly_mat_mul(
+                _const_poly(Bq), mn_poly_oracle(fd, n)), _const_poly(Bi))
+            diff = [[padd(a, pscale(b, -1)) for a, b in zip(ra, rb)]
+                    for ra, rb in zip(moved, mn_poly_oracle(fd_w, n))]
+            omega = omega_oracle(p, n)
+            rems = [[pdivmod(e, omega)[1] for e in row] for row in diff]
+            got = rep["levels"][n]
+            assert got["exact"] == (_first_nonzero(diff) is None)
+            assert got["witness"] == _first_nonzero(rems), (fd.C, B, n)
+        witnessed += rep["levels"][1]["witness"] is not None
+    assert witnessed >= 20
 
 
 def test_conjugate_basis_check_runs_no_gate(monkeypatch):
@@ -698,16 +751,19 @@ def test_each_tower_level_grows_once_across_the_readers(make, grown,
                                                         monkeypatch):
     # every reader draws from the instance's one tower: across two runs
     # of all of them each level of it grows once, and each power of
-    # C_phi is formed once; a conjugated instance is new on every call,
-    # and its own tower also grows each level once
-    import padlog.logmatrix as logmatrix
-
+    # C_phi is formed once (C_phi with the tower, each higher power on
+    # first use); a conjugated instance is new on every call, and its own
+    # tower also grows each level once
     fd = make()
     powers = []
-    form_const = logmatrix.form_const
-    monkeypatch.setattr(
-        logmatrix, "form_const", lambda A, e=1: (
-            A is fd.C_phi and powers.append(e)) or form_const(A, e))
+    cphi_power = ExactTower.cphi_power
+
+    def counted(tower, e):
+        if tower is fd.tower and e > 0 and e not in tower._powers:
+            powers.append(e)
+        return cphi_power(tower, e)
+
+    monkeypatch.setattr(ExactTower, "cphi_power", counted)
     _run_every_reader(fd)
     _run_every_reader(fd)
     assert [k for tower, k in grown if tower is fd.tower] == [1, 2, 3]
@@ -717,7 +773,8 @@ def test_each_tower_level_grows_once_across_the_readers(make, grown,
             others.setdefault(id(tower), []).append(k)
     assert len(others) == 2
     assert all(levels == [1, 2] for levels in others.values())
-    assert sorted(powers) == [1, 2, 3, 4]
+    assert sorted(powers) == [2, 3, 4]
+    assert sorted(e for e in fd.tower._powers if e > 0) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("make", TOWER_CASES.values(), ids=TOWER_CASES)

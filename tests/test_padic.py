@@ -113,6 +113,21 @@ def test_record_roundtrip():
         assert PadicScalar.from_record(WIDE, x.to_record()) == x
 
 
+@pytest.mark.parametrize("rec", (
+    {"v": 1, "u": "2", "prec": "inf"},
+    {"v": 1, "u": "x", "prec": 3},
+    {"v": "inf", "u": None, "prec": "x"},
+    {"v": 1, "u": None, "prec": 3},
+))
+def test_malformed_record_is_input_error(rec):
+    # a field that is not a number raises InputError naming the record,
+    # as a missing field does
+    from padlog.padic import PadicScalar
+
+    with pytest.raises(InputError, match="bad scalar record"):
+        PadicScalar.from_record(WIDE, rec)
+
+
 small_rationals = st.builds(
     Fraction,
     st.integers(min_value=-400, max_value=400),

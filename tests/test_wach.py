@@ -232,6 +232,13 @@ def test_gamma_element_validation():
     assert GammaElement.default(3).c == 4
 
 
+@pytest.mark.parametrize("c", (Fraction(9, 2), 4.5, True, "4"))
+def test_gamma_element_rejects_exponents_that_are_not_ints(c):
+    # int(c) would read each of these as another group element
+    with pytest.raises(InputError):
+        GammaElement(3, c)
+
+
 @pytest.mark.parametrize("p", (3, 5))
 def test_gamma_element_accepts_exactly_scalars_known_one_mod_p(p):
     # read off the triple: p^v u + O(p^(v + prec)) is known mod p when
