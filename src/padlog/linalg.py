@@ -38,8 +38,9 @@ library.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
@@ -423,6 +424,13 @@ def form_mul(A, B, T=None):
     if ca != rb:
         raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
     cols = [*zip(*N)]
+    # constant forms, as integer matrices (the corners rule out most others)
+    if ((T is None or T > 0) and ca and cb and len(M[0][0]) < 2
+            and len(N[0][0]) < 2 and all(len(e) < 2 for e in chain(*M, *N))):
+        rows, cols = ([[e[0] if e else 0 for e in r] for r in X]
+                      for X in (M, cols))
+        sums = ([sum(map(mul, row, col)) for col in cols] for row in rows)
+        return _reduced([[[x] if x else [] for x in r] for r in sums], a * b)
     return _reduced([[int_trim(int_dot(zip(row, col), T)) for col in cols]
                      for row in M], a * b)
 

@@ -14,7 +14,8 @@ r*(d-d0).  The admission gate checks the Newton-polygon slope window
 read off the characteristic polynomial of C_phi.  An adapted change of
 basis carries admission over, so the conjugated instance of
 conjugate_basis_check is transported, not gated: its tower is built
-from C_w and C_w^-1 on integers.  conjugated_instance still gates it.
+from C_w and C_w^-1 on integers.  conjugated_instance still gates it,
+and builds no tower.
 
 Each instance grows one ExactTower on first use, its one integer lift:
 C and C^-1 as integer forms (linalg's exact polynomial type: a matrix N
@@ -385,17 +386,20 @@ def det_closed_form(fd: FrobeniusData, n: int) -> XSeries:
 def det_Mn(fd: FrobeniusData, n: int):
     """Determinant of M_n = N / d, det N / d^size, against the closed
     form, both as polynomials and modulo omega_n, on 1 x 1 integer forms.
-    The verdicts are exact; det and closed_form are XSeries views."""
+    The verdicts are exact; det and closed_form are XSeries views, one
+    shared view when raw_match proves the two forms equal."""
     p = fd.ctx.p
     N, d = fd.tower.M(n)
     det = [[cofactor_det(N)]], d ** fd.size
     closed = _closed_det(fd, n)
     diff = form_sub(det, closed)
     witness = form_witness(diff, p)
+    view = form_views(fd.ctx, det)[0][0]
     return {
         "n": n,
-        "det": form_views(fd.ctx, det)[0][0],
-        "closed_form": form_views(fd.ctx, closed)[0][0],
+        "det": view,
+        "closed_form": view if witness is None
+        else form_views(fd.ctx, closed)[0][0],
         "raw_match": witness is None,
         "reduced_match": form_witness(form_mod(diff, omega_ints(p, n)),
                                       p) is None,
@@ -455,15 +459,16 @@ def _lift(A, f: int, p: int):
 
 
 def _conjugation(fd: FrobeniusData, B):
-    """(B, B^-1 as integer forms, the conjugated instance, its tower).
+    """(B, B^-1, the conjugated instance, C_w, C_w^-1), all but the
+    instance as integer forms.
 
     With Delta = diag(I, p I), C_w = B C_phi B^-1 Delta is B C lift(B^-1)
     and C_w^-1 is lift(B) C^-1 B^-1, lift(A) = Delta^-1 A Delta, formed
-    on fd's tower to build the transported one; the instance holds C_w
-    as Fractions.  It skips the gate, as it passes exactly when fd does:
-    lift(B^-1) is p-integral, so C_w is when C is; det C_w = det C; and
-    C_w Delta^-1 = B C_phi B^-1 has the characteristic polynomial of
-    C_phi.
+    on fd's tower, for conjugate_basis_check to build the transported
+    one; the instance holds C_w as Fractions.  It skips the gate, as it
+    passes exactly when fd does: lift(B^-1) is p-integral, so C_w is when
+    C is; det C_w = det C; and C_w Delta^-1 = B C_phi B^-1 has the
+    characteristic polynomial of C_phi.
     """
     B, B_inv = _validate_adapted(fd, B)
     f, p, tower = fd.fil_dim, fd.ctx.p, fd.tower
@@ -473,7 +478,7 @@ def _conjugation(fd: FrobeniusData, B):
     N, d = C_w
     fd_w = replace(fd, C=tuple(tuple(Fraction(e[0] if e else 0, d)
                                      for e in row) for row in N))
-    return left, right, fd_w, ExactTower(fd.ctx, f, C_w, C_w_inv)
+    return left, right, fd_w, C_w, C_w_inv
 
 
 def log_matrix_in_basis(approx: LogMatrixApprox, B):
@@ -514,8 +519,8 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     Returns a report; raises NotFiltrationAdapted when B lacks the
     adapted block form.
     """
-    left, right, fd_w, tower_w = _conjugation(fd, B)
-    p = fd.ctx.p
+    left, right, fd_w, C_w, C_w_inv = _conjugation(fd, B)
+    p, tower_w = fd.ctx.p, ExactTower(fd.ctx, fd.fil_dim, C_w, C_w_inv)
     # a negative level fails first, then the budget at the top level
     order = sorted(levels, key=lambda n: (n >= 0, -n))
     mv, mw = ({n: t.M(n) for n in order} for t in (fd.tower, tower_w))

@@ -14,10 +14,12 @@ Every nonzero construction checks the denominator budget: a valuation
 below -denom_budget raises instead of silently growing denominators.
 
 No library path does this arithmetic: verdicts are decided on linalg's
-exact integer forms, and from_rational (integer is its int case) rounds
-only returned views.  The arithmetic stays for XSeries.__mul__,
-poly_divmod, divide_exact and reduce_mod_omega, which the benchmark's
-layer tracer names; only __add__ normalizes through from_mantissa.
+exact integer forms, and PadicContext.over rounds only returned views:
+the coefficients c / d of an integer form, on integers, with no
+Fraction; from_rational (integer is its int case) is its one-scalar
+case.  The arithmetic stays for XSeries.__mul__, poly_divmod,
+divide_exact and reduce_mod_omega, which the benchmark's layer tracer
+names; only __add__ normalizes through from_mantissa.
 """
 
 from __future__ import annotations
@@ -103,16 +105,32 @@ class PadicContext:
             value = Fraction(value)
         if not value:
             return self.zero(abs_prec)
-        vn, un = self.valuation_of_integer(value.numerator)
-        vd, ud = self.valuation_of_integer(value.denominator)
-        v = vn - vd
-        # mantissa = un/ud reduced to the digits known below p^abs_prec
-        k = min(self.rel_prec, abs_prec - v)
-        if k <= 0:
-            return self.zero(abs_prec)
-        mod = self.p ** k
-        u = (un % mod) * pow(ud % mod, -1, mod) % mod
-        return PadicScalar(self, v, u, k)
+        return self.over(value.denominator, [value.numerator], abs_prec)[0]
+
+    def over(self, d: int, nums, abs_prec=INF):
+        """[from_rational(Fraction(c, d), abs_prec) for c in nums], d > 0,
+        on integers: with d = p^vd ud, c / d is p^v u, v = v_p(c) - vd,
+        k = min(rel_prec, abs_prec - v) (O(p^abs_prec) if k <= 0) and
+        u = (c / p^v_p(c)) ud^-1 mod p^k, ud^-1 found once per k; a
+        factor common to c and d changes neither v nor u."""
+        p, zero, inverses, out = self.p, None, {}, []
+        vd, ud = self.valuation_of_integer(d)
+        for c in nums:
+            v = -vd
+            while c and c % p == 0:
+                c //= p
+                v += 1
+            k = min(self.rel_prec, abs_prec - v) if c else 0
+            if k <= 0:
+                zero = zero or self.zero(abs_prec)
+                out.append(zero)
+                continue
+            if k not in inverses:
+                mod = p ** k
+                inverses[k] = mod, pow(ud, -1, mod)
+            mod, inv = inverses[k]
+            out.append(PadicScalar(self, v, c * inv % mod, k))
+        return out
 
 
 class PadicScalar:

@@ -10,11 +10,11 @@ in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
 degree-reduced representative.
 
 The library computes and decides on linalg's integer forms and rounds
-a returned value into these views once, through form_views.  No library
-path does arithmetic on them or on their scalars: XSeries.__mul__,
-poly_divmod, divide_exact and reduce_mod_omega, the last users of the
-PadicScalar arithmetic, stay only because the benchmark's tracer names
-them.
+a returned value into these views once, through form_views, on the
+form's integers (PadicContext.over).  No library path does arithmetic
+on them or on their scalars: XSeries.__mul__, poly_divmod, divide_exact
+and reduce_mod_omega, the last users of the PadicScalar arithmetic,
+stay only because the benchmark's tracer names them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from functools import lru_cache
 
 from .errors import InputError, NotInImage, PrecisionLoss
-from .linalg import form_to_fractions, int_dot
+from .linalg import int_dot, int_trim
 from .padic import INF, PadicContext, PadicScalar
 
 
@@ -171,13 +171,16 @@ class XSeries:
 
 
 def form_views(ctx: PadicContext, A, N=INF, length: int = 0):
-    """The one rounding of an exact result: the integer form A as XSeries,
-    each coefficient rounded once at absolute precision N (keeping at most
-    rel_prec digits), each entry padded with O(p^N) zeros to length."""
+    """The one rounding of an exact result: the integer form A = X / d as
+    XSeries, each coefficient c / d rounded once at absolute precision N
+    (keeping at most rel_prec digits) by one ctx.over on the integers of
+    the form, each trimmed entry padded with O(p^N) zeros to length."""
+    X, d = A
+    X = [[int_trim(e) for e in row] for row in X]
+    scalars = iter(ctx.over(d, [c for row in X for e in row for c in e], N))
     zero = ctx.zero(N)
-    return [[XSeries(ctx, [ctx.from_rational(c, N) for c in e]
-                     + [zero] * (length - len(e))) for e in row]
-            for row in form_to_fractions(A)]
+    return [[XSeries(ctx, [next(scalars) for _ in e]
+                     + [zero] * (length - len(e))) for e in row] for row in X]
 
 
 # -- polynomial division ------------------------------------------------

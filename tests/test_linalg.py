@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from padlog import INF, InputError, NotInImage, SingularOperator
 from padlog.linalg import (
+    _reduced,
     cofactor_det,
     form_from_fractions,
     form_mul,
@@ -29,6 +30,8 @@ from padlog.linalg import (
     frac_rank,
     frac_solve,
     hull_root_valuations,
+    int_dot,
+    int_trim,
     mat_mul,
     newton_lower_hull,
     pseudo_divmod,
@@ -675,6 +678,48 @@ def test_pmat_mul_matches_oracle_on_rectangular_shapes():
     for bad in (([[[1], [2]]], [[[1], [2]]]), ([[[1], [2]], [[3]]], [[[1]]])):
         with pytest.raises(InputError):
             form_mul(*(form_from_fractions(A) for A in bad))
+
+
+def _general_product(A, B, T=None):
+    """form_mul's general path: one int_dot per entry, then _reduced."""
+    (M, a), (N, b) = A, B
+    return _reduced([[int_trim(int_dot(zip(row, col), T))
+                      for col in zip(*N)] for row in M], a * b)
+
+
+def test_form_mul_of_constant_forms_is_the_general_product():
+    # zero entries ([] and an untrimmed [0]), numerators whose content
+    # shares factors with the denominators, and 1 x g, g x 1 and g x g
+    # shapes; then the same forms with one entry of degree 1
+    rng = random.Random(29)
+    shapes = [(1, 3, 3), (3, 3, 1), (1, 3, 1), (3, 1, 3), (3, 3, 3),
+              (2, 4, 2), (4, 4, 4)]
+    reduced = 0
+    for r, m, c in shapes * 12:
+        A, B = (([[[rng.choice((0, 2, -4, 6, 9, 12, -15))] if rng.random()
+                   < 0.8 else [] for _ in range(cols)] for _ in range(rows)],
+                 rng.choice((1, 2, 3, 6, 18)))
+                for rows, cols in ((r, m), (m, c)))
+        for T in (None, 1, 2):
+            got = form_mul(A, B, T)
+            assert got == _general_product(A, B, T)
+            reduced += got[1] < A[1] * B[1]
+        assert form_to_fractions(got) == poly_mat_mul(
+            form_to_fractions(A), form_to_fractions(B))
+        assert form_mul(A, B, 0) == _general_product(A, B, 0)
+        # one entry of degree 1 past the constant corners: no longer
+        # constant forms
+        X = rng.choice((A, B))[0]
+        i, j = rng.randrange(len(X)), rng.randrange(len(X[0]))
+        if (i, j) != (0, 0):
+            X[i][j] = X[i][j] + [1] if X[i][j] else [0, 1]
+            for T in (None, 2):
+                got = form_mul(A, B, T)
+                assert got == _general_product(A, B, T)
+                assert form_to_fractions(got) == [
+                    [ptrim(e[:T]) for e in row] for row in poly_mat_mul(
+                        form_to_fractions(A), form_to_fractions(B))]
+    assert reduced >= 50
 
 
 def test_fpoly_divmod_matches_oracle_on_rational_divisors():

@@ -258,6 +258,25 @@ def test_determinant_identity_at_size_8(monkeypatch):
     assert _series_is(rep["det"], closed)
 
 
+def test_det_mn_shares_one_view_only_when_the_forms_match(monkeypatch):
+    # a proved match rounds one view for both det and closed_form; a
+    # determinant off by 1 / d^size in its constant term leaves a witness,
+    # and closed_form is then the closed form's own view
+    import padlog.logmatrix as lm
+
+    fd, n = random_instance(3, 3, 1, 1), 2
+    rep = det_Mn(fd, n)
+    assert rep["raw_match"] and rep["det"] is rep["closed_form"]
+    assert rep["closed_form"] == det_closed_form(fd, n)
+    real = lm.cofactor_det
+    monkeypatch.setattr(lm, "cofactor_det",
+                        lambda A: [real(A)[0] + 1] + real(A)[1:])
+    rep = det_Mn(fd, n)
+    assert not rep["raw_match"] and rep["witness"] == 0
+    assert rep["closed_form"] == det_closed_form(fd, n)
+    assert rep["closed_form"] != rep["det"]
+
+
 def test_det_closed_form_against_independent_product():
     # rebuild det(C) p^{-(n+1)s} prod Phi_{p^k}^s with the division
     # oracle's cyclotomic coefficients and exact Fraction polynomials
@@ -351,6 +370,21 @@ def test_conjugated_instance_passes_gate():
     assert check_hypotheses(fd_w).ok
 
 
+def test_conjugated_instance_builds_no_tower(monkeypatch):
+    # only conjugate_basis_check reads the transported tower
+    fd = random_instance(3, 4, 2, 0)
+    B = random_adapted_B(fd, random.Random(13))
+    fd.tower  # the instance's own tower, built before counting
+    built = []
+    init = ExactTower.__init__
+    monkeypatch.setattr(ExactTower, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    conjugated_instance(fd, B)
+    assert built == []
+    conjugate_basis_check(fd, B, levels=(1,))
+    assert len(built) == 1
+
+
 def _frac_mul(A, B):
     return [[sum((a * b for a, b in zip(row, col)), Fraction(0))
              for col in zip(*B)] for row in A]
@@ -397,8 +431,8 @@ def _constants(A):
 
 def test_transported_conjugate_is_the_direct_product():
     # C_w = B C lift(B^-1) on integers is B C_phi B^-1 diag(I, p), the
-    # transported tower holds it and its inverse C_w^-1, and C_w passes
-    # the gate it skipped
+    # transported tower is built from it and its inverse C_w^-1, and C_w
+    # passes the gate it skipped
     count = 0
     for fd, B in (*_criterion_4_changes(), *_fraction_changes()):
         p, f = fd.ctx.p, fd.fil_dim
@@ -406,11 +440,11 @@ def test_transported_conjugate_is_the_direct_product():
         middle = _frac_mul(_frac_mul(Bq, fd.C_phi_frac()), inv_oracle(Bq))
         want = [[x * (p if j >= f else 1) for j, x in enumerate(row)]
                 for row in middle]
-        left, right, fd_w, tower_w = _conjugation(fd, B)
+        left, right, fd_w, C_w, C_w_inv = _conjugation(fd, B)
         assert [list(row) for row in fd_w.C] == want
         assert _constants(left) == Bq and _constants(right) == frac_inv(Bq)
-        assert _constants(tower_w.frob) == want
-        assert _constants(tower_w.frob_inv) == frac_inv(want)
+        assert _constants(C_w) == want
+        assert _constants(C_w_inv) == frac_inv(want)
         assert check_hypotheses(fd_w).ok
         count += any(x.denominator > 1 for row in Bq for x in row)
     assert count >= 20

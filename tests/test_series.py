@@ -1,6 +1,7 @@
 """Series and quotient-ring arithmetic: truncation rules, exact
 division, cyclotomic identities."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padlog import (
+    INF,
+    DenominatorBudgetExceeded,
     InputError,
     NotInImage,
     PadicContext,
@@ -18,7 +21,12 @@ from padlog import (
     poly_divmod,
     reduce_mod_omega,
 )
-from padlog.series import LambdaNElement, omega_ints, phi_cyclo_ints
+from padlog.series import (
+    LambdaNElement,
+    form_views,
+    omega_ints,
+    phi_cyclo_ints,
+)
 
 from oracles import (
     agree_mod_precision,
@@ -29,6 +37,7 @@ from oracles import (
     phi_oracle,
     pmul,
     ptrim,
+    vp_rational,
 )
 
 CTX = PadicContext(3, rel_prec=20, denom_budget=24)
@@ -170,3 +179,99 @@ def test_divmod_recomposition(a, b):
     f = embed(a)
     q, r = poly_divmod(f, g)
     assert agrees(embed(a), known_sum((q * g).coeffs, r.coeffs, CTX.p))
+
+
+def _rounded(ctx, q, N):
+    """(v, u, prec) of the rational q known modulo p^N by the Fraction
+    rule: v = v_p(q), k = min(rel_prec, N - v) and u the unit part of q
+    mod p^k; O(p^N) when q = 0 or k <= 0."""
+    p = ctx.p
+    if q == 0:
+        return (INF, None, N)
+    v = vp_rational(q, p)
+    k = min(ctx.rel_prec, N - v)
+    if k <= 0:
+        return (INF, None, N)
+    unit, mod = q / Fraction(p) ** v, p ** k
+    return (v, unit.numerator * pow(unit.denominator, -1, mod) % mod, k)
+
+
+def _triples(xs):
+    return [(c.v, c.u, c.prec) for c in xs.coeffs]
+
+
+def test_form_views_round_each_coefficient_as_from_rational():
+    # zero entries and coefficients, negative coefficients, trailing
+    # zeros, content shared with d, d divisible by p^j for every j up to
+    # the budget, exact and finite N (N <= v gives O(p^N)) and padding
+    rng = random.Random(29)
+    seen = set()
+    for p in (3, 5):
+        ctx = PadicContext(p, rel_prec=6, denom_budget=5)
+        for _ in range(150):
+            j = rng.randint(0, ctx.denom_budget)
+            d = p ** j * rng.choice((1, 2, 4, 7, 8))
+            seen.add(("depth", j))
+            X = [[[rng.choice((0, 1, -1, 2, -7, 10 ** 9 + 7))
+                   * p ** rng.randint(0, 9) * rng.choice((1, 2, 7))
+                   for _ in range(rng.randint(0, 5))]
+                  for _ in range(rng.randint(1, 3))]
+                 for _ in range(rng.randint(1, 3))]
+            N = rng.choice((INF, rng.randint(-7, 12)))
+            length = rng.choice((0, 4, 8))
+            want = []
+            for row in X:
+                want.append([])
+                for e in row:
+                    t = ptrim(list(e))
+                    qs = [Fraction(c, d) for c in t]
+                    exp = ([_rounded(ctx, q, N) for q in qs]
+                           + [(INF, None, N)] * (length - len(t)))
+                    while N == INF and exp and exp[-1] == (INF, None, INF):
+                        exp.pop()
+                    ref = XSeries(ctx, [ctx.from_rational(q, N) for q in qs]
+                                  + [ctx.zero(N)] * (length - len(t)))
+                    want[-1].append((exp, ref))
+                    for c, q in zip(t, qs):
+                        seen.add("negative" if c < 0 else
+                                 "zero" if c == 0 else "positive")
+                        if q and N != INF and N <= vp_rational(q, p):
+                            seen.add("N <= v")
+                        if q and q.denominator != d:
+                            seen.add("shared content")
+                    seen.add("padded" if length > len(t) else "unpadded")
+            got = form_views(ctx, (X, d), N, length)
+            assert [len(row) for row in got] == [len(row) for row in want]
+            for view_row, want_row in zip(got, want):
+                for view, (exp, ref) in zip(view_row, want_row):
+                    assert _triples(view) == exp
+                    assert view == ref
+    assert seen >= {"negative", "zero", "positive", "N <= v", "padded",
+                    "unpadded", "shared content",
+                    *(("depth", j) for j in range(6))}
+
+
+def test_rounding_keeps_the_denominator_budget():
+    ctx = PadicContext(3, rel_prec=6, denom_budget=5)
+    assert _triples(form_views(ctx, ([[[1, 3]]], 3 ** 5))[0][0]) == [
+        (-5, 1, 6), (-4, 1, 6)]
+    for rounding in (lambda: form_views(ctx, ([[[3, 1]]], 3 ** 6)),
+                     lambda: ctx.from_rational(Fraction(1, 3 ** 6))):
+        with pytest.raises(DenominatorBudgetExceeded):
+            rounding()
+
+
+def test_form_views_make_no_fraction(monkeypatch):
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    A = ([[[1, -3, 9, 0], []], [[0, 2], [5]]], 18)
+    for N, length in ((INF, 0), (4, 6), (-1, 3)):
+        views = form_views(CTX, A, N, length)
+        assert len(views) == 2
+    assert made == []
