@@ -1,19 +1,20 @@
 """Finite-level signed-Coleman factorization.
 
 forward multiplies a coordinate vector by C_n ... C_1 inside the level-n
-quotient, and roundtrip_check reads both of its images through it;
-factor_level inverts that product stage by stage, dividing the scaled
-block by Phi_{p^k} and multiplying by C at each stage k = n..1.
+quotient; factor_level inverts that product stage by stage, dividing
+the scaled block by Phi_{p^k} and multiplying by C at each stage
+k = n..1.  Each is a lift, a core (_forward, _factor) and one rounding;
+roundtrip_check lifts once and rounds only the two views it returns.
 Division happens on the degree-reduced representative, which is sound
 because Phi_{p^k} divides omega_n: a class is divisible iff its reduced
 representative is divisible as a polynomial.
 
 The maps run exactly on the input lifted once to an integer form (a
 column of integer polynomials over one denominator, see linalg), with
-one absolute precision N for the whole vector.  Fractions are formed
-only to round the result: each output coefficient is rounded once at
-N, less the digits a non-p-integral matrix could lose (none when
-admitted); a zero one is O(p^N).  The checks decide on the exact
+one absolute precision N for the whole vector.  Only a returned view is
+rounded, each output coefficient once at N, less the digits a
+non-p-integral matrix could lose (none when admitted); a zero one is
+O(p^N).  The checks decide on the exact
 forms, with one certification rule (_first_unresolved): a certified
 nonzero anywhere in the vector, found by linalg.form_witness, comes
 before an indeterminate verdict.
@@ -136,43 +137,28 @@ def _embed(ctx, n: int, x, N):
             for (e,) in form_views(ctx, x, N, ctx.p ** n)]
 
 
-def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
-    """C_n ... C_1 applied to col inside the level-n quotient.
-
-    The lifted vector is multiplied by the tower's exact P_n and reduced
-    mod omega_n; the image is certified to the input's absolute
-    precision, less what C^-1 can lose at each of the n stages (nothing
-    for an admitted instance).
-    """
-    if n < 1:
-        raise InputError("forward needs n >= 1")
-    x, N = _as_classes(fd, n, col)
+def _forward(fd: FrobeniusData, n: int, x, N):
+    """(P_n x mod omega_n, N_y) for the column form x known modulo p^N:
+    N_y is N less what C^-1 can lose at each of the n stages (nothing for
+    an admitted instance)."""
     p = fd.ctx.p
-    return RegulatorVector(n, _embed(fd.ctx, n,
-                                     _apply(fd.tower.P(n), x, p, n),
-                                     N + n * form_depth(fd.tower.frob_inv, p)))
+    return (_apply(fd.tower.P(n), x, p, n),
+            N + n * form_depth(fd.tower.frob_inv, p))
 
 
-def factor_level(fd: FrobeniusData, n: int, L,
-                 cutoff: int = 1) -> ColemanVector:
-    """Invert forward stage by stage.
-
-    At stage k = n..1 the scaled block is divided by Phi_{p^k} and the
-    vector is multiplied by C, exactly on the lifted representatives.  A
-    remainder coefficient of valuation below the certified precision N
-    raises NotInImage; a remainder that vanishes modulo p^N with N below
-    the cutoff raises PrecisionLoss.  The result is unique modulo
-    ker(forward).
-    """
-    if n < 1:
-        raise InputError("factor_level needs n >= 1")
-    x, N = _as_classes(fd, n, L)
+def _factor(fd: FrobeniusData, n: int, x, N, cutoff: int):
+    """(z, N_z): forward inverted stage by stage on the column form x
+    known modulo p^N, which is left as it is.  At stage k = n..1 the
+    scaled block is divided by Phi_{p^k} and the vector is multiplied
+    by C; a remainder coefficient of valuation below N raises
+    NotInImage, and a remainder that vanishes modulo p^N with N below
+    the cutoff raises PrecisionLoss."""
     p = fd.ctx.p
     C = fd.tower.frob
     lost = form_depth(C, p)
     for k in range(n, 0, -1):
         phi = phi_cyclo_ints(p, k)
-        X, d = x
+        X, d = [row[:] for row in x[0]], x[1]
         rems = []
         for i in range(fd.fil_dim, fd.size):
             X[i][0], rem, _ = pseudo_divmod(X[i][0], phi)
@@ -184,9 +170,27 @@ def factor_level(fd: FrobeniusData, n: int, L,
         if bad:
             raise PrecisionLoss(f"remainder known only modulo p^{N}, "
                                 f"unresolved at cutoff {cutoff}")
-        x = _apply(C, x, p, n)
+        x = _apply(C, (X, d), p, n)
         N += lost
-    return ColemanVector(n, _embed(fd.ctx, n, x, N),
+    return x, N
+
+
+def forward(fd: FrobeniusData, n: int, col) -> RegulatorVector:
+    """C_n ... C_1 applied to col in the level-n quotient (_forward)."""
+    if n < 1:
+        raise InputError("forward needs n >= 1")
+    y, N = _forward(fd, n, *_as_classes(fd, n, col))
+    return RegulatorVector(n, _embed(fd.ctx, n, y, N))
+
+
+def factor_level(fd: FrobeniusData, n: int, L,
+                 cutoff: int = 1) -> ColemanVector:
+    """Invert forward stage by stage (_factor); the result is unique
+    modulo ker(forward)."""
+    if n < 1:
+        raise InputError("factor_level needs n >= 1")
+    z, N = _factor(fd, n, *_as_classes(fd, n, L), cutoff)
+    return ColemanVector(n, _embed(fd.ctx, n, z, N),
                          kernel_tag=f"mod ker h_{n}")
 
 
@@ -227,41 +231,45 @@ def integral_shift(fd: FrobeniusData, n: int, raw) -> RegulatorVector:
 
 def roundtrip_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """forward(factor_level(forward(col))) vs forward(col), exactly;
-    "image" is forward(col).  The factorization runs at the same cutoff,
-    so it raises PrecisionLoss when the image is known to fewer than
-    cutoff digits.  The two images are compared on their lifts, at the
-    smaller of their precisions."""
-    L = forward(fd, n, col)
-    recovered = factor_level(fd, n, L, cutoff)
-    (a, Na), (b, Nb) = (_as_classes(fd, n, v)
-                        for v in (L, forward(fd, n, recovered)))
-    witness = _first_unresolved(form_sub(a, b), fd.ctx.p, min(Na, Nb),
+    "image" is forward(col).  The input is lifted once and the three maps
+    run on exact forms; only the image and the preimage are rounded.  The
+    factorization runs at the same cutoff, so it raises PrecisionLoss when
+    the image is known to fewer than cutoff digits.  The two images are
+    compared at the smaller of their precisions."""
+    if n < 1:
+        raise InputError("forward needs n >= 1")
+    y, Ny = _forward(fd, n, *_as_classes(fd, n, col))
+    image = RegulatorVector(n, _embed(fd.ctx, n, y, Ny))
+    z, Nz = _factor(fd, n, y, Ny, cutoff)
+    recovered = ColemanVector(n, _embed(fd.ctx, n, z, Nz),
+                              kernel_tag=f"mod ker h_{n}")
+    b, Nb = _forward(fd, n, z, Nz)
+    witness = _first_unresolved(form_sub(y, b), fd.ctx.p, min(Ny, Nb),
                                 cutoff)
     if witness:
-        return {"ok": False, "witness": witness, "image": L}
-    return {"ok": True, "witness": None, "recovered": recovered, "image": L}
+        return {"ok": False, "witness": witness, "image": image}
+    return {"ok": True, "witness": None, "recovered": recovered,
+            "image": image}
 
 
 def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
     """Project the level-(n+1) forward image down to level n and compare
     with C_phi^{-1} times the forward image of the projected vector.
 
-    Both images read P_n once, applied once to the lifted vector x.
+    Both images read P_n x once (_forward) from the lifted vector x.
     omega_n divides omega_(n+1), so projecting P_(n+1) x = C_(n+1) P_n x
     to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n, with
     C_(n+1) mod omega_n an integer form.
     """
     if n < 1:
         raise InputError("tower_projection_check needs n >= 1")
-    x, N = _as_classes(fd, n + 1, col)
     p, tower = fd.ctx.p, fd.tower
-    low = _apply(tower.P(n), x, p, n)
+    low, N = _forward(fd, n, *_as_classes(fd, n + 1, col))
     top = form_mod(tower.C(n + 1), omega_ints(p, n))
     cphi_inv = tower.cphi_power(-1)
     hi = _apply(top, low, p, n)
     twisted = _apply(cphi_inv, low, p, n)
-    lost = form_depth(tower.frob_inv, p)
-    N += min((n + 1) * lost, n * lost + form_depth(cphi_inv, p))
+    N += min(form_depth(tower.frob_inv, p), form_depth(cphi_inv, p))
     witness = _first_unresolved(form_sub(hi, twisted), p, N, cutoff)
     return {"ok": not witness, "witness": witness}
 

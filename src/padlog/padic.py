@@ -14,12 +14,12 @@ Every nonzero construction checks the denominator budget: a valuation
 below -denom_budget raises instead of silently growing denominators.
 
 No library path does this arithmetic: verdicts are decided on linalg's
-exact integer forms, and PadicContext.over rounds only returned views:
-the coefficients c / d of an integer form, on integers, with no
-Fraction; from_rational (integer is its int case) is its one-scalar
-case.  The arithmetic stays for XSeries.__mul__, poly_divmod,
-divide_exact and reduce_mod_omega, which the benchmark's layer tracer
-names; only __add__ normalizes through from_mantissa.
+exact integer forms, and PadicContext.over makes every returned view
+(c / d for an integer form, on integers, with no Fraction); its one-
+scalar case from_rational serves integer and XSeries.from_fractions.
+The arithmetic stays for XSeries.__mul__, poly_divmod, divide_exact and
+reduce_mod_omega, which the benchmark's layer tracer names; only
+__add__ normalizes through from_mantissa.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ closed forms are built as one from the integer cyclotomic
 coefficients, and the two are compared over a common denominator.  The
 XSeries returned by log_plus_partial, log_minus_partial and
 closed_form_matrix are views of those exact polynomials, each
-coefficient rounded once to rel_prec digits.
+coefficient rounded once to rel_prec digits by PadicContext.over.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ def _log_partial(ctx, n_factors, first, trunc):
     # (1/p) prod Phi_{p^k}(1 + X) / p over n_factors levels k
     acc = cyclo_product_ints(ctx.p, range(first, first + 2 * n_factors, 2))
     den = ctx.p ** (1 + n_factors)
-    return XSeries.from_fractions(ctx, [Fraction(c, den) for c in acc], trunc)
+    return XSeries(ctx, ctx.over(den, acc), trunc)
 
 
 def _closed_form(p: int, n: int):

@@ -10,11 +10,11 @@ in Z_p[X]/(omega_n), omega_n = (1+X)^(p^n) - 1, held as its
 degree-reduced representative.
 
 The library computes and decides on linalg's integer forms and rounds
-a returned value into these views once, through form_views, on the
-form's integers (PadicContext.over).  No library path does arithmetic
-on them or on their scalars: XSeries.__mul__, poly_divmod, divide_exact
-and reduce_mod_omega, the last users of the PadicScalar arithmetic,
-stay only because the benchmark's tracer names them.
+a returned value into these views once, with PadicContext.over, through
+form_views or in the scalar Wach twist and the partial logarithms.  No
+library path does arithmetic on them or on their scalars: __mul__,
+poly_divmod, divide_exact and reduce_mod_omega stay only because the
+benchmark's tracer names them; from_fractions serves omega and tests.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ a twist therefore does not depend on the size of c.  M'_n = N / d is
 cut to pi^T first and its inverse mod pi^T is d adj(N) times the series
 inverse, an integer recurrence, of det N, read off adj(N).  Every stage,
 the product with gamma(M'_n) and the checks run on integer forms, and
-G is formed as Fractions once, when it is returned.  The twist is exact
+only an exact G is formed as Fractions, once.  The twist is exact
 for both kinds of exponent: a PadicScalar c known mod p^N runs on its
 lift, and each coefficient is then rounded once to the digits that
 every lift of c shares.  The twist must come out p-integral and
@@ -279,8 +279,8 @@ class WachMatrixTower:
         (with 0 for floor(log_p 0)), as binom(c, i) = binom(c0, i) mod
         p^(N - floor(log_p i)); d_M and d_inv are the denominator depths
         of M'_k and its inverse mod pi^T; with no digit left at degree
-        T - 1 it raises PrecisionExhausted.  G is computed as an integer
-        form and its Fractions are formed once, here.
+        T - 1 it raises PrecisionExhausted.  G is an integer form, read
+        as Fractions (exact c) or with one PadicContext.over a degree.
         """
         T = trunc
         G, bad, const_ok, depth = self._twist(k, gamma, T)
@@ -295,10 +295,11 @@ class WachMatrixTower:
         if Ns[-1] < 1:
             raise PrecisionExhausted(
                 f"c has too few digits to certify G at degree {T - 1}")
-        ctx = self.fd.ctx
-        G = [[XSeries(ctx, [ctx.from_rational(x, Nj) for x, Nj in
-                            zip(e + [0] * (T - len(e)), Ns)], T)
-              for e in row] for row in form_to_fractions(G)]
+        ctx, (X, d) = self.fd.ctx, G
+        entries = [e + [0] * (T - len(e)) for row in X for e in row]
+        views = iter(zip(*(ctx.over(d, [e[j] for e in entries], Nj)
+                           for j, Nj in enumerate(Ns))))
+        G = [[XSeries(ctx, next(views), T) for _ in row] for row in X]
         # every N_j >= 1, so the rounded G is integral with constant
         # term I exactly when the exact one is
         return {"G": G, "exact": False, "trunc": T, "n": k,

@@ -30,6 +30,9 @@ SOLVE = "tests/test_linalg.py::test_zp_solve_integral_"
 CONJ = "tests/test_logmatrix.py::"
 ROUND = ("tests/test_series.py::"
          "test_form_views_round_each_coefficient_as_from_rational")
+PIN = ("tests/test_coleman.py::"
+       "test_roundtrip_is_the_composition_of_the_public_maps")
+FLOOR_LOG = "tests/test_wach.py::test_scalar_twist_claims_the_floor_log_bound"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -168,6 +171,24 @@ MUTANTS = [
     # padlog coleman on an empty vector list passes again
     ("src/padlog/cli.py", "if not records:", "if records is None:",
      ["tests/test_cli.py::test_coleman_empty_vector_list_is_input_error"]),
+    # the roundtrip compares the image with itself
+    ("src/padlog/coleman.py", "form_sub(y, b)", "form_sub(y, y)",
+     ["tests/test_coleman.py::"
+      "test_roundtrip_witnesses_a_preimage_that_does_not_map_back"]),
+    # the factorization divides its input in place
+    ("src/padlog/coleman.py", "X, d = [row[:] for row in x[0]], x[1]",
+     "X, d = x", [PIN]),
+    # the scalar twist rounds every degree at N_0
+    ("src/padlog/wach.py", "for e in entries], Nj)",
+     "for e in entries], Ns[0])", [FLOOR_LOG]),
+    # the scalar twist's regrouping transposes degrees and entries
+    ("src/padlog/wach.py", "views = iter(zip(*(", "views = iter(list((",
+     [FLOOR_LOG]),
+    # the partial logarithms rounded over p times their denominator
+    ("src/padlog/pollack.py", "ctx.over(den, acc)",
+     "ctx.over(den * ctx.p, acc)",
+     ["tests/test_pollack.py::"
+      "test_partial_logs_round_their_integer_products_once"]),
 ]
 
 

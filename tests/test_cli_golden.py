@@ -26,8 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 
 # the commands of the CI workflow, exit codes 0, 1, 2 and 3 (among them
-# the two that only main's exception handlers produce), and one deeper
-# logmatrix level
+# the two that only main's exception handlers produce), one deeper
+# logmatrix level, and coleman on deeper inputs: denominators 3^-2 and
+# 3^-3, an integer above 3^20 and a term past omega_3's degree
 CASES = {
     "check": "check --input sample_inputs/pollack3.json",
     "logmatrix_n2": "logmatrix --input sample_inputs/pollack3.json --n 2",
@@ -42,6 +43,9 @@ CASES = {
     "coleman_cutoff_exit2": "coleman --input sample_inputs/pollack3.json "
                             "--vectors sample_inputs/vectors3.json "
                             "--cutoff 25",
+    "coleman_deep_cutoff19_exit2": "coleman --input sample_inputs/"
+                                   "pollack3.json --vectors tests/golden/"
+                                   "inputs/vectors3_deep.json --cutoff 19",
     "logmatrix_n0_exit3": "logmatrix --input sample_inputs/pollack3.json "
                           "--n 0",
     "coleman_no_vectors_exit3": "coleman --input sample_inputs/pollack3.json "

@@ -2,6 +2,7 @@
 roundtrips, kernel structure, tower compatibility, negative controls."""
 
 import functools
+import itertools
 import json
 import random
 import sys
@@ -12,9 +13,11 @@ import pytest
 from padlog import (
     INF,
     ColemanVector,
+    FrobeniusData,
     InputError,
     NotInImage,
     NotIntegral,
+    PadicContext,
     PadicScalar,
     PrecisionLoss,
     RegulatorVector,
@@ -32,8 +35,9 @@ from padlog import (
     tower_projection_check,
 )
 from padlog.cli import main
-from padlog.coleman import _first_unresolved
-from padlog.linalg import fp_rank
+import padlog.coleman as coleman
+from padlog.coleman import _as_classes, _first_unresolved
+from padlog.linalg import form_sub, fp_rank
 from padlog.logmatrix import log_matrix_in_basis, min_coeff_valuation
 from padlog.serialize import vector_from_record
 from padlog.wach import GammaElement, build_M_prime
@@ -465,6 +469,118 @@ def test_roundtrip_reads_one_chain_and_returns_the_image(grown):
     assert len(grown) == 2
     assert ([list(c.rep.coeffs) for c in rep["image"].components]
             == [list(c.rep.coeffs) for c in want.components])
+
+
+def _composed_roundtrip(fd, n, col, cutoff):
+    """The roundtrip as a composition of the public maps: each map lifts
+    its input and rounds its output, and the two images are compared on
+    their lifts."""
+    image = forward(fd, n, col)
+    recovered = factor_level(fd, n, image, cutoff)
+    (a, Na), (b, Nb) = (_as_classes(fd, n, v)
+                        for v in (image, forward(fd, n, recovered)))
+    witness = _first_unresolved(form_sub(a, b), fd.ctx.p, min(Na, Nb),
+                                cutoff)
+    if witness:
+        return {"ok": False, "witness": witness, "image": image}
+    return {"ok": True, "witness": None, "recovered": recovered,
+            "image": image}
+
+
+def _outcome(call):
+    """The result of call() with its vectors read as (components,
+    kernel tag), keys in order, or the type and message it raised."""
+    try:
+        rep = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(k, (v.components, getattr(v, "kernel_tag", None))
+             if isinstance(v, (RegulatorVector, ColemanVector)) else v)
+            for k, v in rep.items()]
+
+
+def _random_coefficient(ctx, rng):
+    """An exact rational, a scalar of negative or positive valuation
+    known to a few digits, or a zero O(p^k)."""
+    p, kind = ctx.p, rng.randrange(6)
+    if kind < 3:
+        return ctx.from_rational(Fraction(rng.randrange(-40, 41),
+                                          p ** rng.randrange(3)))
+    if kind < 5:
+        v = rng.randrange(-2, 3)
+        return PadicScalar.from_mantissa(ctx, v, rng.randrange(1, p ** 20),
+                                         v + rng.randrange(1, 21))
+    return ctx.zero(rng.randrange(-1, 21))
+
+
+def _roundtrip_instances(rel_prec):
+    ctx = PadicContext(3, rel_prec=rel_prec, denom_budget=24)
+    return [random_instance(3, 2, 1, 5, rel_prec=rel_prec)] + [
+        FrobeniusData.create(ctx, C, d0=1, r=1, force=True)
+        for C in ([[Fraction(1, 3), 1], [2, 1]], [[3, 1], [1, 1]])]
+
+
+def test_roundtrip_is_the_composition_of_the_public_maps():
+    # one lift and exact forms through forward, factor and forward give
+    # the outcome of composing the public maps (five lifts and three
+    # roundings), since rounding at the image's precision loses nothing;
+    # the forced C = [[1/3, 1], [2, 1]] loses a digit a stage, and its
+    # second image, known to fewer digits, is indeterminate
+    rng = random.Random(30)
+    seen = set()
+    for rel_prec in (3, 8, 20):
+        for fd in _roundtrip_instances(rel_prec):
+            for _ in range(6):
+                col = [XSeries(fd.ctx, [_random_coefficient(fd.ctx, rng)
+                                        for _ in range(rng.randrange(1, 11))])
+                       for _ in range(fd.size)]
+                for n, cutoff in itertools.product((0, 1, 2), (1, 2, 5)):
+                    got = _outcome(lambda: roundtrip_check(fd, n, col, cutoff))
+                    want = _outcome(lambda: _composed_roundtrip(
+                        fd, n, col, cutoff))
+                    assert got == want
+                    seen.add(got[0] if isinstance(got, tuple)
+                             else got[0][1])
+    assert {True, False, PrecisionLoss, InputError} <= seen
+
+
+def test_roundtrip_witnesses_a_preimage_that_does_not_map_back(monkeypatch):
+    # forward(factor(y)) differs from y only by the dropped remainders,
+    # which vanish to the compared precision, so a correct factorization
+    # never gives a nonzero witness; a preimage moved by the unit 1 in
+    # component 0 must give one
+    fd = random_instance(3, 3, 1, 1)
+    col = random_polynomial_vector(fd, random.Random(27))
+    factor = coleman._factor
+
+    def moved(*args):
+        z, N = factor(*args)
+        return form_sub(z, ([[[1]]] + [[[]]] * (fd.size - 1), 1)), N
+
+    assert roundtrip_check(fd, 2, col)["ok"]
+    monkeypatch.setattr(coleman, "_factor", moved)
+    rep = roundtrip_check(fd, 2, col)
+    assert not rep["ok"] and rep["witness"][2] == "nonzero"
+
+
+def test_roundtrip_lifts_once_and_rounds_twice(monkeypatch):
+    # no view the roundtrip makes is lifted again: the input is lifted,
+    # and the image and the preimage it returns are rounded
+    fd = random_instance(3, 3, 1, 1)
+    col = random_polynomial_vector(fd, random.Random(27))
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_as_classes", "form_views"):
+        monkeypatch.setattr(coleman, name,
+                            counted(name, getattr(coleman, name)))
+    assert roundtrip_check(fd, 2, col)["ok"]
+    assert sorted(calls) == ["_as_classes", "form_views", "form_views"]
 
 
 def test_tower_projection_reads_the_chain_only_to_level_n(grown):

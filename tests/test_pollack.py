@@ -8,6 +8,7 @@ import pytest
 from padlog import (
     InputError,
     PadicContext,
+    XSeries,
     build_Mn,
     closed_form_matrix,
     log_minus_partial,
@@ -16,6 +17,7 @@ from padlog import (
     verify_antidiagonal,
 )
 from padlog.pollack import SIGN_NOTE
+from padlog.series import cyclo_product_ints
 
 from instances import pollack_fd
 from oracles import agree_mod_precision, phi_oracle, pmul, pscale
@@ -57,6 +59,33 @@ def test_partial_products_match_direct_expansion():
                 want_minus = pscale(pmul(want_minus, odd), Fraction(1, p))
             for got, want in ((plus, want_plus), (minus, want_minus)):
                 assert agree_mod_precision(got.coeffs, want, p)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_partial_logs_round_their_integer_products_once(p, monkeypatch):
+    # (1/p) prod Phi_{p^k}(1+X) / p is the integer product over
+    # p^(1 + n_factors), rounded straight from the integers: the same
+    # series as rounding each Fraction, with no Fraction made
+    ctx = ctx_for(p)
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    for fn, first in ((log_plus_partial, 2), (log_minus_partial, 1)):
+        for j in range(4):
+            if (p, first, j) == (5, 2, 3):
+                continue  # Phi_(5^6)(1+X), of degree 12500, takes ~30 s
+            acc = cyclo_product_ints(p, range(first, first + 2 * j, 2))
+            fracs = [Fraction(c, p ** (1 + j)) for c in acc]
+            for trunc in (None, max(1, len(acc) // 2), len(acc) + 3):
+                want = XSeries.from_fractions(ctx, fracs, trunc)
+                monkeypatch.setattr(Fraction, "__new__", counted)
+                got = fn(ctx, j, trunc)
+                monkeypatch.undo()
+                assert got == want and made == []
 
 
 def test_zero_factors_is_one_over_p():

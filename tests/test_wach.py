@@ -172,9 +172,9 @@ def test_twist_builds_the_power_matrix_once(fd, monkeypatch):
 @pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 4, 2, 1)],
                          ids=["size2", "size4"])
 def test_twist_forms_fractions_only_for_G(fd, monkeypatch):
-    # every stage of the twist runs on integer forms: an exact or scalar
-    # twist makes one Fraction per coefficient of the exact G and no
-    # other (the scalar view rounds those same Fractions)
+    # every stage of the twist runs on integer forms: an exact twist
+    # makes one Fraction per coefficient of G and no other, and a scalar
+    # twist rounds G straight from its integer form, making none
     tower = build_M_prime(fd, 2)
     made = []
     new = Fraction.__new__
@@ -191,7 +191,7 @@ def test_twist_forms_fractions_only_for_G(fd, monkeypatch):
         assert len(made) == coefficients
         made.clear()
         out = tower.twist(k, GammaElement(3, fd.ctx.integer(4)), T)
-        assert not out["exact"] and len(made) == coefficients
+        assert not out["exact"] and made == []
 
 
 @pytest.mark.parametrize("T", TRUNCS)
@@ -520,6 +520,9 @@ def test_scalar_twist_claims_the_floor_log_bound(p):
     for i, j, k in itertools.product(range(2), range(2), range(T)):
         diff = G0[i][j][k] - G1[i][j][k]
         assert diff == 0 or vp_rational(diff, p) >= want[k]
+        # each coefficient is the exact twist at the lift, rounded once
+        assert out["G"][i][j].coeffs[k] == fd.ctx.from_rational(G0[i][j][k],
+                                                                want[k])
 
 
 def test_scalar_twist_makes_no_series_arithmetic(monkeypatch):
