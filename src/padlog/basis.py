@@ -26,7 +26,9 @@ t < (h + 1) p; the extension in unit position is a closed-form arc in
 F_p^m, the normal rational curve for m <= p and a frame for m > p, as
 large as the bounds of Ball and of Bush allow (see
 generic_position_extend); and construct_strongly_admissible makes at
-most 64 seeded restarts of 64 draws per vector.
+most 64 seeded restarts of 64 draws per vector.  construct_admissible
+lifts the arc through a unimodular frame, so it is saturated exactly
+when the arc is in unit position.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .errors import (
 )
 from .linalg import (
     INF,
+    fp_pivots,
     fp_rank,
     frac_det,
     frac_identity,
@@ -569,50 +572,34 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
 
 
 def _complement_indices(setup: LatticeSetup):
-    """Standard vectors extending fil0_dual to a basis mod p, greedily;
-    the rows keep full rank mod p, as LatticeSetup checks fil0_dual."""
-    p = setup.ctx.p
-    rows = [list(v) for v in setup.fil0_dual]
-    chosen = []
-    for i, e in enumerate(frac_identity(setup.g)):
-        if fp_rank(rows + [e], p) > len(rows):
-            rows.append(e)
-            chosen.append(i)
-        if len(chosen) == setup.g_minus:
-            break
-    if len(chosen) != setup.g_minus:
-        raise DegenerateInput("could not complete fil0_dual to a basis mod p")
-    return chosen
+    """The g_minus columns off the unit pivots of fil0_dual, which has
+    full rank mod p (LatticeSetup checks it): the standard vectors there
+    followed by fil0_dual form a unimodular frame."""
+    pivots = fp_pivots(setup.fil0_dual, setup.ctx.p)
+    return [i for i in range(setup.g) if i not in pivots]
 
 
 def construct_admissible(setup: LatticeSetup) -> CandidateBasis:
     """Build an admissible family of g vectors deterministically.
 
-    The quotient of the lattice by the span of fil0_dual is identified
-    with Z_p^{g_minus} through a complement of standard vectors; a
-    generic-position extension there is lifted back, adding one
-    fil0_dual vector to each of the last g_plus lifts so that the
-    family is simultaneously a basis.  The result is re-verified from
-    scratch before being returned.
+    Row i of the family is the point w_i of the generic_position_extend
+    arc in Z^{g_minus} placed at the _complement_indices, plus fil0_dual
+    row i - g_minus for i > g_minus.  With E the standard vectors there,
+    F = fil0_dual and the frame A = [E; F], the family is
+    [[I, 0], [W', I]] A, a basis, and det[v_I; F] = det W_I * det A for
+    every subset I: it is saturated exactly when the arc is in unit
+    position.  The result is re-verified from scratch before being
+    returned.
     """
-    g, m = setup.g, setup.g_minus
+    m = setup.g_minus
     comp = _complement_indices(setup)
-    # change of coordinates: rows are the complement standard vectors
-    # followed by fil0_dual; unimodular by the greedy construction
-    ident = frac_identity(g)
-    A = [ident[i] for i in comp] + list(setup.fil0_dual)
     ext, achieved = generic_position_extend(setup.ctx, frac_identity(m),
                                             setup.g_plus, mode="auto")
-    Ainv = frac_inv(A)
     vectors = []
     for idx, w in enumerate(ext):
-        coords = list(w) + [Fraction(0)] * setup.g_plus
-        if idx >= m:
-            coords[m + (idx - m)] = Fraction(1)
-        vec = [
-            sum(Ainv[i][j] * coords[j] for j in range(g))
-            for i in range(g)
-        ]
+        vec = list(setup.fil0_dual[idx - m]) if idx >= m else [0] * setup.g
+        for j, x in zip(comp, w):
+            vec[j] += x
         vectors.append(_integerize_unit(vec, setup.ctx.p))
     cert = is_admissible(setup, vectors)
     if not cert.admissible:

@@ -284,14 +284,16 @@ def _times_x(f, omega):
 
 def kernel_basis(fd: FrobeniusData, n: int):
     """Saturated basis of ker(forward) as explicit vectors, from one
-    integer elimination over Z_(p) on coefficient blocks.  Sizes are
-    capped: the coefficient space has dimension size * p^n."""
-    if fd.size > 4:
-        raise InputError("kernel_basis supports size <= 4")
+    integer elimination over Z_(p) on coefficient blocks.  The
+    coefficient space has dimension size * p^n, and at most 256 columns
+    are admitted: the elimination takes seconds near that budget."""
     if n < 1:
         raise InputError("kernel_basis needs n >= 1")
     p = fd.ctx.p
     N = p ** n
+    if fd.size * N > 256:
+        raise InputError(
+            f"kernel_basis supports size * p^n <= 256, got {fd.size * N}")
     omega = omega_ints(p, n)
     # the matrix of the map on coefficient vectors: column (i, j) is the
     # image of X^j in component i.  The numerators of the tower's P_n are

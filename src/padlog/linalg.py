@@ -107,18 +107,23 @@ def vp_frac(q, p: int):
     return v
 
 
-def fp_rank(rows, p: int) -> int:
-    """Rank over the residue field F_p of a matrix of p-integral
-    rationals: the number of unit pivots (v = 0) of _zp_echelon.  Its
-    steps are invertible over Z_(p), so they keep the row module mod p,
-    and after the first pivot of positive valuation every entry left is
-    divisible by p."""
+def fp_pivots(rows, p: int):
+    """The columns of the unit pivots (v = 0) of _zp_echelon on a matrix
+    of p-integral rationals.  Its steps are invertible over Z_(p), and
+    after the first pivot of positive valuation every entry left is
+    divisible by p; each pivot row vanishes at the earlier pivots."""
     A = [[Fraction(x) for x in row] for row in rows]
     bad = [q for row in A for q in row if q.denominator % p == 0]
     if bad:
         raise InputError(f"entry {bad[0]} is not p-integral")
     mat_shape(A)
-    return sum(v == 0 for _, _, v in _zp_echelon(A, p))
+    return [c for _, c, v in _zp_echelon(A, p) if v == 0]
+
+
+def fp_rank(rows, p: int) -> int:
+    """Rank over the residue field F_p of a matrix of p-integral
+    rationals: the number of its fp_pivots."""
+    return len(fp_pivots(rows, p))
 
 
 def _bareiss(M):

@@ -233,15 +233,18 @@ def divide_exact(f: XSeries, g: XSeries, cutoff: int = 1) -> XSeries:
 @lru_cache(maxsize=None)
 def phi_cyclo_ints(p: int, k: int):
     """Integer coefficient tuple of Phi_{p^k}(1+X): the sum of
-    (1+X)^(i*p^(k-1)) over 0 <= i < p."""
+    (1+X)^(i*p^(k-1)) over 0 <= i < p, each binomial row walked by
+    c_(j+1) = c_j (e - j) / (j + 1)."""
     if k < 1:
         raise InputError("phi_cyclo needs k >= 1")
     deg = (p - 1) * p ** (k - 1)
     out = [0] * (deg + 1)
     for i in range(p):
         e = i * p ** (k - 1)
+        c = 1
         for j in range(e + 1):
-            out[j] += math.comb(e, j)
+            out[j] += c
+            c = c * (e - j) // (j + 1)
     return tuple(out)
 
 

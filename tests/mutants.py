@@ -33,6 +33,8 @@ ROUND = ("tests/test_series.py::"
 PIN = ("tests/test_coleman.py::"
        "test_roundtrip_is_the_composition_of_the_public_maps")
 FLOOR_LOG = "tests/test_wach.py::test_scalar_twist_claims_the_floor_log_bound"
+ADMISSIBLE = "tests/test_basis.py::test_construct_admissible_"
+OBLIQUE = ADMISSIBLE + "oblique_fil0_dual_is_saturated"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -48,8 +50,8 @@ MUTANTS = [
      "                 for i, f in ((i, r[j]) for i, r in enumerate(X)) ",
      [WITNESS]),
     # fp_rank: a pivot of valuation 1 counted as a unit
-    (LINALG, "sum(v == 0 for _, _, v in _zp_echelon(A, p))",
-     "sum(v <= 1 for _, _, v in _zp_echelon(A, p))",
+    (LINALG, "[c for _, c, v in _zp_echelon(A, p) if v == 0]",
+     "[c for _, c, v in _zp_echelon(A, p) if v <= 1]",
      ["tests/test_linalg.py::test_fp_rank_small_cases"]),
     # zp_solve_integral: any nonzero last coordinate accepted
     (LINALG, "if vec[-1] % p:", "if vec[-1]:", [SOLVE + "negative"]),
@@ -108,6 +110,24 @@ MUTANTS = [
     ("src/padlog/basis.py", "if len(vecs) != setup.g:",
      "if len(vecs) > setup.g:",
      ["tests/test_basis.py::test_families_of_the_wrong_size_are_rejected"]),
+    # the frame's complement taken as the pivot columns of fil0_dual
+    ("src/padlog/basis.py", "if i not in pivots]", "if i in pivots]",
+     [ADMISSIBLE + "rank3", OBLIQUE]),
+    # every lift past the arc's first g_minus points adds fil0_dual[0]
+    ("src/padlog/basis.py", "list(setup.fil0_dual[idx - m])",
+     "list(setup.fil0_dual[0])", [OBLIQUE]),
+    # the arc placed at columns 0..g_minus-1, not at the complement
+    ("src/padlog/basis.py", "for j, x in zip(comp, w):",
+     "for j, x in zip(range(m), w):", [OBLIQUE]),
+    # the kernel budget counts size * p^(n-1) columns
+    ("src/padlog/coleman.py", "if fd.size * N > 256:",
+     "if fd.size * p ** (n - 1) > 256:",
+     ["tests/test_coleman.py::"
+      "test_kernel_budget_refuses_before_building_the_matrix"]),
+    # the binomial-row recurrence one step ahead in its numerator
+    ("src/padlog/series.py", "c = c * (e - j) // (j + 1)",
+     "c = c * (e - j + 1) // (j + 1)",
+     ["tests/test_series.py::test_phi_cyclo_matches_the_binomial_sum"]),
     # merge_complement scans one class of t short of its bound
     ("src/padlog/basis.py", "range((len(functionals) + 1) * p)",
      "range(len(functionals) * p)",

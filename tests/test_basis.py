@@ -27,7 +27,7 @@ from padlog import (
     merge_complement,
 )
 
-from oracles import in_span, perm_det, rank_oracle, vp_rational
+from oracles import in_span, perm_det, rank_mod_p, rank_oracle, vp_rational
 
 CTX = PadicContext(3, rel_prec=20, denom_budget=24)
 
@@ -384,6 +384,64 @@ def test_construct_admissible_larger_ranks():
         det = perm_det([[cand.vectors[j][i] for j in range(g)]
                         for i in range(g)])
         assert vp_rational(det, 3) == 0
+
+
+def _assert_lifted_family(setup, cand):
+    """The family is a basis, every certificate det is the permutation
+    determinant of [v_I; F], and it is saturated exactly when the
+    extension is in unit position."""
+    p, g = setup.ctx.p, setup.g
+    vecs = [list(v) for v in cand.vectors]
+    assert cand.admissible and cand.is_basis
+    assert vp_rational(perm_det(vecs), p) == 0
+    fil = [list(v) for v in setup.fil0_dual]
+    certs = cand.certificates["plain"].subsets
+    assert len(certs) == len(list(itertools.combinations(range(g),
+                                                         setup.g_minus)))
+    for sc in certs:
+        det = perm_det([vecs[i - 1] for i in sc.indices] + fil)
+        assert sc.det == det != 0
+        assert sc.valuation == vp_rational(det, p)
+    units = cand.certificates["extension_mode"] == "units"
+    assert cand.saturated == units
+    assert cand.saturated == all(sc.unit for sc in certs)
+
+
+@pytest.mark.parametrize("p,g,g_minus,fil", [
+    (5, 3, 1, [[1, 2, 1], [-1, -3, -2]]),
+    (3, 4, 2, [[0, 0, 1, -1], [-2, -3, 3, -3]]),
+    (7, 3, 1, [[-3, 3, -2], [-1, 2, -1]]),
+])
+def test_construct_admissible_oblique_fil0_dual_is_saturated(p, g, g_minus,
+                                                             fil):
+    # fil0_dual rows that are not standard vectors: the family lifted
+    # through the frame [e_comp; F] keeps the arc's unit minors
+    setup = LatticeSetup(PadicContext(p), g, g_minus, fil)
+    cand = construct_admissible(setup)
+    assert cand.saturated
+    _assert_lifted_family(setup, cand)
+
+
+def test_construct_admissible_sweep_over_random_setups():
+    # 300 seeded setups: p in {3, 5, 7}, g in 2..6, 1 <= g_minus < g and
+    # fil0_dual entries in [-3, 3] of full rank mod p
+    rng = random.Random(31)
+    ctxs = {p: PadicContext(p) for p in (3, 5, 7)}
+    modes = set()
+    for _ in range(300):
+        while True:
+            p = rng.choice((3, 5, 7))
+            g = rng.randrange(2, 7)
+            g_minus = rng.randrange(1, g)
+            fil = [[rng.randrange(-3, 4) for _ in range(g)]
+                   for _ in range(g - g_minus)]
+            if rank_mod_p(fil, p) == g - g_minus:
+                break
+        setup = LatticeSetup(ctxs[p], g, g_minus, fil)
+        cand = construct_admissible(setup)
+        _assert_lifted_family(setup, cand)
+        modes.add(cand.certificates["extension_mode"])
+    assert modes == {"units", "nonzero"}
 
 
 def test_construct_strongly_admissible():

@@ -28,7 +28,8 @@ GOLDEN = ROOT / "tests" / "golden"
 # the commands of the CI workflow, exit codes 0, 1, 2 and 3 (among them
 # the two that only main's exception handlers produce), one deeper
 # logmatrix level, and coleman on deeper inputs: denominators 3^-2 and
-# 3^-3, an integer above 3^20 and a term past omega_3's degree
+# 3^-3, an integer above 3^20 and a term past omega_3's degree, and
+# basis on fil0_dual rows that are not standard vectors
 CASES = {
     "check": "check --input sample_inputs/pollack3.json",
     "logmatrix_n2": "logmatrix --input sample_inputs/pollack3.json --n 2",
@@ -56,6 +57,8 @@ CASES = {
     "basis_strong_phi_identity_exit1": "basis --input tests/golden/inputs/"
                                        "basis_rank3_phi_identity.json "
                                        "--mode strong",
+    "basis_p5_oblique": "basis --input tests/golden/inputs/"
+                        "basis_p5_oblique.json",
 }
 
 

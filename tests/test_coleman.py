@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -202,6 +203,29 @@ def test_kernel_dimension_54():
     # 2 * 3^3 coefficients: the largest kernel the benchmark computes
     fd = random_instance(3, 2, 1, 1)
     _assert_saturated_kernel(fd, 3, kernel_basis(fd, 3))
+
+
+def test_kernel_size_eight_within_the_budget():
+    # 8 * 3^1 = 24 coefficient columns: size 8 is admitted
+    fd = random_instance(3, 8, 4, 1)
+    _assert_saturated_kernel(fd, 1, kernel_basis(fd, 1))
+
+
+def test_kernel_budget_refuses_before_building_the_matrix(monkeypatch):
+    # 4 * 3^4 = 324 columns is past the budget of 256; the refusal comes
+    # before the tower is read, so it is immediate
+    from padlog.logmatrix import ExactTower
+
+    fd = random_instance(3, 4, 2, 1)
+
+    def unreachable(self, k):
+        raise AssertionError("the coefficient matrix was built")
+
+    monkeypatch.setattr(ExactTower, "P", unreachable)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="size \\* p\\^n <= 256, got 324"):
+        kernel_basis(fd, 4)
+    assert time.perf_counter() - start < 1
 
 
 def test_tower_projection_compatibility():

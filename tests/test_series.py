@@ -1,6 +1,7 @@
 """Series and quotient-ring arithmetic: truncation rules, exact
 division, cyclotomic identities."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -89,6 +90,18 @@ def test_phi_cyclo_frozen_p3():
 @pytest.mark.parametrize("p,k", [(3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
 def test_phi_cyclo_matches_division_oracle(p, k):
     assert list(phi_cyclo_ints(p, k)) == phi_oracle(p, k)
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (3, 5), (3, 6), (5, 1), (5, 4),
+                                 (7, 3)])
+def test_phi_cyclo_matches_the_binomial_sum(p, k):
+    # the sum of the binomial rows of (1+X)^(i p^(k-1)), i < p, computed
+    # afresh with math.comb
+    phi_cyclo_ints.cache_clear()
+    deg = (p - 1) * p ** (k - 1)
+    want = [sum(math.comb(i * p ** (k - 1), j) for i in range(p))
+            for j in range(deg + 1)]
+    assert list(phi_cyclo_ints(p, k)) == want
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1)])
