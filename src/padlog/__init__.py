@@ -15,8 +15,9 @@ The package computes, over Z_p[X] with certified precision tracking:
 All number crunching is exact integer and rational arithmetic: inputs
 are lifted once, computed on exactly, and rounded once.  p-adic scalars
 (PadicScalar) are floating representations (p^v * unit) carrying
-explicit precision, and XSeries and LambdaNElement are views built from
-them, so every zero test is a certification, never a guess.
+explicit precision and no arithmetic, and XSeries and LambdaNElement
+are views built from them, so every zero test is a certification, never
+a guess.
 """
 
 from .errors import (

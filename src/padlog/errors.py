@@ -20,7 +20,9 @@ class DenominatorBudgetExceeded(PadlogError):
 
 
 class DivisionByZero(PadlogError, ZeroDivisionError):
-    """Division or inversion of a certified zero."""
+    """Division or inversion of a certified zero.  Scalars have no
+    arithmetic, so nothing in padlog raises it; it stays exported for
+    callers that catch it."""
 
 
 class PrecisionLoss(PadlogError):

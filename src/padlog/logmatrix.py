@@ -516,9 +516,13 @@ def conjugate_basis_check(fd: FrobeniusData, B, levels=(1, 2)):
     The conjugated instance is transported from fd, not gated (see
     _conjugation).  Both approximants are read off the instances'
     towers; every verdict is exact, decided on integer numerators.
-    Returns a report; raises NotFiltrationAdapted when B lacks the
-    adapted block form.
+    Returns a report; raises InputError on an empty levels, before any
+    tower is built, and NotFiltrationAdapted when B lacks the adapted
+    block form.
     """
+    levels = tuple(levels)
+    if not levels:
+        raise InputError("levels must name at least one level")
     left, right, fd_w, C_w, C_w_inv = _conjugation(fd, B)
     p, tower_w = fd.ctx.p, ExactTower(fd.ctx, fd.fil_dim, C_w, C_w_inv)
     # a negative level fails first, then the budget at the top level

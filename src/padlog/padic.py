@@ -5,21 +5,15 @@ u a unit mantissa in [1, p^k), and k the number of certified mantissa
 digits.  A zero representation carries only an absolute precision N
 (possibly infinite) and stands for an element of p^N Z_p.
 
-Addition uses the worst-case rule: the surviving absolute precision is
-the minimum of the operands' absolute precisions, so cancellation
-honestly destroys digits.  Multiplication and inversion act on (v, u)
-exactly and keep the minimum relative precision.
-
 Every nonzero construction checks the denominator budget: a valuation
 below -denom_budget raises instead of silently growing denominators.
 
-No library path does this arithmetic: verdicts are decided on linalg's
-exact integer forms, and PadicContext.over makes every returned view
-(c / d for an integer form, on integers, with no Fraction); its one-
-scalar case from_rational serves integer and XSeries.from_fractions.
-The arithmetic stays for XSeries.__mul__, poly_divmod, divide_exact and
-reduce_mod_omega, which the benchmark's layer tracer names; only
-__add__ normalizes through from_mantissa.
+Scalars have no arithmetic.  They are the rounded coefficients of the
+views in padlog.series: verdicts are decided on linalg's exact integer
+forms, and PadicContext.over makes every returned view (c / d for an
+integer form, on integers, with no Fraction); its one-scalar case
+from_rational also rounds the series product and long division, which
+run on exact lifts.
 """
 
 from __future__ import annotations
@@ -27,11 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DenominatorBudgetExceeded,
-    DivisionByZero,
-    InputError,
-)
+from .errors import DenominatorBudgetExceeded, InputError
 
 INF = float("inf")
 
@@ -169,25 +159,6 @@ class PadicScalar:
     def __setattr__(self, name, value):
         raise AttributeError("PadicScalar is immutable")
 
-    # -- normalization -----------------------------------------------
-
-    @classmethod
-    def from_mantissa(cls, ctx: PadicContext, base_v: int, m: int, abs_prec):
-        """Normalize p^base_v * m + O(p^abs_prec) into canonical form.
-
-        m may be any integer (negative, non-unit, huge); abs_prec is
-        finite.
-        """
-        window = abs_prec - base_v
-        if window <= 0:
-            return ctx.zero(abs_prec)
-        m %= ctx.p ** window
-        if m == 0:
-            return ctx.zero(abs_prec)
-        t, w = ctx.valuation_of_integer(m)
-        k = min(ctx.rel_prec, window - t)
-        return cls(ctx, base_v + t, w % (ctx.p ** k), k)
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -225,70 +196,6 @@ class PadicScalar:
     @property
     def p(self) -> int:
         return self.ctx.p
-
-    # -- arithmetic --------------------------------------------------
-
-    def _check_ctx(self, other: "PadicScalar"):
-        if self.ctx != other.ctx:
-            raise InputError("mixed PadicContext arithmetic")
-
-    def __add__(self, other):
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        self._check_ctx(other)
-        a, b = self, other
-        if a.is_zero_rep and b.is_zero_rep:
-            return self.ctx.zero(min(a.prec, b.prec))
-        if a.is_zero_rep or b.is_zero_rep:
-            z, x = (a, b) if a.is_zero_rep else (b, a)
-            nabs = min(z.prec, x.abs_prec())
-            return PadicScalar.from_mantissa(self.ctx, x.v, x.u, nabs)
-        base = min(a.v, b.v)
-        m = a.u * self.p ** (a.v - base) + b.u * self.p ** (b.v - base)
-        nabs = min(a.abs_prec(), b.abs_prec())
-        return PadicScalar.from_mantissa(self.ctx, base, m, nabs)
-
-    def __neg__(self):
-        if self.is_zero_rep:
-            return self
-        return PadicScalar(
-            self.ctx, self.v, self.p ** self.prec - self.u, self.prec
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, PadicScalar):
-            return NotImplemented
-        self._check_ctx(other)
-        a, b = self, other
-        if a.is_zero_rep and b.is_zero_rep:
-            return self.ctx.zero(a.prec + b.prec)
-        if a.is_zero_rep or b.is_zero_rep:
-            z, x = (a, b) if a.is_zero_rep else (b, a)
-            return self.ctx.zero(z.prec + x.v)
-        k = min(a.prec, b.prec)
-        v = a.v + b.v
-        if v < -self.ctx.denom_budget:
-            raise DenominatorBudgetExceeded(
-                f"product valuation {v} below budget -{self.ctx.denom_budget}"
-            )
-        u = a.u * b.u % self.p ** k
-        return PadicScalar(self.ctx, v, u, k)
-
-    def inv(self) -> "PadicScalar":
-        if self.is_zero_rep:
-            raise DivisionByZero("inverse of a zero representation")
-        v = -self.v
-        if v < -self.ctx.denom_budget:
-            raise DenominatorBudgetExceeded(
-                f"inverse valuation {v} below budget -{self.ctx.denom_budget}"
-            )
-        u = pow(self.u, -1, self.p ** self.prec)
-        return PadicScalar(self.ctx, v, u, self.prec)
 
     # -- comparison / io ---------------------------------------------
 

@@ -12,18 +12,26 @@ degree-reduced representative.
 The library computes and decides on linalg's integer forms and rounds
 a returned value into these views once, with PadicContext.over, through
 form_views or in the scalar Wach twist and the partial logarithms.  No
-library path does arithmetic on them or on their scalars: __mul__,
-poly_divmod, divide_exact and reduce_mod_omega stay only because the
-benchmark's tracer names them; from_fractions serves omega and tests.
+library path multiplies or divides views: __mul__, poly_divmod,
+divide_exact and reduce_mod_omega stay only because the benchmark's
+tracer names them.  They run once on the exact lifts of the
+coefficients with the worst-case rules of _times and round each output
+coefficient once; from_fractions serves omega and tests.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
-from .errors import InputError, NotInImage, PrecisionLoss
-from .linalg import int_dot, int_trim
+from .errors import (
+    DenominatorBudgetExceeded,
+    InputError,
+    NotInImage,
+    PrecisionLoss,
+)
+from .linalg import int_dot, int_trim, vp_frac
 from .padic import INF, PadicContext, PadicScalar
 
 
@@ -115,19 +123,15 @@ class XSeries:
             return NotImplemented
         self._check(other)
         t = self._join_trunc(other)
-        if t is None:
-            n = len(self.coeffs) + len(other.coeffs)
-            n = max(n - 1, 0)
-        else:
-            n = t
+        a, b = _lifts(self), _lifts(other)
+        n = max(len(a) + len(b) - 1, 0) if t is None else t
         out = []
         for j in range(n):
-            acc = self.ctx.zero()
-            lo = max(0, j - len(other.coeffs) + 1)
-            hi = min(j, len(self.coeffs) - 1)
-            for i in range(lo, hi + 1):
-                acc = acc + self.coeffs[i] * other.coeffs[j - i]
-            out.append(acc)
+            terms = [_times(self.ctx, a[i], b[j - i]) for i in
+                     range(max(0, j - len(b) + 1), min(j + 1, len(a)))]
+            out.append(self.ctx.from_rational(
+                sum(x for x, _ in terms),
+                min((N for _, N in terms), default=INF)))
         return XSeries(self.ctx, out, t)
 
     # -- predicates / io -------------------------------------------------
@@ -183,35 +187,58 @@ def form_views(ctx: PadicContext, A, N=INF, length: int = 0):
                      + [zero] * (length - len(e))) for e in row] for row in X]
 
 
-# -- polynomial division ------------------------------------------------
+# -- exact lifts: the product and long division -------------------------
+
+
+def _lifts(s: XSeries):
+    """Each coefficient as (x, N): its exact rational lift p^v u (0 for a
+    zero representation) and the absolute precision N it is known to."""
+    return [(0 if c.is_zero_rep else Fraction(c.p) ** c.v * c.u,
+             c.abs_prec()) for c in s.coeffs]
+
+
+def _times(ctx: PadicContext, a, b):
+    """The product of two lifts (x, N), known to min(N_a + v_b, N_b + v_a)
+    with each v read as min(v_p(x), N); a sum of such terms is known to
+    the least N of its terms.  A nonzero product of valuation below
+    -denom_budget raises."""
+    (x, na), (y, nb) = a, b
+    va, vb = min(vp_frac(x, ctx.p), na), min(vp_frac(y, ctx.p), nb)
+    if va < na and vb < nb and va + vb < -ctx.denom_budget:
+        raise DenominatorBudgetExceeded(
+            f"product valuation {va + vb} below budget -{ctx.denom_budget}")
+    return x * y, min(na + vb, nb + va)
 
 
 def poly_divmod(f: XSeries, g: XSeries, cutoff: int = 1):
-    """Long division of exact polynomials: f = q*g + r with deg r < deg g.
-    The leading coefficient of g must be certified nonzero."""
+    """Long division of exact polynomials: f = q*g + r with deg r < deg g,
+    where deg g reads coefficients certified zero mod p^cutoff as zero.
+    It runs on exact lifts: 1/lead is known to N - 2v for a lead known
+    to p^N of valuation v, every product follows _times, and each
+    coefficient of q and r is rounded once."""
     if not (f.is_exact_poly and g.is_exact_poly):
         raise PrecisionLoss("polynomial division needs exact polynomials")
+    f._check(g)
     dg = g.degree(cutoff)
     if dg < 0:
         raise InputError("division by the zero polynomial")
-    lead = g.coeffs[dg]
-    if lead.zero_status(cutoff) != "nonzero":
-        raise PrecisionLoss("leading coefficient of divisor is not certified")
-    ctx = f.ctx
-    rem = list(f.coeffs)
-    q = [ctx.zero() for _ in range(max(len(rem) - dg, 0))]
-    lead_inv = lead.inv()
+    ctx, lead = f.ctx, g.coeffs[dg]
+    if lead.v > ctx.denom_budget:
+        raise DenominatorBudgetExceeded(
+            f"inverse valuation {-lead.v} below budget -{ctx.denom_budget}")
+    rem, low = _lifts(f), _lifts(g)
+    x, N = low[dg]
+    inv = 1 / x, N - 2 * lead.v
+    q = [(0, INF)] * max(len(rem) - dg, 0)
     for j in range(len(rem) - 1, dg - 1, -1):
-        c = rem[j]
-        if c.is_zero_rep and c.prec == INF:
+        if rem[j][1] == INF:  # an exact zero
             continue
-        factor = c * lead_inv
-        q[j - dg] = factor
-        for i in range(dg):
-            rem[j - dg + i] = rem[j - dg + i] - factor * g.coeffs[i]
-        # the top term is eliminated structurally, not numerically
-        rem[j] = ctx.zero()
-    return XSeries(ctx, q), XSeries(ctx, rem[:dg])
+        q[j - dg] = factor = _times(ctx, rem[j], inv)
+        for i, c in enumerate(low[:dg]):
+            (x, N), (y, M) = rem[j - dg + i], _times(ctx, factor, c)
+            rem[j - dg + i] = x - y, min(N, M)
+    return (XSeries(ctx, [ctx.from_rational(*c) for c in q]),
+            XSeries(ctx, [ctx.from_rational(*c) for c in rem[:dg]]))
 
 
 def divide_exact(f: XSeries, g: XSeries, cutoff: int = 1) -> XSeries:

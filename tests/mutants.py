@@ -35,6 +35,8 @@ PIN = ("tests/test_coleman.py::"
 FLOOR_LOG = "tests/test_wach.py::test_scalar_twist_claims_the_floor_log_bound"
 ADMISSIBLE = "tests/test_basis.py::test_construct_admissible_"
 OBLIQUE = ADMISSIBLE + "oblique_fil0_dual_is_saturated"
+SERIES = "tests/test_series.py::"
+PINNED = SERIES + "test_products_and_divisions_match_the_pinned_outcomes"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -204,6 +206,29 @@ MUTANTS = [
     # the scalar twist's regrouping transposes degrees and entries
     ("src/padlog/wach.py", "views = iter(zip(*(", "views = iter(list((",
      [FLOOR_LOG]),
+    # 1/lead known to N - v instead of N - 2v
+    ("src/padlog/series.py", "inv = 1 / x, N - 2 * lead.v",
+     "inv = 1 / x, N - lead.v",
+     [SERIES + "test_inverse_of_the_lead_is_known_to_N_minus_2v", PINNED]),
+    # a factor's valuation read without the cap at its precision: two
+    # inexact zeros claim an exact product
+    ("src/padlog/series.py",
+     "min(vp_frac(x, ctx.p), na), min(vp_frac(y, ctx.p), nb)",
+     "vp_frac(x, ctx.p), vp_frac(y, ctx.p)",
+     [SERIES + "test_product_reads_a_zero_factor_at_its_precision", PINNED]),
+    # no budget check on the products a sum or a remainder absorbs
+    ("src/padlog/series.py",
+     "if va < na and vb < nb and va + vb < -ctx.denom_budget:",
+     "if False:",
+     [SERIES + "test_budget_holds_on_intermediate_products_and_the_inverse",
+      PINNED]),
+    # no budget check on 1/lead
+    ("src/padlog/series.py", "if lead.v > ctx.denom_budget:", "if False:",
+     [SERIES + "test_budget_holds_on_intermediate_products_and_the_inverse",
+      PINNED]),
+    # an empty levels checks nothing and passes
+    ("src/padlog/logmatrix.py", "    if not levels:\n", "    if False:\n",
+     ["tests/test_logmatrix.py::test_conjugation_refuses_an_empty_levels"]),
     # the partial logarithms rounded over p times their denominator
     ("src/padlog/pollack.py", "ctx.over(den, acc)",
      "ctx.over(den * ctx.p, acc)",

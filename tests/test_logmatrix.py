@@ -15,6 +15,7 @@ from padlog import (
     DenominatorBudgetExceeded,
     FrobeniusData,
     HypothesisFailed,
+    InputError,
     LatticeSetup,
     NotFiltrationAdapted,
     PadicContext,
@@ -384,6 +385,23 @@ def test_conjugated_instance_builds_no_tower(monkeypatch):
     conjugate_basis_check(fd, B, levels=(1,))
     assert len(built) == 1
 
+
+def test_conjugation_refuses_an_empty_levels(monkeypatch):
+    # Q != 0, so law (b) gives a nonzero level-1 defect; an empty levels,
+    # or an iterator read once for the towers, would report ok with
+    # nothing checked
+    fd = random_instance(3, 2, 1, 1)
+    B = [[1, 1], [0, 1]]
+    for levels in ((1,), iter((1,))):
+        assert not conjugate_basis_check(fd, B, levels=levels)["ok"]
+    built = []
+    init = ExactTower.__init__
+    monkeypatch.setattr(ExactTower, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    for levels in ((), []):
+        with pytest.raises(InputError, match="at least one level"):
+            conjugate_basis_check(fd, B, levels=levels)
+    assert built == []
 
 def _frac_mul(A, B):
     return [[sum((a * b for a, b in zip(row, col)), Fraction(0))

@@ -140,8 +140,7 @@ def test_truncated_partials_respect_trunc():
     s = log_plus_partial(ctx, 2, trunc=10)
     assert s.trunc == 10
     full = log_plus_partial(ctx, 2)
-    for i in range(10):
-        assert (s.coeff(i) - full.coeff(i)).is_zero_rep
+    assert agree_mod_precision(s.coeffs, full.coeffs[:10], ctx.p)
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -1,9 +1,18 @@
 """Series and quotient-ring arithmetic: truncation rules, exact
-division, cyclotomic identities."""
+division, cyclotomic identities.
 
+The outcomes of 200 seeded products and divisions are pinned in
+tests/golden/series/arith.json.  To rewrite that file from the current
+code, run from the repository root:
+
+    PYTHONPATH=src python tests/test_series.py
+"""
+
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +24,7 @@ from padlog import (
     InputError,
     NotInImage,
     PadicContext,
+    PadlogError,
     PrecisionLoss,
     XSeries,
     divide_exact,
@@ -32,6 +42,7 @@ from padlog.series import (
 from oracles import (
     agree_mod_precision,
     known_sum,
+    matches_rational,
     omega_oracle,
     padd,
     pdivmod,
@@ -194,6 +205,72 @@ def test_divmod_recomposition(a, b):
     assert agrees(embed(a), known_sum((q * g).coeffs, r.coeffs, CTX.p))
 
 
+# -- the worst-case rules of the product and long division ----------------
+
+SHORT = PadicContext(3, rel_prec=5, denom_budget=10)
+
+
+def test_product_sum_is_known_to_its_least_precise_term():
+    # 1/3 + 1, the coefficient of X in [1/3, 1] * [1, 1]: 1/3 is known
+    # to p^19 only
+    c = (XSeries.from_fractions(CTX, [Fraction(1, 3), 1]) * embed([1, 1])
+         ).coeffs[1]
+    assert c.v == -1
+    assert c.abs_prec() == 19
+
+
+def test_product_cancellation_leaves_a_certified_zero():
+    c = (embed([7, 7]) * embed([1, -1])).coeffs[1]
+    assert c.is_zero_rep and c.prec == 20
+    assert c.zero_status(cutoff=20) == "zero"
+    assert c.zero_status(cutoff=21) == "indeterminate"
+
+
+def test_product_reads_a_zero_factor_at_its_precision():
+    # O(p^4) * 1/9 is O(p^2), and O(p^3) * O(p^4) is O(p^7), not exact
+    for a, b, N in ((CTX.zero(4), CTX.from_rational(Fraction(1, 9)), 2),
+                    (CTX.zero(3), CTX.zero(4), 7)):
+        (c,) = (XSeries(CTX, [a]) * XSeries(CTX, [b])).coeffs
+        assert c.is_zero_rep and c.prec == N
+
+
+def test_division_by_two_gives_the_frozen_inverse():
+    # 1/2 = (3^5 + 1)/2 mod 3^5 = 122
+    (c,) = divide_exact(XSeries.from_ints(SHORT, [1]),
+                        XSeries.from_ints(SHORT, [2])).coeffs
+    assert (c.v, c.u, c.prec) == (0, 122, 5)
+    assert matches_rational(c, Fraction(1, 2))
+
+
+def test_inverse_of_the_lead_is_known_to_N_minus_2v():
+    # 1/(3 + O(3^3)) = 3^-1 (1 + O(3^2)), and 1/(1/3) = 3 known to 3^6
+    one = XSeries.from_ints(SHORT, [1])
+    for lead, want in ((SHORT.from_rational(3, 3), (-1, 1, 2)),
+                       (SHORT.from_rational(Fraction(1, 3)), (1, 1, 5))):
+        q, r = poly_divmod(one, XSeries(SHORT, [lead]))
+        assert _triples(q) == [want] and r.coeffs == ()
+
+
+def test_budget_holds_on_intermediate_products_and_the_inverse():
+    ctx = PadicContext(3, rel_prec=5, denom_budget=1)
+    third = ctx.from_rational(Fraction(1, 3))
+    # 1/3 * 1/3 has valuation -2, though the O(3^-2) beside it would
+    # absorb it: in a product, and in the remainder of a long division
+    low = XSeries(ctx, [ctx.zero(-1), third], trunc=2)
+    for run in (lambda: low * XSeries(ctx, [third, third]),
+                lambda: poly_divmod(XSeries(ctx, [ctx.zero(-2), third]),
+                                    XSeries(ctx, [third, ctx.one()]))):
+        with pytest.raises(DenominatorBudgetExceeded,
+                           match="product valuation -2 below budget -1"):
+            run()
+    # a lead of valuation 2 has an inverse of valuation -2, refused
+    # before any step, even when f is shorter than g
+    with pytest.raises(DenominatorBudgetExceeded,
+                       match="inverse valuation -2 below budget -1"):
+        poly_divmod(XSeries.from_ints(ctx, [1]),
+                    XSeries.from_ints(ctx, [1, 9]))
+
+
 def _rounded(ctx, q, N):
     """(v, u, prec) of the rational q known modulo p^N by the Fraction
     rule: v = v_p(q), k = min(rel_prec, N - v) and u the unit part of q
@@ -288,3 +365,102 @@ def test_form_views_make_no_fraction(monkeypatch):
         views = form_views(CTX, A, N, length)
         assert len(views) == 2
     assert made == []
+
+
+# -- pinned products and divisions -----------------------------------------
+
+ARITH_GOLDEN = (Path(__file__).resolve().parent / "golden" / "series"
+                / "arith.json")
+
+
+def _random_coefficient(ctx, rng):
+    """An exact zero, an O(p^N) zero, or a rational of valuation down to
+    -denom_budget, embedded exactly or known modulo p^N (which may leave
+    an O(p^N) zero)."""
+    p, kind = ctx.p, rng.randrange(8)
+    if kind == 0:
+        return ctx.zero()
+    if kind == 1:
+        return ctx.zero(rng.randint(-ctx.denom_budget, 6))
+    v = rng.randint(-ctx.denom_budget, 3)
+    value = Fraction(p) ** v * rng.randint(-p ** 4, p ** 4)
+    if kind < 5:
+        return ctx.from_rational(value)
+    return ctx.from_rational(value, v + rng.randint(-1, ctx.rel_prec))
+
+
+def _random_series(ctx, rng, length, trunc=None):
+    return XSeries(ctx, [_random_coefficient(ctx, rng)
+                         for _ in range(rng.randint(0, length))], trunc)
+
+
+def _random_divisor(ctx, rng):
+    """An exact polynomial, most often with a nonzero top coefficient of
+    valuation in [-denom_budget, denom_budget + 1]."""
+    p, low = ctx.p, _random_series(ctx, rng, 3).coeffs
+    if rng.randrange(5):
+        e = rng.randint(-ctx.denom_budget, ctx.denom_budget + 1)
+        lead = ctx.from_rational(Fraction(p) ** e * rng.choice((1, 2, -1, 4)))
+        low += (lead,) + (ctx.zero(rng.randint(-1, 3)),) * rng.randrange(2)
+    return XSeries(ctx, low)
+
+
+def arith_cases(rng, count, rel_precs, budgets):
+    """count seeded runs, in turn a product (of exact or truncated
+    operands), poly_divmod, divide_exact (of a product or of a random
+    polynomial) and reduce_mod_omega at level 0 or 1."""
+    for i in range(count):
+        ctx = PadicContext(rng.choice((3, 5, 7)), rng.choice(rel_precs),
+                           rng.choice(budgets))
+        op, cutoff = i % 4, rng.randint(1, 3)
+        if op == 0:
+            f, g = (_random_series(ctx, rng, 5, rng.choice(
+                (None, None, rng.randint(1, 6)))) for _ in range(2))
+            yield lambda f=f, g=g: f * g
+        elif op == 1:
+            f, g = _random_series(ctx, rng, 6), _random_divisor(ctx, rng)
+            yield lambda f=f, g=g, c=cutoff: poly_divmod(f, g, c)
+        elif op == 2:
+            g, h = _random_divisor(ctx, rng), _random_series(ctx, rng, 4)
+            f = None if rng.randrange(2) else _random_series(ctx, rng, 6)
+            yield lambda f=f, g=g, h=h, c=cutoff: divide_exact(
+                g * h if f is None else f, g, c)
+        else:
+            f = _random_series(ctx, rng, 2 * ctx.p + 2)
+            yield lambda f=f, n=rng.randint(0, 1): reduce_mod_omega(f, n)
+
+
+def arith_outcome(run):
+    """The (trunc, [[v, u, prec], ...]) of each series a run returns, or
+    the type and message of the error it raises."""
+    try:
+        out = run()
+    except PadlogError as exc:
+        return [type(exc).__name__, str(exc)]
+    if isinstance(out, LambdaNElement):
+        out = (out.rep,)
+    elif isinstance(out, XSeries):
+        out = (out,)
+    return [[s.trunc, [[c.to_record()[k] for k in ("v", "u", "prec")]
+                       for c in s.coeffs]] for s in out]
+
+
+def _pinned_outcomes():
+    return [arith_outcome(run) for run in arith_cases(
+        random.Random(32), 200, range(2, 9), range(5))]
+
+
+def test_products_and_divisions_match_the_pinned_outcomes():
+    want = json.loads(ARITH_GOLDEN.read_text())
+    assert _pinned_outcomes() == want
+    raised = {(w[0], w[1].split()[0]) for w in want if isinstance(w[0], str)}
+    assert raised >= {("DenominatorBudgetExceeded", "product"),
+                      ("DenominatorBudgetExceeded", "inverse"),
+                      ("NotInImage", "division"), ("InputError", "division"),
+                      ("PrecisionLoss", "remainder"),
+                      ("PrecisionLoss", "coefficient")}
+
+
+if __name__ == "__main__":
+    ARITH_GOLDEN.parent.mkdir(exist_ok=True)
+    ARITH_GOLDEN.write_text(json.dumps(_pinned_outcomes()) + "\n")
