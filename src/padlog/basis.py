@@ -53,11 +53,8 @@ from .linalg import (
     frac_det,
     frac_identity,
     frac_inv,
-    frac_mat,
     frac_nullspace,
     frac_rank,
-    mat_mul,
-    mat_sub,
     vp_frac,
 )
 from .padic import PadicContext
@@ -244,19 +241,20 @@ class LatticeSetup:
         """
         if self.phi_matrix is None:
             raise InputError("setup carries no phi_matrix")
-        phi = frac_mat(self.phi_matrix)
-        ident = frac_identity(self.g)
+        p, phi = self.ctx.p, self.phi_matrix
+        one_minus = [[int(i == j) - x for j, x in enumerate(row)]
+                     for i, row in enumerate(phi)]
+        p_phi_minus = [[p * x - int(i == j) for j, x in enumerate(row)]
+                       for i, row in enumerate(phi)]
         try:
-            inv = frac_inv(mat_sub(ident, phi))
+            T = frac_inv(one_minus, p_phi_minus)
         except SingularOperator:
             raise SingularOperator(
                 "1 - phi is singular (1 is an eigenvalue)") from None
-        scaled = [[Fraction(self.ctx.p) * x for x in row] for row in phi]
-        p_phi_minus = mat_sub(scaled, ident)
         if frac_det(p_phi_minus) == 0:
             raise SingularOperator(
                 "p phi - 1 is singular (1/p is an eigenvalue)")
-        return mat_mul(inv, p_phi_minus)
+        return T
 
 
 def _subset_certificates(setup: LatticeSetup, vectors, kind: str):
@@ -496,7 +494,7 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
     p + 1 points, and Ball (J. Eur. Math. Soc. 14, 2012) shows that no
     arc is larger.  For m > p the frame e_1, ..., e_m, (1, ..., 1) has
     m + 1 points, the bound of Bush (Ann. Math. Statist. 23, 1952).  One
-    inverse mod p sends the first m points onto the given basis.  Past
+    solve mod p sends the first m points onto the given basis.  Past
     the bound, mode ``units`` raises SearchExhausted and mode ``auto``
     degrades to nonzero.
     """
@@ -544,9 +542,10 @@ def generic_position_extend(ctx: PadicContext, W_basis, k: int,
             arc = [[int(i == j) for j in range(m)] for i in range(m)]
             arc.append([1] * m)
         if len(arc) >= m + k:
-            inv = frac_inv(arc[:m])
-            coords = [[sum(x * y for x, y in zip(pt, col))
-                       for col in zip(*inv)] for pt in arc[m:m + k]]
+            # the coordinates c of each point, c . arc[:m] = point, as
+            # the columns of one solve of the transposed system
+            coords = zip(*frac_inv(list(zip(*arc[:m])),
+                                   list(zip(*arc[m:m + k]))))
             out = extend([[c.numerator * pow(c.denominator, -1, p) % p
                            for c in row] for row in coords])
             if all_subset_dets_ok(out, True):
@@ -637,12 +636,14 @@ def construct_strongly_admissible(setup: LatticeSetup,
     def extend(vecs, moved, cand):
         """The families vecs and moved = T vecs grown by cand and T cand,
         or None unless both keep full rank against fil0_dual on every
-        subset of the appropriate size."""
+        subset of the appropriate size.  Only the subsets holding the
+        new vector are checked: every other one lies in the family
+        before it, which passed on it at the same size."""
         vecs, moved = vecs + [cand], moved + [_transport(T, cand)]
         size = min(m, len(vecs))
         for fam in (vecs, moved):
-            for sub in itertools.combinations(fam, size):
-                rows = [list(v) for v in sub] + fil_rows
+            for sub in itertools.combinations(fam[:-1], size - 1):
+                rows = [list(v) for v in sub] + [fam[-1]] + fil_rows
                 if frac_rank(rows) != size + setup.g_plus:
                     return None
         return vecs, moved

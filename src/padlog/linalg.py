@@ -1,22 +1,19 @@
 """Matrix and polynomial utilities.
 
-The generic layer (products) needs only ring operator overloads; the
-library runs it on constant matrices of Fractions and of integers.
-Polynomial matrices are integer forms (below).
-
 The exact layer works on Fractions and is the decision engine.  One
 fraction-free elimination (Bareiss), behind every determinant, puts each
 row over one denominator and runs on the integer numerators; it gives
 the rank, the determinant and an integer row echelon form.  Over Z_(p)
 one integer elimination, pivoting on an entry of least valuation, gives
 the rank over F_p (its unit pivots) and an echelon form with unit
-pivots.  One integer back-substitution follows either pass.  The
-inverse and the solution of a square system are read off its rows, and
-one kernel readout gives primitive integer kernel vectors: the
-canonical nullspace basis over the rationals, and over Z_(p) the
-saturated nullspace (the Coleman kernel) and the integral solve (a
-kernel vector with a unit last coordinate).  Fractions are formed only
-at output.
+pivots.  One integer back-substitution follows either pass.  A constant
+operator A^-1 B (the inverse for B = I, the solution of a square system
+for one column) is read off the rows of one elimination of [A | B], so
+no two Fraction matrices are ever multiplied; one kernel readout gives
+primitive integer kernel vectors: the canonical nullspace basis over the
+rationals, and over Z_(p) the saturated nullspace (the Coleman kernel)
+and the integral solve (a kernel vector with a unit last coordinate).
+Fractions are formed only at output.
 Characteristic polynomials (polynomial determinants) and Newton
 polygons complete the admission gate's toolkit.
 
@@ -46,7 +43,7 @@ from .errors import InputError, NotInImage, SingularOperator
 from .padic import INF
 
 
-# -- generic layer --------------------------------------------------------
+# -- exact Fraction layer --------------------------------------------------
 
 
 def mat_shape(A):
@@ -56,30 +53,6 @@ def mat_shape(A):
         if len(row) != c:
             raise InputError("ragged matrix")
     return r, c
-
-
-def mat_mul(A, B):
-    ra, ca = mat_shape(A)
-    rb, cb = mat_shape(B)
-    if ca != rb or ca == 0:
-        raise InputError(f"cannot multiply {ra}x{ca} by {rb}x{cb}")
-    out = []
-    for i in range(ra):
-        row = []
-        for j in range(cb):
-            acc = A[i][0] * B[0][j]
-            for k in range(1, ca):
-                acc = acc + A[i][k] * B[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-# -- exact Fraction layer --------------------------------------------------
 
 
 def frac_mat(rows):
@@ -217,16 +190,29 @@ def frac_det(A):
     return _echelon(A)[2]
 
 
-def frac_inv(A):
+def _divide(A, B, singular: str):
+    """A^-1 B for a square A and a B with as many rows, read off one
+    elimination of [A | B]: row r of the reduced form is pivot r over
+    its entries in the columns of B."""
+    n = len(A)
+    M, pivots, _ = _echelon([list(a) + list(b) for a, b in zip(A, B)])
+    if pivots != list(range(n)):
+        raise SingularOperator(singular)
+    _back_substitute(M, pivots)
+    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(M)]
+
+
+def frac_inv(A, B=None):
+    """A^-1 B over the rationals for a square A (A^-1 when B is None)."""
     n, m = mat_shape(A)
     if n != m:
         raise InputError(f"cannot invert a {n}x{m} matrix")
-    aug = [list(row) + ident for row, ident in zip(A, frac_identity(n))]
-    M, pivots, _ = _echelon(aug)
-    if pivots != list(range(n)):
-        raise SingularOperator("matrix is not invertible")
-    _back_substitute(M, pivots)
-    return [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(M)]
+    if B is None:
+        B = frac_identity(n)
+    elif len(B) != n:
+        raise InputError(f"cannot divide a {len(B)}-row matrix by a "
+                         f"{n}x{n} matrix")
+    return _divide(A, B, "matrix is not invertible")
 
 
 def frac_solve(A, b):
@@ -235,11 +221,7 @@ def frac_solve(A, b):
     if n != m or len(b) != n:
         raise InputError(f"cannot solve a {n}x{m} system with a "
                          f"right-hand side of length {len(b)}")
-    M, pivots, _ = _echelon([list(row) + [bb] for row, bb in zip(A, b)])
-    if pivots != list(range(n)):
-        raise SingularOperator("singular system")
-    _back_substitute(M, pivots)
-    return [Fraction(row[n], row[r]) for r, row in enumerate(M)]
+    return [x for x, in _divide(A, [[bb] for bb in b], "singular system")]
 
 
 def frac_nullspace(A):

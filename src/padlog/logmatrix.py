@@ -65,7 +65,6 @@ from .linalg import (
     frac_rank,
     hull_root_valuations,
     int_dot,
-    mat_mul,
     newton_lower_hull,
     vp_frac,
     zp_solve_integral,
@@ -591,7 +590,9 @@ def image_condition_at_zero(fd: FrobeniusData, I, w,
         if frac_det(one_minus_phi) == 0:
             raise SingularOperator("1 - phi is singular")
         try:
-            op = mat_mul(one_minus_phi, frac_inv(one_minus_phi_over_p))
+            # (1 - phi)(1 - phi/p)^-1 = (1 - phi/p)^-1 (1 - phi): both
+            # are polynomials in phi
+            op = frac_inv(one_minus_phi_over_p, one_minus_phi)
         except SingularOperator:
             raise SingularOperator("1 - phi/p is singular") from None
     # Fil0 is spanned by the first fil_dim standard vectors: its images

@@ -88,7 +88,11 @@ class PadicContext:
     def from_rational(self, value, abs_prec=INF) -> "PadicScalar":
         """Embed a rational (Fraction, int, or num/den pair) known modulo
         p^abs_prec, exact by default, keeping at most rel_prec digits.
-        A value that vanishes modulo p^abs_prec is O(p^abs_prec)."""
+        A value that vanishes modulo p^abs_prec is O(p^abs_prec).  A
+        float is refused: its binary value is not the rational meant."""
+        if isinstance(value, float):
+            raise InputError(f"cannot embed the float {value!r}; pass a "
+                             "Fraction or an int")
         if isinstance(value, tuple):
             value = Fraction(value[0], value[1])
         elif not isinstance(value, (int, Fraction)):

@@ -37,6 +37,8 @@ ADMISSIBLE = "tests/test_basis.py::test_construct_admissible_"
 OBLIQUE = ADMISSIBLE + "oblique_fil0_dual_is_saturated"
 SERIES = "tests/test_series.py::"
 PINNED = SERIES + "test_products_and_divisions_match_the_pinned_outcomes"
+TRANSPORT = "tests/test_basis.py::test_transport_operator_matches_the_oracle"
+ONCE = "tests/test_basis.py::test_strong_construction_decides_each_subset_once"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -234,6 +236,31 @@ MUTANTS = [
      "ctx.over(den * ctx.p, acc)",
      ["tests/test_pollack.py::"
       "test_partial_logs_round_their_integer_products_once"]),
+    # a float embedded at its binary value
+    ("src/padlog/padic.py", "if isinstance(value, float):", "if False:",
+     ["tests/test_padic.py::test_from_rational_refuses_a_float",
+      SERIES + "test_series_from_fractions_refuses_a_float"]),
+    # A^-1 B read one column early, off the last column of A
+    (LINALG, "for x in row[n:]] for r, row in enumerate(M)]",
+     "for x in row[n - 1:-1]] for r, row in enumerate(M)]",
+     ["tests/test_linalg.py::test_frac_inv_matches_adjugate_oracle"]),
+    # the transport operator solved as (p phi - 1)^-1 (1 - phi)
+    ("src/padlog/basis.py", "frac_inv(one_minus, p_phi_minus)",
+     "frac_inv(p_phi_minus, one_minus)",
+     [TRANSPORT]),
+    # the image operator solved against 1 - phi in place of 1 - phi/p
+    ("src/padlog/logmatrix.py",
+     "frac_inv(one_minus_phi_over_p, one_minus_phi)",
+     "frac_inv(one_minus_phi, one_minus_phi)",
+     [CONJ + "test_image_condition_matches_the_oracle_operator"]),
+    # the strong constructor pairs the new vector with subsets that
+    # already hold it
+    ("src/padlog/basis.py", "itertools.combinations(fam[:-1], size - 1)",
+     "itertools.combinations(fam, size - 1)",
+     [ONCE, "tests/test_basis.py::test_construct_strongly_admissible"]),
+    # the strong constructor skips the transported family
+    ("src/padlog/basis.py", "for fam in (vecs, moved):",
+     "for fam in (vecs,):", [ONCE]),
 ]
 
 

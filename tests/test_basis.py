@@ -3,6 +3,7 @@ escape from hyperplane unions, slope avoidance, complement merging,
 generic-position extension, and the two basis constructors."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -27,7 +28,14 @@ from padlog import (
     merge_complement,
 )
 
-from oracles import in_span, perm_det, rank_mod_p, rank_oracle, vp_rational
+from oracles import (
+    in_span,
+    inv_oracle,
+    perm_det,
+    rank_mod_p,
+    rank_oracle,
+    vp_rational,
+)
 
 CTX = PadicContext(3, rel_prec=20, denom_budget=24)
 
@@ -121,6 +129,47 @@ def test_transport_operator_singularities():
     with pytest.raises(SingularOperator) as exc:
         setup_rank3(phi=third).transport_operator()
     assert "1/p is an eigenvalue" in str(exc.value)
+
+
+def _frac_mul(A, B):
+    return [[sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
+
+
+def test_transport_operator_matches_the_oracle():
+    # T = (1 - phi)^-1 (p phi - 1) on seeded rational phi, singular
+    # factors included
+    rng = random.Random(33)
+    raised = set()
+    for p in (3, 5, 7):
+        ctx = PadicContext(p)
+        for g in range(2, 6):
+            for _ in range(6):
+                phi = [[Fraction(rng.choice((0, 1, 1, -1, 2, p)),
+                                 rng.choice((1, 1, p, 2)))
+                        for _ in range(g)] for _ in range(g)]
+                # a first row e_1 or e_1 / p makes a factor singular
+                scale = rng.choice((None, None, None, 1, p))
+                if scale:
+                    phi[0] = [Fraction(int(j == 0), scale) for j in range(g)]
+                fil = [[int(i == j) for j in range(g)] for i in range(g - 1)]
+                setup = LatticeSetup(ctx, g, 1, fil, phi_matrix=phi)
+                one_minus = [[int(i == j) - x for j, x in enumerate(row)]
+                             for i, row in enumerate(phi)]
+                p_phi_minus = [[p * x - int(i == j) for j, x in enumerate(row)]
+                               for i, row in enumerate(phi)]
+                if perm_det(one_minus) == 0:
+                    with pytest.raises(SingularOperator, match="1 is an"):
+                        setup.transport_operator()
+                    raised.add("1")
+                elif perm_det(p_phi_minus) == 0:
+                    with pytest.raises(SingularOperator, match="1/p is an"):
+                        setup.transport_operator()
+                    raised.add("1/p")
+                else:
+                    assert setup.transport_operator() == _frac_mul(
+                        inv_oracle(one_minus), p_phi_minus)
+    assert raised == {"1", "1/p"}
 
 
 def test_escape_union_frozen_small_case():
@@ -479,6 +528,28 @@ def test_strong_construction_transports_once(monkeypatch):
         cand = construct_strongly_admissible(setup_rank3(phi=PHI_OK), seed)
         assert cand.strongly_admissible
         assert calls == [1]
+
+
+@pytest.mark.parametrize("g,g_minus", [(2, 1), (3, 2), (4, 2), (5, 3)])
+def test_strong_construction_decides_each_subset_once(monkeypatch, g,
+                                                      g_minus):
+    # at p = 101 every first draw passes, so the k-th vector is checked
+    # on the C(k - 1, min(g_minus, k) - 1) subsets that hold it, once in
+    # each family; the subsets without it passed with the vector before
+    rng = random.Random(g)
+    phi = [[rng.randrange(-5, 6) for _ in range(g)] for _ in range(g)]
+    fil = [[int(i == j) for j in range(g)] for i in range(g - g_minus)]
+    setup = LatticeSetup(PadicContext(101), g, g_minus, fil, phi_matrix=phi)
+    draws, ranks = [], []
+    transport, rank = padlog.basis._transport, padlog.basis.frac_rank
+    monkeypatch.setattr(padlog.basis, "_transport",
+                        lambda T, v: draws.append(1) or transport(T, v))
+    monkeypatch.setattr(padlog.basis, "frac_rank",
+                        lambda rows: ranks.append(1) or rank(rows))
+    assert construct_strongly_admissible(setup).strongly_admissible
+    assert len(draws) == g
+    assert len(ranks) == 2 * sum(math.comb(k - 1, min(g_minus, k) - 1)
+                                 for k in range(1, g + 1))
 
 
 class _ZeroRandom:

@@ -32,7 +32,6 @@ from padlog.linalg import (
     hull_root_valuations,
     int_dot,
     int_trim,
-    mat_mul,
     newton_lower_hull,
     pseudo_divmod,
     smith_zp,
@@ -59,6 +58,12 @@ from oracles import (
     rank_oracle,
     vp_rational,
 )
+
+
+def mat_mul(A, B):
+    """The product of two constant matrices, as Fractions."""
+    return [[sum((Fraction(a) * b for a, b in zip(row, col)), Fraction(0))
+             for col in zip(*B)] for row in A]
 
 
 def rand_mat(rng, n, lo=-9, hi=9):
@@ -469,12 +474,20 @@ def test_frac_det_matches_permutation_expansion_incl_singular():
 
 
 def test_frac_inv_matches_adjugate_oracle():
+    # A^-1, and A^-1 B for B narrower and wider than A is tall
+    rng = random.Random(38)
     for A in square_cases(33):
+        n = len(A)
+        Bs = [_random_matrix(rng, n, cols, (1, 2, 9))
+              for cols in (max(n - 1, 1), n + 2)]
         if perm_det(A) == 0:
-            with pytest.raises(SingularOperator):
-                frac_inv(A)
+            for B in (None, *Bs):
+                with pytest.raises(SingularOperator):
+                    frac_inv(A, B)
         else:
             assert frac_inv(A) == inv_oracle(A)
+            for B in Bs:
+                assert frac_inv(A, B) == mat_mul(inv_oracle(A), B)
 
 
 def test_frac_solve_residual_vanishes():
@@ -588,6 +601,8 @@ def test_eliminations_reject_malformed_shapes():
     ragged = [[1, 2], [3]]
     cases = [
         lambda: frac_inv([[1, 0, 0], [0, 1, 0]]),
+        lambda: frac_inv([[1, 0], [0, 1]], [[1], [2], [3]]),
+        lambda: frac_inv([[1, 0], [0, 1]], [[1, 2]]),
         lambda: frac_solve([[1, 0], [0, 1]], [1, 2, 3]),
         lambda: frac_solve([[1, 0], [0, 1]], [1]),
         lambda: frac_rank(ragged),

@@ -18,6 +18,7 @@ from padlog import (
     InputError,
     LatticeSetup,
     NotFiltrationAdapted,
+    NotInImage,
     PadicContext,
     SingularOperator,
     XSeries,
@@ -41,7 +42,12 @@ from padlog.coleman import (
     roundtrip_check,
     tower_projection_check,
 )
-from padlog.linalg import form_from_fractions, form_to_fractions, frac_inv
+from padlog.linalg import (
+    form_from_fractions,
+    form_to_fractions,
+    frac_inv,
+    zp_solve_integral,
+)
 from padlog.logmatrix import (
     ExactTower,
     _conjugation,
@@ -72,6 +78,7 @@ from oracles import (
     agree_mod_precision,
     chain_oracle,
     charpoly_oracle,
+    in_zp_span,
     inv_oracle,
     lower_hull_oracle,
     matches_rational,
@@ -540,6 +547,45 @@ def test_image_condition_dual_intersection_past_fil_dim():
             res = image_condition_at_zero(fd, I, w,
                                           trivial_character=trivial)
             assert not res.details["dual_intersection_trivial"]
+
+
+def test_image_condition_matches_the_oracle_operator():
+    # the trivial-character columns are those of the oracle's
+    # (1 - phi)(1 - phi/p)^-1, so the solve gives the same coefficients
+    rng = random.Random(33)
+    verdicts = set()
+    for p, size, d0, seed in ((3, 2, 1, 0), (3, 4, 2, 0), (5, 2, 1, 0),
+                              (5, 4, 2, 1), (7, 3, 1, 2), (3, 2, 1, 7)):
+        fd = random_instance(p, size, d0, seed)
+        Cphi = fd.C_phi_frac()
+        one_minus, one_minus_over_p = (
+            [[int(i == j) - x / scale for j, x in enumerate(row)]
+             for i, row in enumerate(Cphi)] for scale in (1, p))
+        op = _frac_mul(one_minus, inv_oracle(one_minus_over_p))
+        for _ in range(4):
+            I = sorted(rng.sample(range(1, size + 1),
+                                  rng.randint(1, size)))
+            columns = [[op[i - 1][k] for i in I] for k in range(fd.fil_dim)]
+            if rng.random() < 0.5:
+                w = [rng.randrange(-9, 10) for _ in I]
+            else:  # in the image: a p-integral combination of the columns
+                c = [Fraction(rng.randrange(-4, 5), rng.choice((1, 2)))
+                     for _ in columns]
+                w = [sum(ck * col[r] for ck, col in zip(c, columns))
+                     for r in range(len(I))]
+            res = image_condition_at_zero(fd, I, w, trivial_character=True)
+            assert res.membership == in_zp_span(columns, w, p)
+            verdicts.add(res.membership)
+            coeffs = res.details["coefficients"]
+            try:
+                want = zp_solve_integral(columns, w, p)
+            except NotInImage:
+                want = None
+            assert coeffs == want
+            if coeffs is not None:
+                assert [sum(ck * col[r] for ck, col in zip(coeffs, columns))
+                        for r in range(len(I))] == w
+    assert verdicts == {True, False}
 
 
 def test_image_condition_plain_character():

@@ -49,6 +49,15 @@ def test_from_rational_matches_oracle():
         assert matches_rational(WIDE.from_rational(q), q)
 
 
+def test_from_rational_refuses_a_float():
+    # 3 ** -2 is the float nearest 1/9, a fraction over 2^56
+    with pytest.raises(InputError, match="float"):
+        PadicContext(3).from_rational(3 ** -2)
+    with pytest.raises(InputError, match="float"):
+        WIDE.integer(2.0)
+    assert PadicContext(3).from_rational(Fraction(3) ** -2).v == -2
+
+
 def test_zero_statuses():
     assert WIDE.integer(9).zero_status() == "nonzero"
     assert WIDE.zero().zero_status(cutoff=10 ** 6) == "zero"

@@ -80,6 +80,13 @@ def test_truncated_series_pad_to_length():
         f.coeff(4)
 
 
+def test_series_from_fractions_refuses_a_float():
+    with pytest.raises(InputError, match="float"):
+        XSeries.from_fractions(CTX, [0.5])
+    with pytest.raises(InputError, match="float"):
+        XSeries.from_ints(CTX, [1, 2.0])
+
+
 def test_min_trunc_rule():
     f = embed([1, 1], trunc=5)
     g = embed([0, 2], trunc=3)
