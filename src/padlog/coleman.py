@@ -43,6 +43,7 @@ from .padic import INF
 from .series import (
     LambdaNElement,
     XSeries,
+    cyclo_residue,
     form_views,
     omega_ints,
     phi_cyclo_ints,
@@ -258,14 +259,16 @@ def tower_projection_check(fd: FrobeniusData, n: int, col, cutoff: int = 1):
 
     Both images read P_n x once (_forward) from the lifted vector x.
     omega_n divides omega_(n+1), so projecting P_(n+1) x = C_(n+1) P_n x
-    to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n, with
-    C_(n+1) mod omega_n an integer form.
+    to level n is exactly (C_(n+1) mod omega_n)(P_n x) mod omega_n.  As
+    C^-1 is constant and reduction mod the monic omega_n is Z-linear,
+    C_(n+1) mod omega_n is diag(I, r I) C^-1, with r = Phi_{p^(n+1)}(1+X)
+    mod omega_n read once per process (series.cyclo_residue).
     """
     if n < 1:
         raise InputError("tower_projection_check needs n >= 1")
     p, tower = fd.ctx.p, fd.tower
     low, N = _forward(fd, n, *_as_classes(fd, n + 1, col))
-    top = form_mod(tower.C(n + 1), omega_ints(p, n))
+    top = tower._scaled(tower.frob_inv, cyclo_residue(p, n + 1, n))
     cphi_inv = tower.cphi_power(-1)
     hi = _apply(top, low, p, n)
     twisted = _apply(cphi_inv, low, p, n)

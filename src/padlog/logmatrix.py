@@ -255,17 +255,17 @@ class ExactTower:
             -1: form_mul(_diagonal([[1]] * f + [[p]] * (g - f), 1), frob_inv)}
         self.depth = -form_depth(self._powers[1], p)
 
-    def _scaled(self, A, k: int):
-        """diag(I, Phi_{p^k}(1+X) I) A, as content-reduced as A."""
+    def _scaled(self, A, phi):
+        """diag(I, phi I) A, phi an integer polynomial; as reduced as A."""
         (N, d), f = A, self.fil_dim
-        phi = phi_cyclo_ints(self.p, k)
         return N[:f] + [[int_dot([(phi, e)]) for e in row]
                         for row in N[f:]], d
 
     def _grow(self):
         """Append P_k = C_k P_(k-1), of degree p^k - 1 < deg omega_k."""
         P = form_mul(self.frob_inv, self.chain[-1])
-        self.chain.append(self._scaled(P, len(self.chain)))
+        phi = phi_cyclo_ints(self.p, len(self.chain))
+        self.chain.append(self._scaled(P, phi))
 
     def P(self, k: int):
         """P_k = C_k ... C_1 (P_0 = I)."""
@@ -275,7 +275,7 @@ class ExactTower:
 
     def C(self, k: int):
         """C_k = diag(I, Phi_{p^k}(1+X) I) C^-1, for k >= 1."""
-        return self._scaled(self.frob_inv, k)
+        return self._scaled(self.frob_inv, phi_cyclo_ints(self.p, k))
 
     def cphi_power(self, e: int):
         """C_phi^e, for e != 0, as C_phi^(+-1) C_phi^(e -+ 1)."""

@@ -89,14 +89,19 @@ class PadicContext:
         """Embed a rational (Fraction, int, or num/den pair) known modulo
         p^abs_prec, exact by default, keeping at most rel_prec digits.
         A value that vanishes modulo p^abs_prec is O(p^abs_prec).  A
-        float is refused: its binary value is not the rational meant."""
+        float is refused: its binary value is not the rational meant, and
+        so is anything Fraction cannot read."""
         if isinstance(value, float):
             raise InputError(f"cannot embed the float {value!r}; pass a "
                              "Fraction or an int")
-        if isinstance(value, tuple):
-            value = Fraction(value[0], value[1])
-        elif not isinstance(value, (int, Fraction)):
-            value = Fraction(value)
+        try:
+            if isinstance(value, tuple):
+                num, den = value
+                value = Fraction(num, den)
+            elif not isinstance(value, (int, Fraction)):
+                value = Fraction(value)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise InputError(f"cannot embed {value!r}: {exc}") from None
         if not value:
             return self.zero(abs_prec)
         return self.over(value.denominator, [value.numerator], abs_prec)[0]

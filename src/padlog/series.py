@@ -1,5 +1,6 @@
 """Certified views of polynomials, truncated series and Lambda_n classes,
-and the integer coefficients of Phi_{p^k}(1+X) and omega_n.
+and the integer coefficients of Phi_{p^k}(1+X), of omega_n and of
+Phi_{p^k}(1+X) mod omega_n.
 
 An XSeries is either an exact polynomial (trunc is None, trailing
 certified-exact zero coefficients stripped) or a series known modulo
@@ -31,7 +32,7 @@ from .errors import (
     NotInImage,
     PrecisionLoss,
 )
-from .linalg import int_dot, int_trim, vp_frac
+from .linalg import int_dot, int_trim, pseudo_divmod, vp_frac
 from .padic import INF, PadicContext, PadicScalar
 
 
@@ -255,6 +256,8 @@ def divide_exact(f: XSeries, g: XSeries, cutoff: int = 1) -> XSeries:
 
 
 # -- cyclotomic levels ----------------------------------------------------
+# Integer tables of small integers (p, k, n), each made once per process;
+# the Coleman tower projection reads Phi_{p^(n+1)}(1+X) mod omega_n.
 
 
 @lru_cache(maxsize=None)
@@ -292,6 +295,13 @@ def omega_ints(p: int, n: int):
     out = [math.comb(e, j) for j in range(e + 1)]
     out[0] -= 1
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def cyclo_residue(p: int, k: int, n: int):
+    """Integer coefficient tuple of Phi_{p^k}(1+X) mod omega_n, trimmed;
+    (p,) at k = n + 1, as (1+X)^(p^n) = 1 mod omega_n."""
+    return tuple(pseudo_divmod(phi_cyclo_ints(p, k), omega_ints(p, n))[1])
 
 
 def omega(ctx: PadicContext, n: int) -> XSeries:

@@ -27,10 +27,11 @@ g(0) = 0 depends only on f mod pi^T, so every substitution that feeds a
 truncated result is truncated from the start: f is cut to T terms,
 g = (1 + pi)^c - 1 mod pi^T comes straight from the binomial
 coefficients, and f(g) is the integer numerators of f times one integer
-matrix whose row k is g^k mod pi^T, formed once per twist.  The cost of
-a twist therefore does not depend on the size of c.  M'_n = N / d is
-cut to pi^T first and its inverse mod pi^T is d adj(N) times the series
-inverse, an integer recurrence, of det N, read off adj(N).  Every stage,
+matrix whose row k is g^k mod pi^T, formed once per (c, T) while a small
+cache keeps it (_gamma_powers).  The cost of a twist therefore does not
+depend on the size of c.  M'_n = N / d is cut to pi^T first and its
+inverse mod pi^T is d adj(N) times the series inverse, an integer
+recurrence, of det N, read off adj(N).  Every stage,
 the product with gamma(M'_n) and the checks run on integer forms, and
 only an exact G is formed as Fractions, once.  The twist is exact
 for both kinds of exponent: a PadicScalar c known mod p^N runs on its
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InputError,
@@ -154,6 +156,13 @@ def _pcompose(f, g, T=None):
     if T is None:
         T = (len(f) - 1) * max(len(g) - 1, 0) + 1
     return _substitute(f, _power_matrix(g, min(len(f), T), T), T)
+
+
+@lru_cache(maxsize=32)
+def _gamma_powers(c: int, T: int):
+    """The power matrix of (1 + pi)^c - 1 mod pi^T with T rows, as
+    tuples, built once per (c, T) while it is among the 32 last used."""
+    return tuple(map(tuple, _power_matrix(_binom_shift(c, T), T, T)))
 
 
 def phi_act_poly(p: int, f, trunc=None):
@@ -314,7 +323,9 @@ class WachMatrixTower:
         integer one, which raises IntegralityViolation on a bad G).
 
         M = N / d is cut to pi^T and M^-1 = d adj(N) / det N, with det N =
-        N[0] . (column 0 of adj N) and 1 / det N = H / den (_pseries_inv)."""
+        N[0] . (column 0 of adj N) and 1 / det N = H / den (_pseries_inv);
+        gamma(M) reads the power matrix of c (or its lift) and T from the
+        cache of _gamma_powers."""
         if T < 1:
             raise InputError("trunc must be positive")
         N, d = self._level(k)
@@ -328,7 +339,7 @@ class WachMatrixTower:
         Minv = form_mul((adj, 1),
                         _diagonal([[d * h for h in H]] * size, den), T)
         c = gamma.c if gamma.is_integer else gamma.c.lift()
-        S = _power_matrix(_binom_shift(c, T), T, T)
+        S = _gamma_powers(c, T)
         G = form_mul(Minv, _act(lambda e: _substitute(e, S, T), (N, d)), T)
         p = self.fd.ctx.p
         bad = form_witness(G, p, 0)  # the first non p-integral coefficient

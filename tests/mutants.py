@@ -39,6 +39,8 @@ SERIES = "tests/test_series.py::"
 PINNED = SERIES + "test_products_and_divisions_match_the_pinned_outcomes"
 TRANSPORT = "tests/test_basis.py::test_transport_operator_matches_the_oracle"
 ONCE = "tests/test_basis.py::test_strong_construction_decides_each_subset_once"
+PROJECTION = "tests/test_coleman.py::test_tower_projection_"
+TWIST = "tests/test_wach.py::test_twist_"
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -102,6 +104,30 @@ MUTANTS = [
      "not isinstance(c, LambdaNElement) or c.level != level",
      "not isinstance(c, LambdaNElement)",
      ["tests/test_coleman.py::test_vectors_reject_classes_at_another_level"]),
+    # the projection's residue read off Phi_{p^n}, not Phi_{p^(n+1)}
+    ("src/padlog/coleman.py", "cyclo_residue(p, n + 1, n)",
+     "cyclo_residue(p, n, n)",
+     [PROJECTION + "compatibility",
+      PROJECTION + "matches_the_full_reduction"]),
+    # the cyclotomic residue taken mod omega_(n-1)
+    ("src/padlog/series.py", "omega_ints(p, n))[1])",
+     "omega_ints(p, n - 1))[1])",
+     [SERIES + "test_cyclo_residue_is_the_remainder_mod_omega"]),
+    # the twist's power-matrix cache keyed on c alone
+    ("src/padlog/wach.py",
+     "@lru_cache(maxsize=32)\n"
+     "def _gamma_powers(c: int, T: int):\n",
+     "def _gamma_powers(c: int, T: int):\n"
+     "    if c not in _gamma_powers.rows:\n"
+     "        _gamma_powers.rows[c] = _by_c_and_T(c, T)\n"
+     "    return _gamma_powers.rows[c]\n"
+     "\n\n"
+     "_gamma_powers.rows = {}\n"
+     "_gamma_powers.cache_clear = _gamma_powers.rows.clear\n"
+     "\n\n"
+     "def _by_c_and_T(c: int, T: int):\n",
+     [TWIST + "builds_the_power_matrix_once",
+      TWIST + "from_the_cache_equals_a_fresh_twist"]),
     # forward reads the chain one level short
     ("src/padlog/coleman.py", "_apply(fd.tower.P(n), x, p, n)",
      "_apply(fd.tower.P(n - 1), x, p, n)",

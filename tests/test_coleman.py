@@ -37,8 +37,9 @@ from padlog import (
 from padlog.cli import main
 import padlog.coleman as coleman
 from padlog.coleman import _as_classes, _first_unresolved
-from padlog.linalg import form_sub, fp_rank
+from padlog.linalg import form_depth, form_mod, form_sub, fp_rank
 from padlog.logmatrix import log_matrix_in_basis, min_coeff_valuation
+from padlog.series import cyclo_residue, omega_ints
 from padlog.serialize import vector_from_record
 from padlog.wach import GammaElement, build_M_prime
 
@@ -479,6 +480,53 @@ def test_tower_projection_and_roundtrip_on_random_instances(fd):
                 "ok": True, "witness": None}
             rep = roundtrip_check(fd, n, col)
             assert rep["ok"] and rep["witness"] is None
+
+
+def _projection_by_full_reduction(fd, n, col, cutoff):
+    """tower_projection_check with C_(n+1) built in full and each entry
+    reduced mod omega_n, the route the cached residue replaced."""
+    p, tower = fd.ctx.p, fd.tower
+    low, N = coleman._forward(fd, n, *_as_classes(fd, n + 1, col))
+    top = form_mod(tower.C(n + 1), omega_ints(p, n))
+    cphi_inv = tower.cphi_power(-1)
+    hi = coleman._apply(top, low, p, n)
+    twisted = coleman._apply(cphi_inv, low, p, n)
+    N += min(form_depth(tower.frob_inv, p), form_depth(cphi_inv, p))
+    witness = _first_unresolved(form_sub(hi, twisted), p, N, cutoff)
+    return {"ok": not witness, "witness": witness}
+
+
+def _inexact_vector(fd, rng):
+    """Random polynomials whose coefficients are known to 1-4 digits."""
+    ctx = fd.ctx
+    return [XSeries(ctx, [ctx.from_rational(rng.randrange(-9, 10),
+                                            rng.randrange(1, 5))
+                          for _ in range(rng.randrange(1, 5))])
+            for _ in range(fd.size)]
+
+
+@pytest.mark.parametrize("p,size,d0", [(3, 2, 1), (5, 2, 1), (3, 3, 1),
+                                       (5, 3, 1), (3, 4, 2), (5, 4, 2)])
+def test_tower_projection_matches_the_full_reduction(p, size, d0):
+    # C_(n+1) mod omega_n is diag(I, r I) C^-1 with r the cached residue
+    # of Phi_{p^(n+1)}(1+X); the verdicts, witnesses included, are those
+    # of the full reduction, on exact and on inexact vectors
+    rng = random.Random(f"projection-{p}-{size}")
+    for seed in (1, 2):
+        fd = random_instance(p, size, d0, seed)
+        tower = fd.tower
+        for n in (1, 2):
+            assert (tower._scaled(tower.frob_inv, cyclo_residue(p, n + 1, n))
+                    == form_mod(tower.C(n + 1), omega_ints(p, n)))
+            seen = set()
+            for make in (random_polynomial_vector, _inexact_vector) * 2:
+                col = make(fd, rng)
+                for cutoff in (1, 3, 25):
+                    got = tower_projection_check(fd, n, col, cutoff)
+                    assert got == _projection_by_full_reduction(
+                        fd, n, col, cutoff)
+                    seen.add(got["ok"])
+            assert seen == {True, False}
 
 
 def test_roundtrip_reads_one_chain_and_returns_the_image(grown):

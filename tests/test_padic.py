@@ -58,6 +58,23 @@ def test_from_rational_refuses_a_float():
     assert PadicContext(3).from_rational(Fraction(3) ** -2).v == -2
 
 
+@pytest.mark.parametrize("value", [(0.5, 1), (1, 0.5), 1j, (1, 0), "abc",
+                                   (1, 2, 3), (1,), None],
+                         ids=["float-pair", "float-den", "complex",
+                              "zero-den", "bad-string", "triple", "single",
+                              "none"])
+def test_from_rational_refuses_malformed_input_as_input_error(value):
+    with pytest.raises(InputError, match="cannot embed"):
+        PadicContext(3).from_rational(value)
+
+
+def test_from_rational_keeps_every_accepted_form():
+    ninth = PadicContext(3).from_rational(Fraction(2, 9))
+    for value in ((2, 9), "2/9", " 2/9 ", (Fraction(2), 9)):
+        assert PadicContext(3).from_rational(value) == ninth
+    assert PadicContext(3).from_rational(6) == PadicContext(3).integer(6)
+
+
 def test_zero_statuses():
     assert WIDE.integer(9).zero_status() == "nonzero"
     assert WIDE.zero().zero_status(cutoff=10 ** 6) == "zero"

@@ -32,8 +32,10 @@ from padlog import (
     poly_divmod,
     reduce_mod_omega,
 )
+from padlog.linalg import pseudo_divmod
 from padlog.series import (
     LambdaNElement,
+    cyclo_residue,
     form_views,
     omega_ints,
     phi_cyclo_ints,
@@ -130,6 +132,27 @@ def test_omega_factors_through_cyclotomics(p, n):
         prod = pmul(prod, phi_oracle(p, k))
     assert prod == [Fraction(c) for c in omega_oracle(p, n)]
     assert ptrim(list(omega_ints(p, n))) == [c for c in omega_oracle(p, n)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_cyclo_residue_is_the_remainder_mod_omega(p, n):
+    # Phi_{p^k}(1+X) mod omega_n, divided afresh; at k = n + 1 it is p,
+    # as (1+X)^(p^n) = 1 mod omega_n
+    for k in range(1, n + 2):
+        r = cyclo_residue(p, k, n)
+        assert isinstance(r, tuple)
+        assert list(r) == pseudo_divmod(phi_cyclo_ints(p, k),
+                                        omega_ints(p, n))[1]
+        assert len(r) <= p ** n
+    assert cyclo_residue(p, n + 1, n) == (p,)
+
+
+@pytest.mark.parametrize("p,k,n", [(3, 1, 1), (3, 2, 1), (3, 3, 2),
+                                   (5, 1, 2), (5, 2, 1)])
+def test_cyclo_residue_matches_the_division_oracle(p, k, n):
+    _, r = pdivmod(phi_oracle(p, k), omega_oracle(p, n))
+    assert [Fraction(c) for c in cyclo_residue(p, k, n)] == ptrim(r)
 
 
 def test_poly_divmod_exact():

@@ -33,6 +33,7 @@ from padlog.series import phi_cyclo_ints
 from padlog.wach import (
     WachMatrixTower,
     _binom_shift,
+    _gamma_powers,
     _pcompose,
     _power_matrix,
     _pseries_inv,
@@ -155,6 +156,10 @@ def test_power_matrix_rows_match_closed_form(p, e, T):
 @pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 4, 2, 1)],
                          ids=["size2", "size4"])
 def test_twist_builds_the_power_matrix_once(fd, monkeypatch):
+    # the power matrix of (1 + pi)^c - 1 mod pi^T depends only on (c, T):
+    # a fresh pair builds it once, the same pair builds nothing on another
+    # tower or for a scalar exponent with the same lift, and a new T
+    # builds it once more
     calls = []
 
     def counted(*args, _fn=_power_matrix):
@@ -162,11 +167,31 @@ def test_twist_builds_the_power_matrix_once(fd, monkeypatch):
         return _fn(*args)
 
     monkeypatch.setattr("padlog.wach._power_matrix", counted)
+    _gamma_powers.cache_clear()
     tower = build_M_prime(fd, 2)
-    for k, c, T in ((1, 4, 6), (2, 10, 12), (2, fd.ctx.integer(4), 8)):
+    other = build_M_prime(random_instance(3, 3, 1, 1), 2)
+    for t, k, c, T, built in ((tower, 1, 4, 6, [6]), (other, 2, 4, 6, []),
+                              (other, 1, fd.ctx.integer(4), 6, []),
+                              (tower, 2, 4, 9, [9]), (tower, 2, 10, 12, [12]),
+                              (other, 2, 10, 12, [])):
         calls.clear()
-        tower.twist(k, GammaElement(3, c), T)
-        assert calls == [T]
+        t.twist(k, GammaElement(3, c), T)
+        assert calls == built
+
+
+@pytest.mark.parametrize("scalar", [False, True], ids=["integer", "scalar"])
+def test_twist_from_the_cache_equals_a_fresh_twist(scalar):
+    # each (c, T) read back from the cache, after other truncations of the
+    # same c went in, gives the G of a cleared cache
+    fd = random_instance(3, 4, 2, 1)
+    tower = build_M_prime(fd, 2)
+    gamma = GammaElement(3, fd.ctx.integer(10) if scalar else 10)
+    truncs = (6, 12, 6, 9, 12)
+    _gamma_powers.cache_clear()
+    warm = [tower.twist(2, gamma, T)["G"] for T in truncs]
+    for T, G in zip(truncs, warm):
+        _gamma_powers.cache_clear()
+        assert tower.twist(2, gamma, T)["G"] == G
 
 
 @pytest.mark.parametrize("fd", [wach_fd(), random_instance(3, 4, 2, 1)],
