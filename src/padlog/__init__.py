@@ -18,170 +18,122 @@ are lifted once, computed on exactly, and rounded once.  p-adic scalars
 explicit precision and no arithmetic, and XSeries and LambdaNElement
 are views built from them, so every zero test is a certification, never
 a guess.
+
+`import padlog` loads only `padlog.errors`.  Every other module is
+loaded on first use: reading a public name (`padlog.build_Mn`, or
+`from padlog import build_Mn`) loads the module that defines it, and
+`padlog.<module>` loads that module (PEP 562).  A process pays only for
+the modules it runs, which is most of the start-up time of a `padlog`
+command.
 """
 
-from .errors import (
-    DegenerateInput,
-    DenominatorBudgetExceeded,
-    DivisionByZero,
-    HypothesisFailed,
-    Indeterminate,
-    InputError,
-    IntegralityViolation,
-    NotFiltrationAdapted,
-    NotInImage,
-    NotIntegral,
-    PadlogError,
-    PrecisionExhausted,
-    PrecisionLoss,
-    SearchExhausted,
-    SingularOperator,
-)
-from .padic import INF, PadicContext, PadicScalar
-from .series import (
-    LambdaNElement,
-    XSeries,
-    divide_exact,
-    omega,
-    poly_divmod,
-    reduce_mod_omega,
-)
-from .logmatrix import (
-    FrobeniusData,
-    HypothesisReport,
-    ImageConditionResult,
-    LogMatrixApprox,
-    build_Mn,
-    check_evaluation,
-    check_hypotheses,
-    conjugate_basis_check,
-    conjugated_instance,
-    det_Mn,
-    det_closed_form,
-    image_condition_at_zero,
-    verify_stabilization,
-)
-from .coleman import (
-    ColemanVector,
-    RegulatorVector,
-    factor_level,
-    forward,
-    integral_shift,
-    kernel_basis,
-    roundtrip_check,
-    tower_projection_check,
-)
-from .basis import (
-    AdmissibilityCertificate,
-    CandidateBasis,
-    LatticeSetup,
-    StrongAdmissibilityCertificate,
-    avoid_slopes,
-    construct_admissible,
-    construct_strongly_admissible,
-    escape_union,
-    generic_position_extend,
-    is_admissible,
-    is_strongly_admissible,
-    merge_complement,
-)
-from .pollack import (
-    closed_form_matrix,
-    log_minus_partial,
-    log_plus_partial,
-    pollack_instance,
-    verify_antidiagonal,
-)
-from .wach import (
-    GammaElement,
-    WachMatrixTower,
-    build_G_gamma,
-    build_M_prime,
-    build_Pn,
-    verify_cocycle,
-    verify_commutation,
-    verify_p1_twist,
-    verify_tower_congruence,
-    wach_context,
-)
-from .reports import Check, Report, Status
+import sys
+from importlib import import_module
+
+from . import errors  # noqa: F401  (the exception classes load eagerly)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityCertificate",
-    "CandidateBasis",
-    "Check",
-    "ColemanVector",
-    "DegenerateInput",
-    "DenominatorBudgetExceeded",
-    "DivisionByZero",
-    "FrobeniusData",
-    "GammaElement",
-    "HypothesisFailed",
-    "HypothesisReport",
-    "INF",
-    "ImageConditionResult",
-    "Indeterminate",
-    "InputError",
-    "IntegralityViolation",
-    "LambdaNElement",
-    "LatticeSetup",
-    "LogMatrixApprox",
-    "NotFiltrationAdapted",
-    "NotInImage",
-    "NotIntegral",
-    "PadicContext",
-    "PadicScalar",
-    "PadlogError",
-    "PrecisionExhausted",
-    "PrecisionLoss",
-    "RegulatorVector",
-    "Report",
-    "SearchExhausted",
-    "SingularOperator",
-    "Status",
-    "StrongAdmissibilityCertificate",
-    "WachMatrixTower",
-    "XSeries",
-    "avoid_slopes",
-    "build_G_gamma",
-    "build_M_prime",
-    "build_Mn",
-    "build_Pn",
-    "check_evaluation",
-    "check_hypotheses",
-    "closed_form_matrix",
-    "conjugate_basis_check",
-    "conjugated_instance",
-    "construct_admissible",
-    "construct_strongly_admissible",
-    "det_Mn",
-    "det_closed_form",
-    "divide_exact",
-    "escape_union",
-    "factor_level",
-    "forward",
-    "generic_position_extend",
-    "image_condition_at_zero",
-    "integral_shift",
-    "is_admissible",
-    "is_strongly_admissible",
-    "kernel_basis",
-    "log_minus_partial",
-    "log_plus_partial",
-    "merge_complement",
-    "omega",
-    "pollack_instance",
-    "poly_divmod",
-    "reduce_mod_omega",
-    "roundtrip_check",
-    "tower_projection_check",
-    "verify_antidiagonal",
-    "verify_cocycle",
-    "verify_commutation",
-    "verify_p1_twist",
-    "verify_stabilization",
-    "verify_tower_congruence",
-    "wach_context",
-]
+# Each public name and the module that defines it.
+_HOME = {
+    "DegenerateInput": "errors",
+    "DenominatorBudgetExceeded": "errors",
+    "DivisionByZero": "errors",
+    "HypothesisFailed": "errors",
+    "Indeterminate": "errors",
+    "InputError": "errors",
+    "IntegralityViolation": "errors",
+    "NotFiltrationAdapted": "errors",
+    "NotInImage": "errors",
+    "NotIntegral": "errors",
+    "PadlogError": "errors",
+    "PrecisionExhausted": "errors",
+    "PrecisionLoss": "errors",
+    "SearchExhausted": "errors",
+    "SingularOperator": "errors",
+    "INF": "padic",
+    "PadicContext": "padic",
+    "PadicScalar": "padic",
+    "LambdaNElement": "series",
+    "XSeries": "series",
+    "divide_exact": "series",
+    "omega": "series",
+    "poly_divmod": "series",
+    "reduce_mod_omega": "series",
+    "FrobeniusData": "logmatrix",
+    "HypothesisReport": "logmatrix",
+    "ImageConditionResult": "logmatrix",
+    "LogMatrixApprox": "logmatrix",
+    "build_Mn": "logmatrix",
+    "check_evaluation": "logmatrix",
+    "check_hypotheses": "logmatrix",
+    "conjugate_basis_check": "logmatrix",
+    "conjugated_instance": "logmatrix",
+    "det_Mn": "logmatrix",
+    "det_closed_form": "logmatrix",
+    "image_condition_at_zero": "logmatrix",
+    "verify_stabilization": "logmatrix",
+    "ColemanVector": "coleman",
+    "RegulatorVector": "coleman",
+    "factor_level": "coleman",
+    "forward": "coleman",
+    "integral_shift": "coleman",
+    "kernel_basis": "coleman",
+    "roundtrip_check": "coleman",
+    "tower_projection_check": "coleman",
+    "AdmissibilityCertificate": "basis",
+    "CandidateBasis": "basis",
+    "LatticeSetup": "basis",
+    "StrongAdmissibilityCertificate": "basis",
+    "avoid_slopes": "basis",
+    "construct_admissible": "basis",
+    "construct_strongly_admissible": "basis",
+    "escape_union": "basis",
+    "generic_position_extend": "basis",
+    "is_admissible": "basis",
+    "is_strongly_admissible": "basis",
+    "merge_complement": "basis",
+    "closed_form_matrix": "pollack",
+    "log_minus_partial": "pollack",
+    "log_plus_partial": "pollack",
+    "pollack_instance": "pollack",
+    "verify_antidiagonal": "pollack",
+    "GammaElement": "wach",
+    "WachMatrixTower": "wach",
+    "build_G_gamma": "wach",
+    "build_M_prime": "wach",
+    "build_Pn": "wach",
+    "verify_cocycle": "wach",
+    "verify_commutation": "wach",
+    "verify_p1_twist": "wach",
+    "verify_tower_congruence": "wach",
+    "wach_context": "wach",
+    "Check": "reports",
+    "Report": "reports",
+    "Status": "reports",
+}
+
+_MODULES = frozenset({*_HOME.values(), "cli", "linalg", "serialize"})
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """A public name or module of the package, loaded on first use.
+
+    Only the module is kept, by the import system: the name is read off
+    its home module on every access, so a name rebound there (by a test,
+    or by a tracer that wraps functions) is the one returned here."""
+    home = _HOME.get(name)
+    if home is None:
+        if name not in _MODULES:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}")
+        return import_module(f"{__name__}.{name}")
+    qualified = f"{__name__}.{home}"
+    module = sys.modules.get(qualified) or import_module(qualified)
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

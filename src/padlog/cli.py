@@ -11,7 +11,11 @@ Subcommands:
              instance
 
 Exit codes: 0 all checks pass, 1 a check fails, 2 indeterminate at the
-working precision, 3 invalid input.
+working precision, 3 invalid input (also an input file that cannot be
+read and an --out file that cannot be written).
+
+Each subcommand imports the modules it runs, so that one `padlog`
+process loads and compiles only those.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .basis import construct_admissible, construct_strongly_admissible
-from .coleman import roundtrip_check
 from .errors import (
     DenominatorBudgetExceeded,
     HypothesisFailed,
@@ -30,15 +32,6 @@ from .errors import (
     PadlogError,
     PrecisionLoss,
 )
-from .logmatrix import (
-    build_Mn,
-    check_evaluation,
-    check_hypotheses,
-    det_Mn,
-    verify_stabilization,
-)
-from .padic import PadicContext
-from .pollack import pollack_instance, verify_antidiagonal
 from .reports import Report, Status
 from .serialize import (
     classes_to_record,
@@ -48,14 +41,6 @@ from .serialize import (
     setup_from_record,
     vector_from_record,
     write_json,
-)
-from .wach import (
-    GammaElement,
-    build_M_prime,
-    verify_commutation,
-    verify_p1_twist,
-    verify_tower_congruence,
-    wach_context,
 )
 
 
@@ -127,6 +112,8 @@ def _finish(report: Report, args, payload=None) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .logmatrix import check_hypotheses
+
     record = read_json(args.input)
     fd = instance_from_record(record, where=args.input, force=True)
     gate = check_hypotheses(fd)
@@ -139,6 +126,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_logmatrix(args) -> int:
+    from .logmatrix import (
+        build_Mn,
+        check_evaluation,
+        det_Mn,
+        verify_stabilization,
+    )
+
     record = read_json(args.input)
     fd = instance_from_record(record, where=args.input)
     if args.n < 1:
@@ -158,6 +152,8 @@ def _cmd_logmatrix(args) -> int:
 
 
 def _cmd_coleman(args) -> int:
+    from .coleman import roundtrip_check
+
     record = read_json(args.input)
     fd = instance_from_record(record, where=args.input)
     vec_obj = read_json(args.vectors)
@@ -183,6 +179,8 @@ def _cmd_coleman(args) -> int:
 
 
 def _cmd_basis(args) -> int:
+    from .basis import construct_admissible, construct_strongly_admissible
+
     record = read_json(args.input)
     setup = setup_from_record(record, where=args.input)
     report = Report(f"basis construction for {args.input}")
@@ -199,6 +197,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_pollack(args) -> int:
+    from .pollack import pollack_instance, verify_antidiagonal
+
     if args.levels < 1:
         raise InputError("--levels must be at least 1")
     ctx_fd = pollack_instance(_pollack_context(args.p, args.levels))
@@ -215,11 +215,23 @@ def _cmd_pollack(args) -> int:
 
 
 def _pollack_context(p: int, levels: int) -> PadicContext:
+    from .padic import PadicContext
+
     budget = max(20, levels + 8)
     return PadicContext(p, rel_prec=20, denom_budget=budget)
 
 
 def _cmd_wach(args) -> int:
+    from .pollack import pollack_instance
+    from .wach import (
+        GammaElement,
+        build_M_prime,
+        verify_commutation,
+        verify_p1_twist,
+        verify_tower_congruence,
+        wach_context,
+    )
+
     if args.levels < 1:
         raise InputError("--levels must be at least 1")
     ctx = wach_context(args.p)

@@ -3,7 +3,9 @@
 All integers may be written as decimal strings so that arbitrarily
 large values survive tools that mangle big JSON numbers; rationals are
 strings like "3/4".  Every loader names the offending path and field
-in its InputError.
+in its InputError.  Each loader imports the modules it builds on, so
+that reading a lattice setup does not load the tower, nor an instance
+the lattice code.
 """
 
 from __future__ import annotations
@@ -11,12 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .basis import LatticeSetup
 from .errors import InputError
-from .linalg import form_from_fractions, form_mod
-from .logmatrix import FrobeniusData
-from .padic import PadicContext
-from .series import LambdaNElement, XSeries, form_views, omega_ints
 
 
 def read_json(path: str):
@@ -27,12 +24,20 @@ def read_json(path: str):
         raise InputError(f"{path}: file not found") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    except OSError as exc:
+        raise InputError(f"{path}: cannot read ({exc.strerror})") from None
 
 
 def write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, default=str)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, default=str)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"{path}: cannot write ({exc.strerror})") from None
 
 
 def as_int(value, where: str) -> int:
@@ -82,6 +87,8 @@ def _rational_rows(rows: list, where: str, kind: str):
 
 
 def context_from_record(record: dict, where: str = "input") -> PadicContext:
+    from .padic import PadicContext
+
     p = as_int(_field(record, "p", where), f"{where}.p")
     rel = as_int(record.get("rel_prec", 20), f"{where}.rel_prec")
     budget = as_int(record.get("denom_budget", 20), f"{where}.denom_budget")
@@ -95,6 +102,8 @@ def instance_from_record(record: dict, where: str = "input",
                          force: bool = False) -> FrobeniusData:
     """Build an admitted instance from {p, d, d0, r, C, rel_prec,
     denom_budget}.  d and r are optional when C determines them."""
+    from .logmatrix import FrobeniusData
+
     if not isinstance(record, dict):
         raise InputError(f"{where}: expected an object")
     ctx = context_from_record(record, where)
@@ -123,6 +132,9 @@ def vector_from_record(record: dict, fd: FrobeniusData,
     Each component is a coefficient array of an exact polynomial,
     reduced exactly into the level-n quotient and then rounded once.
     Returns (n, [classes])."""
+    from .linalg import form_from_fractions, form_mod
+    from .series import LambdaNElement, form_views, omega_ints
+
     if not isinstance(record, dict):
         raise InputError(f"{where}: expected an object")
     n = as_int(_field(record, "n", where), f"{where}.n")
@@ -167,6 +179,8 @@ def matrix_to_record(M) -> list:
 
 def setup_from_record(record: dict, where: str = "input") -> LatticeSetup:
     """Lattice data from {p, g, g_minus, fil0_dual, phi_matrix?}."""
+    from .basis import LatticeSetup
+
     if not isinstance(record, dict):
         raise InputError(f"{where}: expected an object")
     ctx = context_from_record(record, where)

@@ -41,6 +41,8 @@ TRANSPORT = "tests/test_basis.py::test_transport_operator_matches_the_oracle"
 ONCE = "tests/test_basis.py::test_strong_construction_decides_each_subset_once"
 PROJECTION = "tests/test_coleman.py::test_tower_projection_"
 TWIST = "tests/test_wach.py::test_twist_"
+LOADS = ("tests/test_package.py::"
+         "test_a_subcommand_loads_only_the_modules_it_runs[")
 
 MUTANTS = [
     # form_witness: the threshold one digit too deep
@@ -287,6 +289,21 @@ MUTANTS = [
     # the strong constructor skips the transported family
     ("src/padlog/basis.py", "for fam in (vecs, moved):",
      "for fam in (vecs,):", [ONCE]),
+    # every subcommand loads the lattice code
+    ("src/padlog/cli.py", "\nfrom .errors import (\n",
+     "\nfrom .basis import construct_admissible\nfrom .errors import (\n",
+     [LOADS + "check]", LOADS + "pollack]"]),
+    # a name served from a module that only imports it
+    ("src/padlog/__init__.py", '"FrobeniusData": "logmatrix",',
+     '"FrobeniusData": "coleman",',
+     ["tests/test_package.py::"
+      "test_each_name_is_the_object_defined_in_its_home_module"]),
+    # an input path that cannot be read escapes as a traceback
+    ("src/padlog/serialize.py",
+     "    except OSError as exc:\n"
+     "        raise InputError(f\"{path}: cannot read ({exc.strerror})\") "
+     "from None\n", "",
+     ["tests/test_cli.py::test_unreadable_input_is_input_error"]),
 ]
 
 

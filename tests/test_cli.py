@@ -68,7 +68,30 @@ def test_check_fails_on_ordinary_instance(tmp_path, capsys):
 def test_check_missing_file_is_input_error(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["check", "--input", missing]) == 3
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {missing}: file not found\n"
+
+
+def test_unreadable_input_is_input_error(tmp_path, capsys):
+    # a directory and a file that is not UTF-8 text exit 3 naming the
+    # path, as a missing file does
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"p": "\xe9"}')
+    for path, reason in ((tmp_path, "cannot read"),
+                         (latin1, "not UTF-8 text")):
+        assert main(["check", "--input", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: {reason}")
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    # the report is printed before --out is written; a missing directory
+    # then exits 3
+    out = tmp_path / "missing" / "report.json"
+    assert main(["pollack", "--p", "3", "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.rstrip().endswith("overall: PASS")
+    assert captured.err.startswith(f"error: {out}: cannot write")
 
 
 def test_check_malformed_record(tmp_path, capsys):
@@ -279,11 +302,11 @@ def test_wach_help_states_the_defaults(capsys, monkeypatch):
         help_line = out.split(f"--{flag} {flag.upper()} ")[1]
         stated[flag] = help_line.split("(default ")[1].split(")")[0]
     assert stated == {"levels": "2", "trunc": "30"}
-    import padlog.cli as cli
+    import padlog.wach as wach
 
     truncs = []
-    check = cli.verify_p1_twist
-    monkeypatch.setattr(cli, "verify_p1_twist", lambda fd, gamma, trunc:
+    check = wach.verify_p1_twist
+    monkeypatch.setattr(wach, "verify_p1_twist", lambda fd, gamma, trunc:
                         truncs.append(trunc) or check(fd, gamma, trunc))
     assert main(["wach", "--p", "3", "--c", "4"]) == 0
     printed = capsys.readouterr().out
